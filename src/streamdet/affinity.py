@@ -76,15 +76,11 @@ def collect_pairs(proposals, features: list[FeatureVector],
         return []
     rects = np.array([p.box.as_tuple() for p in proposals], dtype=np.float64)
     overlaps = iou_matrix(rects, rects)
-    pairs: list[PairSample] = []
-    for i in range(n):
-        row = overlaps[i, i + 1:]
-        for off in np.nonzero(row > 0.0)[0]:
-            j = i + 1 + int(off)
-            u = float(row[off])
-            u_bin = min(u_bins - 1, int(u * u_bins))
-            pairs.append(PairSample(i, j, u, u_bin))
-    return pairs
+    ii, jj = np.nonzero(np.triu(overlaps > 0.0, 1))
+    us = overlaps[ii, jj]
+    u_bin = np.minimum(u_bins - 1, (us * u_bins).astype(np.int64))
+    return [PairSample(i, j, u, b) for i, j, u, b in
+            zip(ii.tolist(), jj.tolist(), us.tolist(), u_bin.tolist())]
 
 
 def silverman_bandwidths(samples: np.ndarray, dim: int | None = None,
@@ -171,28 +167,72 @@ class FeatureProjector:
         return np.concatenate([locs, color[:, None]], axis=1)
 
 
+class PairKDE:
+    """Exchange-symmetric 10-D product-Epanechnikov density over fitted pairs.
+
+    The samples are the fitted pairs (points[i], points[j]) in both orders,
+    kept as the 5-D points and the pair indices rather than 2P sample rows.
+    The kernel factorizes over the two blocks: with K(x) the block-kernel row
+    of x against the fitted points and C the symmetric pair-count matrix, the
+    density at (a, b) is K(a) C K(b)^T / n_samples, and the marginal of either
+    block is K(a) C.sum(1) / n_samples, the exact marginal with the same
+    bandwidths.
+    """
+
+    def __init__(self, points: np.ndarray, ii: np.ndarray, jj: np.ndarray,
+                 block_bandwidths: np.ndarray):
+        self.points = np.asarray(points, dtype=np.float64)
+        self.ii = np.asarray(ii, dtype=np.int64)
+        self.jj = np.asarray(jj, dtype=np.int64)
+        self.block_bandwidths = np.asarray(block_bandwidths, dtype=np.float64)
+        self.bandwidths = np.concatenate([self.block_bandwidths] * 2)
+        self.n_samples = 2 * self.ii.size
+        # C.sum(1): how many samples hold each fitted point in one block
+        self.weights = np.bincount(np.concatenate([self.ii, self.jj]),
+                                   minlength=self.points.shape[0]).astype(np.float64)
+        self._norm = np.prod(0.75 / self.bandwidths)
+
+    def pair_counts(self) -> np.ndarray:
+        """Symmetric (n, n) C: C[i, j] samples hold points[i] in the first
+        block and points[j] in the second."""
+        n = self.points.shape[0]
+        c = np.bincount(self.ii * n + self.jj, minlength=n * n).reshape(n, n)
+        return (c + c.T).astype(np.float64)
+
+    def factors(self, points: np.ndarray) -> np.ndarray:
+        """(m, n) block-kernel values of 5-D points against the fitted points."""
+        return kernel_factor_matrix(points, self.points, self.block_bandwidths)
+
+    def evaluate(self, points: np.ndarray) -> np.ndarray:
+        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        half = self.points.shape[1]
+        ka = self.factors(points[:, :half])
+        kb = self.factors(points[:, half:])
+        return (np.einsum("ij,ij->i", ka[:, self.ii], kb[:, self.jj])
+                + np.einsum("ij,ij->i", ka[:, self.jj], kb[:, self.ii])) / self.n_samples
+
+    def marginal(self, points: np.ndarray) -> np.ndarray:
+        return self.factors(np.atleast_2d(points)) @ self.weights / self.n_samples
+
+
 @dataclass
 class DensityModel:
-    """Joint, product-of-marginals and marginal kernel densities over
-    projected feature pairs."""
+    """The projection of the fitted features and the joint density of
+    overlapping pairs in that 5-D space; the independence baseline
+    P(A) P(B) is the product of the joint's exact marginals."""
 
     projector: FeatureProjector
-    joint: ProductKDE       # 10-D, symmetrized over pair order
-    product: ProductKDE     # 10-D estimate of P(A) P(B): block-permuted pairs
-    marginal: ProductKDE    # 5-D, shares the joint's per-dimension bandwidths
+    joint: PairKDE          # 10-D, symmetrized over pair order
     n_pairs: int
 
 
 def fit_density(pairs: list[PairSample], features: list[FeatureVector]) -> DensityModel:
     """Epanechnikov joint density over overlapping pairs in projected space.
 
-    The sample set contains each pair in both orders, which makes the joint
-    exchange-symmetric; the marginal reuses the first-block bandwidths so it
-    is the exact marginal of the joint. The product-of-marginals density is
-    estimated in the pair space from block-permuted samples: it shares the
-    joint's dimensionality, bandwidths and smoothing bias, so the log ratio
-    in the mutual-information score is centered at zero for independent
-    features instead of inheriting the high-dimensional kernel bias.
+    Each pair counts in both orders, which makes the joint exchange-symmetric.
+    Bandwidths follow the plug-in rule over the 2P samples of one block with
+    the joint's dimension 10, taking the larger of the two block orders per
+    dimension, so both blocks (and the marginal) share them.
     """
     if len(pairs) < 2:
         raise DensityError(
@@ -202,34 +242,20 @@ def fit_density(pairs: list[PairSample], features: list[FeatureVector]) -> Densi
     proj = projector.project(features)
     ii = np.fromiter((p.i for p in pairs), dtype=np.int64, count=len(pairs))
     jj = np.fromiter((p.j for p in pairs), dtype=np.int64, count=len(pairs))
-    fwd = np.concatenate([proj[ii], proj[jj]], axis=1)
-    bwd = np.concatenate([proj[jj], proj[ii]], axis=1)
-    samples = np.concatenate([fwd, bwd], axis=0)
-    bw = silverman_bandwidths(samples, dim=samples.shape[1])
-    # symmetrize bandwidths across the two feature blocks
-    half = proj.shape[1]
-    bw_block = np.maximum(bw[:half], bw[half:])
-    bw = np.concatenate([bw_block, bw_block])
-    joint = ProductKDE(samples, bw)
-    # decouple the blocks with several fixed derangements; pooling the rolls
-    # smooths the independence baseline so it has no spurious coverage holes
-    rolls = [r for r in (1, 3, 7, 13) if r % samples.shape[0] != 0] or [1]
-    permuted = np.concatenate(
-        [np.concatenate([samples[:, :half],
-                         np.roll(samples[:, half:], r, axis=0)], axis=1)
-         for r in rolls], axis=0)
-    product = ProductKDE(permuted, bw)
-    marginal = ProductKDE(samples[:, :half], bw_block)
-    return DensityModel(projector, joint, product, marginal, len(pairs))
+    dim = 2 * proj.shape[1]
+    # the two sample blocks hold the same rows in two orders, whose standard
+    # deviations differ in rounding only
+    bw_block = np.maximum(
+        silverman_bandwidths(proj[np.concatenate([ii, jj])], dim=dim),
+        silverman_bandwidths(proj[np.concatenate([jj, ii])], dim=dim))
+    return DensityModel(projector, PairKDE(proj, ii, jj, bw_block), len(pairs))
 
 
-def _loo_correct(values: np.ndarray, kde: ProductKDE) -> np.ndarray:
+def _loo_correct(values: np.ndarray, kde: PairKDE) -> np.ndarray:
     """Remove one self-kernel from density values evaluated at the KDE's own
     sample points: without this, a pair with no similar pairs still sees its
     own kernel peak and gets a spuriously confident joint density."""
-    n = kde.samples.shape[0]
-    if n <= 1:
-        return values
+    n = kde.n_samples
     return np.maximum((n * values - kde._norm) / (n - 1), 0.0)
 
 
@@ -244,20 +270,26 @@ def pmi(model: DensityModel, a: FeatureVector, b: FeatureVector,
     pa, pb = model.projector.project([a, b])
     if tuple(pb) < tuple(pa):
         pa, pb = pb, pa
-    joint_pt = np.concatenate([pa, pb])[None, :]
-    pj = model.joint.evaluate(joint_pt)
+    pj = model.joint.evaluate(np.concatenate([pa, pb])[None, :])
     if exclude_self:
         pj = _loo_correct(pj, model.joint)
-    pab = float(model.product.evaluate(joint_pt)[0])
+    ma, mb = model.joint.marginal(np.stack([pa, pb]))
     return float(rho * np.log(max(float(pj[0]), DENSITY_EPS))
-                 - np.log(max(pab, DENSITY_EPS)))
+                 - np.log(max(float(ma * mb), DENSITY_EPS)))
 
 
 def affinity_matrix(features: list[FeatureVector], model: DensityModel,
                     rho: float = 1.2) -> np.ndarray:
     """Symmetric non-negative W with W_ij = exp(PMI(f_i, f_j)) for pairs with
     positive overlap, 0 for non-overlapping pairs, and the row maximum on the
-    diagonal."""
+    diagonal.
+
+    Every pair of proposals is evaluated at once: with Kn the block-kernel
+    matrix of the proposals against the fitted points and C the pair counts,
+    the joint density at all pairs is Kn C Kn^T / n_samples and the marginals
+    are Kn C.sum(1) / n_samples. The joint is leave-one-out corrected, as
+    each overlapping pair is one of the fitted samples.
+    """
     n = len(features)
     if n < 2:
         raise ValueError("need at least 2 features")
@@ -266,34 +298,16 @@ def affinity_matrix(features: list[FeatureVector], model: DensityModel,
     rects = np.stack([loc[:, 0] - loc[:, 3] / 2, loc[:, 1] - loc[:, 2] / 2,
                       loc[:, 3], loc[:, 2]], axis=1)
     overlaps = iou_matrix(rects, rects)
-    iu, ju = np.triu_indices(n, k=1)
-    keep = overlaps[iu, ju] > 0.0
-    iu, ju = iu[keep], ju[keep]
+    iu, ju = np.nonzero(np.triu(overlaps > 0.0, 1))
 
     W = np.zeros((n, n), dtype=np.float64)
     if iu.size:
-        # the product kernel factorizes over the two feature blocks, so all
-        # pair evaluations reduce to kernel-factor matrices and two matmuls,
-        # accumulated over sample chunks to bound memory
-        half = proj.shape[1]
-        n_samp = model.joint.samples.shape[0]
-        bw_block = model.joint.bandwidths[:half]
-        joint_all = np.zeros((n, n), dtype=np.float64)
-        prod_all = np.zeros((n, n), dtype=np.float64)
-        chunk = max(1, (1 << 22) // max(1, n))
-        for lo_s in range(0, n_samp, chunk):
-            sl = slice(lo_s, lo_s + chunk)
-            ka = kernel_factor_matrix(proj, model.joint.samples[sl, :half], bw_block)
-            kb = kernel_factor_matrix(proj, model.joint.samples[sl, half:], bw_block)
-            kbp = kernel_factor_matrix(proj, model.product.samples[sl, half:], bw_block)
-            joint_all += ka @ kb.T
-            prod_all += ka @ kbp.T
-        joint_all /= n_samp
-        prod_all /= n_samp
-        # every evaluated pair is one of the fitted samples: self-excluded
-        joint_vals = _loo_correct(joint_all[iu, ju], model.joint)
-        pj = np.log(np.maximum(joint_vals, DENSITY_EPS))
-        pab = np.log(np.maximum(prod_all[iu, ju], DENSITY_EPS))
+        joint = model.joint
+        kn = joint.factors(proj)
+        density = kn @ joint.pair_counts() @ kn.T / joint.n_samples
+        m = kn @ joint.weights / joint.n_samples
+        pj = np.log(np.maximum(_loo_correct(density[iu, ju], joint), DENSITY_EPS))
+        pab = np.log(np.maximum(m[iu] * m[ju], DENSITY_EPS))
         vals = np.exp(rho * pj - pab)
         W[iu, ju] = vals
         W[ju, iu] = vals

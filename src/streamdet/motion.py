@@ -67,16 +67,19 @@ def block_matching_flow(f1, f2, search_radius: int = 4, block: int = 5) -> np.nd
     candidates.sort(key=lambda d: (d[0] * d[0] + d[1] * d[1], d[0], d[1]))
 
     big = 1e6
-    costs = np.empty((len(candidates), h, w), dtype=np.float64)
+    best_cost = np.full((h, w), np.inf, dtype=np.float64)
+    best = np.zeros((h, w), dtype=np.intp)
     for idx, (dx, dy) in enumerate(candidates):
         shifted = np.full((h, w), big, dtype=np.float64)
         y0, y1 = max(0, -dy), min(h, h - dy)
         x0, x1 = max(0, -dx), min(w, w - dx)
         if y1 > y0 and x1 > x0:
             shifted[y0:y1, x0:x1] = g2[y0 + dy:y1 + dy, x0 + dx:x1 + dx]
-        diff = np.abs(g1 - shifted)
-        costs[idx] = uniform_filter(diff, size=block, mode="nearest")
-    best = np.argmin(costs, axis=0)  # first minimum wins: candidate order is the tie-break
+        cost = uniform_filter(np.abs(g1 - shifted), size=block, mode="nearest")
+        # strictly lower only: the first minimum wins, so candidate order is the tie-break
+        better = cost < best_cost
+        best_cost[better] = cost[better]
+        best[better] = idx
     cand = np.asarray(candidates, dtype=np.float32)
     flow = cand[best]
     return flow.astype(np.float32)

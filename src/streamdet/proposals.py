@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Box, IntegralImage, as_field, iou, iou_matrix
+from .core import Box, IntegralImage, as_field, iou_matrix
 from .edges import EdgeGroup
 
 
@@ -216,13 +216,15 @@ def _refine(boxes: np.ndarray, scores: np.ndarray, ctx: ScoreContext,
 def nms(proposals: list[Proposal], beta: float) -> list[Proposal]:
     """Greedy non-maximum suppression: keep the highest-score box, drop any
     remaining box whose IoU with a kept box exceeds beta."""
-    order = sorted(range(len(proposals)),
-                   key=lambda i: (-proposals[i].score,) + proposals[i].box.as_tuple())
+    ranked = sorted(proposals, key=lambda p: (-p.score,) + p.box.as_tuple())
+    rects = np.array([p.box.as_tuple() for p in ranked], dtype=np.float64)
+    clash = iou_matrix(rects, rects) > beta
+    suppressed = np.zeros(len(ranked), dtype=bool)
     kept: list[Proposal] = []
-    for i in order:
-        p = proposals[i]
-        if all(iou(p.box, q.box) <= beta for q in kept):
+    for k, p in enumerate(ranked):
+        if not suppressed[k]:
             kept.append(p)
+            suppressed |= clash[k]
     return kept
 
 

@@ -220,3 +220,88 @@ def test_affinity_color_separated_objects():
     inter = W[:n, n:].ravel()
     inter_pos = inter[inter > 0]
     assert intra.mean() > inter_pos.mean() if inter_pos.size else intra.mean() > 0
+
+
+def _explicit_samples(model, pairs):
+    """The 2P joint sample rows the pair density stands for: each fitted pair
+    in both orders."""
+    proj = model.joint.points
+    ii = np.array([p.i for p in pairs])
+    jj = np.array([p.j for p in pairs])
+    fwd = np.concatenate([proj[ii], proj[jj]], axis=1)
+    bwd = np.concatenate([proj[jj], proj[ii]], axis=1)
+    return np.concatenate([fwd, bwd], axis=0)
+
+
+def test_fit_density_bandwidths_match_explicit_samples():
+    from streamdet.affinity import silverman_bandwidths
+    rng = np.random.default_rng(13)
+    feats = [_feature(rng) for _ in range(50)]
+    pairs = [PairSample(int(i), int(j), 0.5, 5)
+             for i, j in rng.integers(0, 50, size=(300, 2)) if i != j]
+    model = fit_density(pairs, feats)
+    bw = silverman_bandwidths(_explicit_samples(model, pairs), dim=10)
+    block = np.maximum(bw[:5], bw[5:])
+    assert np.array_equal(model.joint.block_bandwidths, block)
+    assert np.array_equal(model.joint.bandwidths, np.concatenate([block, block]))
+
+
+def test_joint_evaluate_matches_explicit_samples():
+    from streamdet.affinity import ProductKDE
+    rng = np.random.default_rng(10)
+    feats = _overlapping_features(rng, 30, (0.5, 0.5), (6, 6, 6), jitter=0.1)
+    feats = [_feature(rng, loc=f.location) for f in feats]
+    pairs = collect_pairs_from_locations(feats)
+    model = fit_density(pairs, feats)
+    samples = _explicit_samples(model, pairs)
+    brute = ProductKDE(samples, model.joint.bandwidths)
+    points = samples[rng.choice(len(samples), 40)] + rng.normal(0, 0.02, (40, 10))
+    assert np.allclose(model.joint.evaluate(points), brute.evaluate(points),
+                       rtol=1e-9, atol=0.0)
+
+
+def test_affinity_matrix_matches_per_pair_oracle():
+    from streamdet.affinity import ProductKDE
+    rng = np.random.default_rng(11)
+    red = _overlapping_features(rng, 20, (0.35, 0.5), (12, 2, 2), jitter=0.08)
+    blue = _overlapping_features(rng, 20, (0.6, 0.5), (2, 2, 12), jitter=0.08)
+    feats = red + blue
+    pairs = collect_pairs_from_locations(feats)
+    model = fit_density(pairs, feats)
+    rho = 1.2
+    W = affinity_matrix(feats, model, rho=rho)
+
+    samples = _explicit_samples(model, pairs)
+    joint = ProductKDE(samples, model.joint.bandwidths)
+    marginal = ProductKDE(samples[:, :5], model.joint.block_bandwidths)
+    proj = model.projector.project(feats)
+    n_s = len(samples)
+    expected = np.zeros_like(W)
+    for p in pairs:
+        pj = joint.evaluate(np.concatenate([proj[p.i], proj[p.j]])[None, :])[0]
+        pj = max((n_s * pj - joint._norm) / (n_s - 1), 0.0)  # leave one out
+        pa, pb = marginal.evaluate(proj[[p.i, p.j]])
+        val = np.exp(rho * np.log(max(pj, 1e-12)) - np.log(max(pa * pb, 1e-12)))
+        expected[p.i, p.j] = expected[p.j, p.i] = val
+    np.fill_diagonal(expected, expected.max(axis=1))
+    assert np.count_nonzero(expected) > len(feats)
+    assert np.allclose(W, expected, rtol=1e-9, atol=0.0)
+
+
+def test_collect_pairs_matches_row_loop():
+    from streamdet.core import iou
+    rng = np.random.default_rng(12)
+    boxes = [(int(rng.integers(0, 40)), int(rng.integers(0, 40)),
+              int(rng.integers(2, 20)), int(rng.integers(2, 20)))
+             for _ in range(60)]
+    props = _props(boxes)
+    expected = []
+    for i in range(len(props)):
+        for j in range(i + 1, len(props)):
+            u = iou(props[i].box, props[j].box)
+            if u > 0.0:
+                expected.append((i, j, min(9, int(u * 10))))
+    pairs = collect_pairs(props, [None] * len(props))
+    assert [(p.i, p.j, p.u_bin) for p in pairs] == expected
+    for p in pairs:
+        assert p.u == pytest.approx(iou(props[p.i].box, props[p.j].box), rel=1e-12)

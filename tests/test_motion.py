@@ -223,3 +223,38 @@ def test_temporal_edge_square_prior():
     band[12:20, 12:20] = False
     assert et[~band].sum() == pytest.approx(0.0, abs=1e-6)
     assert np.all(et >= 0.0)
+
+
+def _stacked_argmin_flow(f1, f2, search_radius, block):
+    """Reference block matching: every candidate's cost map stacked, then the
+    first minimum along the stack."""
+    from scipy.ndimage import uniform_filter
+    from streamdet.edges import to_gray
+    g1, g2 = to_gray(f1), to_gray(f2)
+    h, w = g1.shape
+    candidates = [(dx, dy) for dy in range(-search_radius, search_radius + 1)
+                  for dx in range(-search_radius, search_radius + 1)]
+    candidates.sort(key=lambda d: (d[0] * d[0] + d[1] * d[1], d[0], d[1]))
+    costs = np.empty((len(candidates), h, w), dtype=np.float64)
+    for idx, (dx, dy) in enumerate(candidates):
+        shifted = np.full((h, w), 1e6, dtype=np.float64)
+        y0, y1 = max(0, -dy), min(h, h - dy)
+        x0, x1 = max(0, -dx), min(w, w - dx)
+        if y1 > y0 and x1 > x0:
+            shifted[y0:y1, x0:x1] = g2[y0 + dy:y1 + dy, x0 + dx:x1 + dx]
+        costs[idx] = uniform_filter(np.abs(g1 - shifted), size=block, mode="nearest")
+    return np.asarray(candidates, dtype=np.float32)[np.argmin(costs, axis=0)]
+
+
+def test_block_matching_matches_stacked_argmin_on_ties():
+    rng = np.random.default_rng(3)
+    f1 = np.full((40, 52), 120, dtype=np.uint8)
+    f1[5:18, 6:20] = 200                        # flat patches: many tied costs
+    f1[24:36, 30:46] = 40
+    f1[:, 48:] = rng.integers(0, 4, size=(40, 4)) * 60   # coarse, repeating texture
+    f2 = np.roll(f1, shift=(1, 2), axis=(0, 1))
+    for radius, block in ((2, 3), (4, 5)):
+        flow = block_matching_flow(f1, f2, search_radius=radius, block=block)
+        ref = _stacked_argmin_flow(f1, f2, radius, block)
+        assert flow.dtype == np.float32
+        assert np.array_equal(flow, ref)

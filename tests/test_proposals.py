@@ -173,3 +173,22 @@ def test_params_validation():
         ProposalParams(step_iou=1.0)
     with pytest.raises(ValueError):
         ProposalParams(nms_beta=0.0)
+
+
+def test_nms_matches_greedy_iou_loop_with_tied_scores():
+    rng = np.random.default_rng(31)
+    for beta in (0.3, 0.5, 0.75):
+        props = []
+        for _ in range(150):
+            w = int(rng.integers(4, 20))
+            h = int(rng.integers(4, 20))
+            x = int(rng.integers(0, 40))
+            y = int(rng.integers(0, 40))
+            props.append(Proposal(Box(x, y, w, h), float(rng.integers(0, 4)) / 4))
+        ranked = sorted(props, key=lambda p: (-p.score,) + p.box.as_tuple())
+        expected = []
+        for p in ranked:
+            if all(iou(p.box, q.box) <= beta for q in expected):
+                expected.append(p)
+        kept = nms(props, beta)
+        assert [id(p) for p in kept] == [id(p) for p in expected]
