@@ -214,7 +214,12 @@ def _fit_pca(X: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return mean, comps
 
 
-RESIDUAL_BANDWIDTH_FLOOR = 0.25
+# smallest descriptor bandwidth, in scaled feature units (one histogram bin
+# spans 1). Trailing PCA coordinates of ~100 members carry render noise only;
+# Silverman bandwidths there shrink below the noise between two renderings of
+# the same object, so points fall outside the compact kernels' support and
+# the KL estimate counts log(eps) for them.
+BANDWIDTH_FLOOR = 0.25
 
 
 def _project_with_residual(raw: np.ndarray, mean: np.ndarray,
@@ -232,8 +237,8 @@ def _project_with_residual(raw: np.ndarray, mean: np.ndarray,
 
 
 def _descriptor_kde(samples: np.ndarray) -> tuple[ProductKDE, np.ndarray]:
-    bw = silverman_bandwidths(samples, dim=samples.shape[1])
-    bw[-1] = max(bw[-1], RESIDUAL_BANDWIDTH_FLOOR)
+    bw = np.maximum(silverman_bandwidths(samples, dim=samples.shape[1]),
+                    BANDWIDTH_FLOOR)
     return ProductKDE(samples, bw), bw
 
 
@@ -263,13 +268,18 @@ def kl_divergence(p: ClusterDescriptor, q: ClusterDescriptor,
 
     Both densities are kernel estimates in q's projection (plus the residual
     coordinate), so descriptors fit in different bases stay comparable; the
-    estimate is clamped at 0.
+    estimate is clamped at 0. p's density at its own members is taken
+    leave-one-out: each member's own kernel peak would otherwise dominate
+    log p in this many dimensions and inflate the divergence.
     """
     if p.size == 0 or q.size == 0:
         raise ValueError("descriptors must be non-empty")
     x = _project_with_residual(p.raw, q.mean, q.components)
     p_kde, _ = _descriptor_kde(x)
-    log_p = np.log(np.maximum(p_kde.evaluate(x), eps))
+    p_x = p_kde.evaluate(x)
+    if p.size > 1:
+        p_x = np.maximum((p.size * p_x - p_kde._norm) / (p.size - 1), 0.0)
+    log_p = np.log(np.maximum(p_x, eps))
     log_q = np.log(np.maximum(q.kde.evaluate(x), eps))
     return max(0.0, float(np.mean(log_p - log_q)))
 

@@ -85,6 +85,24 @@ def fit_location_gaussian(boxes: list[Box], reg_sigma: float = 1.0) -> LocationM
     return LocationModel(mean, cov)
 
 
+# windows of a cluster that localize it in a frame: those scoring at least
+# this fraction of the frame's best window
+LOCATION_SCORE_FRACTION = 0.75
+
+
+def frame_location(proposals: list[Proposal]) -> LocationModel:
+    """Location Gaussian of one frame's windows of a cluster, fitted to those
+    scoring at least LOCATION_SCORE_FRACTION of the best of them.
+
+    A cluster also holds background windows that stay put while the object
+    moves; a mean over all of them lags the object, and so does every box
+    propagated from it with a fixed offset.
+    """
+    top = max(p.score for p in proposals)
+    return fit_location_gaussian([p.box for p in proposals
+                                  if p.score >= LOCATION_SCORE_FRACTION * top])
+
+
 def record_offset(registry: ClusterRegistry, global_id: int, detected_box: Box,
                   model: LocationModel) -> np.ndarray:
     """Store d = detected quadruple - cluster Gaussian mean for a cluster."""
@@ -401,8 +419,9 @@ def detect_stream(frames, flow_source, config: PipelineConfig, classifier,
 
     The classifier runs only on proposals of clusters whose global id is new
     in the current sub-sequence (or on every cluster in classify-always
-    mode); associated clusters inherit their label and are localized from
-    the current 4-D location Gaussian plus the stored offset d.
+    mode); associated clusters inherit their label and are localized in each
+    frame they have windows in from that frame's location Gaussian (see
+    ``frame_location``) plus the stored offset d.
     """
     registry = ClusterRegistry()
     stats = StreamStats()
@@ -416,16 +435,16 @@ def detect_stream(frames, flow_source, config: PipelineConfig, classifier,
             for lab in sorted(rec.cluster_members):
                 members = rec.cluster_members[lab]
                 gid = rec.global_ids[lab]
-                boxes = [rec.proposals[m].box for m in members]
-                model = fit_location_gaussian(boxes)
                 entry = registry[gid]
                 run_classifier = gid in rec.new_ids or config.classify_always
+                by_frame: dict[int, list[int]] = {}   # frame -> member positions
+                for pos, m in enumerate(members):
+                    by_frame.setdefault(rec.proposals[m].frame_index, []).append(pos)
+                frame_props = {fi: [rec.proposals[members[p]] for p in pos]
+                               for fi, pos in by_frame.items()}
 
                 if run_classifier:
                     member_scores = np.zeros((len(members), len(classifier.classes) + 1))
-                    by_frame: dict[int, list[int]] = {}
-                    for pos, m in enumerate(members):
-                        by_frame.setdefault(rec.proposals[m].frame_index, []).append(pos)
                     for fi in sorted(by_frame):
                         pos_list = by_frame[fi]
                         call_boxes = [rec.proposals[members[p]].box for p in pos_list]
@@ -447,12 +466,12 @@ def detect_stream(frames, flow_source, config: PipelineConfig, classifier,
                         entry.label = classifier.classes[best_c]
                         entry.confidence = conf
                         col = member_scores[:, best_c]
-                        best_pos = int(np.argmax(col))
-                        best_box = rec.proposals[members[best_pos]].box
-                        record_offset(registry, gid, best_box, model)
+                        best = rec.proposals[members[int(np.argmax(col))]]
+                        best_frame = frame_props[best.frame_index]
+                        record_offset(registry, gid, best.box,
+                                      frame_location(best_frame))
                         for fi in rec.emit_frames:
-                            in_frame = [p for p, m in enumerate(members)
-                                        if rec.proposals[m].frame_index == fi]
+                            in_frame = by_frame.get(fi)
                             if not in_frame:
                                 continue
                             top = max(in_frame, key=lambda p: (col[p],
@@ -465,9 +484,12 @@ def detect_stream(frames, flow_source, config: PipelineConfig, classifier,
                         entry.confidence = conf
                 else:
                     if entry.label is not None and entry.offset is not None:
-                        box = propagate_localization(model, entry.offset,
-                                                     frame_size)
                         for fi in rec.emit_frames:
+                            if fi not in frame_props:
+                                continue
+                            box = propagate_localization(
+                                frame_location(frame_props[fi]), entry.offset,
+                                frame_size)
                             sub_dets.append(Detection(fi, box, entry.label,
                                                       entry.confidence,
                                                       "propagated", gid))

@@ -260,3 +260,44 @@ def test_associate_one_to_one():
     gids, new = associate_clusters([half_a, half_b], reg, 5.0, 1)
     assert len(set(gids)) == 2
     assert len(new) == 1
+
+
+def test_kl_two_draws_of_one_cloud_small():
+    # two renderings of one object differ only by noise: association must
+    # not hinge on which draw came first
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        a = cluster_descriptor(_cloud(rng, 120, (0.5, 0.5), (4, 4, 4), 0.05))
+        b = cluster_descriptor(_cloud(rng, 120, (0.5, 0.5), (4, 4, 4), 0.05))
+        assert kl_divergence(a, b) < 0.5
+        assert kl_divergence(b, a) < 0.5
+
+
+def test_kl_matches_leave_one_out_oracle():
+    from streamdet.affinity import ProductKDE
+    from streamdet.clustering import (KL_EPS, _descriptor_kde,
+                                      _project_with_residual)
+
+    rng = np.random.default_rng(14)
+    p = cluster_descriptor(_cloud(rng, 25, (0.45, 0.5), (5, 5, 5), 0.05))
+    q = cluster_descriptor(_cloud(rng, 25, (0.55, 0.5), (5, 5, 5), 0.05))
+    x = _project_with_residual(p.raw, q.mean, q.components)
+    _, bw = _descriptor_kde(x)
+    log_p = [np.log(max(ProductKDE(np.delete(x, i, axis=0), bw).evaluate(x[i])[0],
+                        KL_EPS)) for i in range(len(x))]
+    log_q = np.log(np.maximum(q.kde.evaluate(x), KL_EPS))
+    expected = float(np.mean(np.array(log_p) - log_q))
+    assert expected > 0.1
+    assert kl_divergence(p, q) == pytest.approx(expected, rel=1e-9)
+
+
+def test_descriptor_bandwidth_floor():
+    from streamdet.affinity import silverman_bandwidths
+    from streamdet.clustering import BANDWIDTH_FLOOR
+
+    rng = np.random.default_rng(15)
+    desc = cluster_descriptor(_cloud(rng, 60, (0.5, 0.5), (3, 8, 12), 0.02))
+    silverman = silverman_bandwidths(desc.samples, dim=desc.samples.shape[1])
+    assert np.any(silverman < BANDWIDTH_FLOOR)
+    assert np.array_equal(desc.bandwidths, np.maximum(silverman, BANDWIDTH_FLOOR))
+    assert np.array_equal(desc.kde.bandwidths, desc.bandwidths)

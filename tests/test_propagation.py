@@ -244,3 +244,31 @@ def test_new_object_triggers_classification_burst():
     assert 0 in call_subseqs
     late = [s for s in call_subseqs if s > 0]
     assert late, "expected a classification burst for the entering object"
+
+
+def test_frame_location_fits_top_scoring_windows():
+    from streamdet.proposals import Proposal
+    from streamdet.propagation import frame_location
+
+    obj = [Proposal(Box(40, 20, 20, 16), 0.9), Proposal(Box(42, 22, 20, 16), 0.8)]
+    background = [Proposal(Box(0, 0, 30, 30), 0.6), Proposal(Box(5, 40, 30, 20), 0.1)]
+    model = frame_location(background[:1] + obj + background[1:])
+    assert np.allclose(model.mean, fit_location_gaussian([p.box for p in obj]).mean)
+    # the best window always takes part
+    only = frame_location([Proposal(Box(3, 4, 10, 12), 0.0)])
+    assert np.allclose(only.mean, box_to_quadruple(Box(3, 4, 10, 12)))
+    with pytest.raises(ValueError):
+        frame_location([])
+
+
+def test_detect_stream_economy_steady_across_renderings():
+    # the scene seed only changes render noise and textures; which windows
+    # get classified must not depend on it
+    for seed in range(1, 4):
+        video = render(SyntheticSpec(
+            n_frames=9, width=96, height=72, seed=seed, noise=8.0,
+            objects=[ObjectSpec("red", (26, 22), (8, 24), velocity=(3, 0))]))
+        _, stats, _ = detect_stream(video.frames, video.flows, _scene_config(),
+                                    OracleColorClassifier())
+        assert stats.clusters_created == 1
+        assert classification_fraction(stats) == pytest.approx(1 / 3)
