@@ -1,8 +1,8 @@
 """Streaming video object detection: spatio-temporal box proposals, PMI
 affinity clustering across sub-sequences and class-label propagation."""
 
-from .affinity import (DensityModel, FeatureVector, PairSample, affinity_matrix,
-                       collect_pairs, extract_features, fit_density, pmi)
+from .affinity import (DensityModel, FeatureVector, affinity_matrix,
+                       collect_pairs, extract_features, fit_density)
 from .clustering import (ClusterDescriptor, ClusterRegistry, associate_clusters,
                          cluster_descriptor, kl_divergence, make_subsequences,
                          spectral_cluster_fixed, spectral_cluster_selftune)
@@ -16,7 +16,7 @@ from .propagation import (Detection, LocationModel, OracleColorClassifier,
                           classification_fraction, detect_stream,
                           fit_location_gaussian, propagate_localization,
                           record_offset, stream_cluster)
-from .proposals import Proposal, ProposalParams, generate_proposals, nms, score_box
+from .proposals import Proposal, ProposalParams, generate_proposals, nms
 from .segmentation import foreground_prior, prior_mask
 
 __version__ = "0.1.0"

@@ -52,35 +52,18 @@ def extract_features(frame, box: Box) -> FeatureVector:
     return FeatureVector(hist, location)
 
 
-@dataclass
-class PairSample:
-    """One overlapping window pair: feature indices, overlap and its bin."""
+def collect_pairs(proposals, features: list[FeatureVector]) -> np.ndarray:
+    """(P, 2) int64 array of the index pairs i < j, in row-major order, whose
+    boxes overlap by a positive pixel IoU across the sub-sequence.
 
-    i: int
-    j: int
-    u: float
-    u_bin: int
-
-
-def collect_pairs(proposals, features: list[FeatureVector],
-                  u_bins: int = 10) -> list[PairSample]:
-    """All unordered index pairs with positive IoU across the sub-sequence.
-
-    Pairs with zero overlap carry no weight and are skipped; the overlap u is
-    quantized into u_bins uniform bins for bookkeeping.
+    This is the one pair set of the PMI affinity: fit_density fits the joint
+    density on these pairs, and affinity_matrix gives W entries to exactly
+    them. Pairs with zero overlap carry no weight.
     """
     if len(proposals) != len(features):
         raise ValueError("proposals and features must align")
-    n = len(proposals)
-    if n < 2:
-        return []
     rects = np.array([p.box.as_tuple() for p in proposals], dtype=np.float64)
-    overlaps = iou_matrix(rects, rects)
-    ii, jj = np.nonzero(np.triu(overlaps > 0.0, 1))
-    us = overlaps[ii, jj]
-    u_bin = np.minimum(u_bins - 1, (us * u_bins).astype(np.int64))
-    return [PairSample(i, j, u, b) for i, j, u, b in
-            zip(ii.tolist(), jj.tolist(), us.tolist(), u_bin.tolist())]
+    return np.argwhere(np.triu(iou_matrix(rects, rects) > 0.0, 1))
 
 
 def silverman_bandwidths(samples: np.ndarray, dim: int | None = None,
@@ -124,21 +107,12 @@ class ProductKDE:
         self.bandwidths = np.asarray(bandwidths, dtype=np.float64)
         if self.bandwidths.shape != (self.samples.shape[1],):
             raise ValueError("one bandwidth per dimension required")
+        self.n_samples = self.samples.shape[0]
         self._norm = np.prod(0.75 / self.bandwidths)
 
-    def evaluate(self, points: np.ndarray, budget: int = 1 << 24) -> np.ndarray:
+    def evaluate(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        n, d = self.samples.shape
-        chunk = max(1, budget // max(1, n))
-        out = np.empty(points.shape[0], dtype=np.float64)
-        for lo in range(0, points.shape[0], chunk):
-            p = points[lo:lo + chunk]
-            k = np.ones((p.shape[0], n), dtype=np.float64)
-            for dim in range(d):
-                u = (p[:, dim, None] - self.samples[None, :, dim]) / self.bandwidths[dim]
-                k *= np.clip(1.0 - u * u, 0.0, None)
-            out[lo:lo + chunk] = self._norm * k.sum(axis=1) / n
-        return out
+        return kernel_factor_matrix(points, self.samples, self.bandwidths).mean(axis=1)
 
 
 class FeatureProjector:
@@ -171,19 +145,19 @@ class PairKDE:
     """Exchange-symmetric 10-D product-Epanechnikov density over fitted pairs.
 
     The samples are the fitted pairs (points[i], points[j]) in both orders,
-    kept as the 5-D points and the pair indices rather than 2P sample rows.
-    The kernel factorizes over the two blocks: with K(x) the block-kernel row
-    of x against the fitted points and C the symmetric pair-count matrix, the
-    density at (a, b) is K(a) C K(b)^T / n_samples, and the marginal of either
-    block is K(a) C.sum(1) / n_samples, the exact marginal with the same
-    bandwidths.
+    kept as the 5-D points and the (P, 2) pair indices rather than 2P sample
+    rows. The kernel factorizes over the two blocks: with K(x) the
+    block-kernel row of x against the fitted points and C the symmetric
+    pair-count matrix, the density at (a, b) is K(a) C K(b)^T / n_samples,
+    and the marginal of either block is K(a) C.sum(1) / n_samples, the exact
+    marginal with the same bandwidths.
     """
 
-    def __init__(self, points: np.ndarray, ii: np.ndarray, jj: np.ndarray,
+    def __init__(self, points: np.ndarray, pairs: np.ndarray,
                  block_bandwidths: np.ndarray):
         self.points = np.asarray(points, dtype=np.float64)
-        self.ii = np.asarray(ii, dtype=np.int64)
-        self.jj = np.asarray(jj, dtype=np.int64)
+        self.pairs = np.asarray(pairs, dtype=np.int64)
+        self.ii, self.jj = self.pairs.T
         self.block_bandwidths = np.asarray(block_bandwidths, dtype=np.float64)
         self.bandwidths = np.concatenate([self.block_bandwidths] * 2)
         self.n_samples = 2 * self.ii.size
@@ -223,16 +197,18 @@ class DensityModel:
 
     projector: FeatureProjector
     joint: PairKDE          # 10-D, symmetrized over pair order
-    n_pairs: int
 
 
-def fit_density(pairs: list[PairSample], features: list[FeatureVector]) -> DensityModel:
-    """Epanechnikov joint density over overlapping pairs in projected space.
+def fit_density(pairs: np.ndarray, features: list[FeatureVector]) -> DensityModel:
+    """Epanechnikov joint density over the (P, 2) index pairs from
+    collect_pairs, in projected space.
 
-    Each pair counts in both orders, which makes the joint exchange-symmetric.
-    Bandwidths follow the plug-in rule over the 2P samples of one block with
-    the joint's dimension 10, taking the larger of the two block orders per
-    dimension, so both blocks (and the marginal) share them.
+    The pairs are stored as given in the joint, and they are the pairs
+    affinity_matrix scores. Each pair counts in both orders, which makes the
+    joint exchange-symmetric. Bandwidths follow the plug-in rule over the 2P
+    samples of one block with the joint's dimension 10, taking the larger of
+    the two block orders per dimension, so both blocks (and the marginal)
+    share them.
     """
     if len(pairs) < 2:
         raise DensityError(
@@ -240,77 +216,50 @@ def fit_density(pairs: list[PairSample], features: list[FeatureVector]) -> Densi
             f"{len(pairs)}; fall back to a uniform affinity")
     projector = FeatureProjector(features)
     proj = projector.project(features)
-    ii = np.fromiter((p.i for p in pairs), dtype=np.int64, count=len(pairs))
-    jj = np.fromiter((p.j for p in pairs), dtype=np.int64, count=len(pairs))
+    pairs = np.asarray(pairs, dtype=np.int64)
+    ii, jj = pairs.T
     dim = 2 * proj.shape[1]
     # the two sample blocks hold the same rows in two orders, whose standard
     # deviations differ in rounding only
     bw_block = np.maximum(
         silverman_bandwidths(proj[np.concatenate([ii, jj])], dim=dim),
         silverman_bandwidths(proj[np.concatenate([jj, ii])], dim=dim))
-    return DensityModel(projector, PairKDE(proj, ii, jj, bw_block), len(pairs))
+    return DensityModel(projector, PairKDE(proj, pairs, bw_block))
 
 
-def _loo_correct(values: np.ndarray, kde: PairKDE) -> np.ndarray:
+def _loo_correct(values: np.ndarray, kde: ProductKDE | PairKDE) -> np.ndarray:
     """Remove one self-kernel from density values evaluated at the KDE's own
-    sample points: without this, a pair with no similar pairs still sees its
-    own kernel peak and gets a spuriously confident joint density."""
+    sample points: without this, a point with no similar samples still sees
+    its own kernel peak and gets a spuriously confident density."""
     n = kde.n_samples
     return np.maximum((n * values - kde._norm) / (n - 1), 0.0)
 
 
-def pmi(model: DensityModel, a: FeatureVector, b: FeatureVector,
-        rho: float = 1.2, exclude_self: bool = False) -> float:
-    """log(P(A,B)^rho / (P(A) P(B))) with floored densities.
-
-    The two arguments are put in a canonical order before evaluation, so the
-    result is exactly exchange-symmetric. Set exclude_self when (a, b) is one
-    of the pairs the model was fitted on.
-    """
-    pa, pb = model.projector.project([a, b])
-    if tuple(pb) < tuple(pa):
-        pa, pb = pb, pa
-    pj = model.joint.evaluate(np.concatenate([pa, pb])[None, :])
-    if exclude_self:
-        pj = _loo_correct(pj, model.joint)
-    ma, mb = model.joint.marginal(np.stack([pa, pb]))
-    return float(rho * np.log(max(float(pj[0]), DENSITY_EPS))
-                 - np.log(max(float(ma * mb), DENSITY_EPS)))
-
-
 def affinity_matrix(features: list[FeatureVector], model: DensityModel,
                     rho: float = 1.2) -> np.ndarray:
-    """Symmetric non-negative W with W_ij = exp(PMI(f_i, f_j)) for pairs with
-    positive overlap, 0 for non-overlapping pairs, and the row maximum on the
-    diagonal.
+    """Symmetric non-negative W with W_ij = exp(PMI(f_i, f_j)) for the pairs
+    the model was fitted on, 0 for every other pair, and the row maximum on
+    the diagonal. features must be the list the model was fitted on.
 
-    Every pair of proposals is evaluated at once: with Kn the block-kernel
-    matrix of the proposals against the fitted points and C the pair counts,
-    the joint density at all pairs is Kn C Kn^T / n_samples and the marginals
-    are Kn C.sum(1) / n_samples. The joint is leave-one-out corrected, as
-    each overlapping pair is one of the fitted samples.
+    Every pair is evaluated at once on the fitted points: with Kn their
+    block-kernel matrix and C the pair counts, the joint density at all pairs
+    is Kn C Kn^T / n_samples and the marginals are Kn C.sum(1) / n_samples.
+    The joint is leave-one-out corrected, as each scored pair is one of the
+    fitted samples.
     """
-    n = len(features)
-    if n < 2:
-        raise ValueError("need at least 2 features")
-    proj = model.projector.project(features)
-    loc = np.array([f.location for f in features], dtype=np.float64)
-    rects = np.stack([loc[:, 0] - loc[:, 3] / 2, loc[:, 1] - loc[:, 2] / 2,
-                      loc[:, 3], loc[:, 2]], axis=1)
-    overlaps = iou_matrix(rects, rects)
-    iu, ju = np.nonzero(np.triu(overlaps > 0.0, 1))
-
+    joint = model.joint
+    n = joint.points.shape[0]
+    if len(features) != n:
+        raise ValueError(f"the model was fitted on {n} features, got {len(features)}")
+    kn = joint.factors(joint.points)
+    density = kn @ joint.pair_counts() @ kn.T / joint.n_samples
+    m = kn @ joint.weights / joint.n_samples
+    ii, jj = joint.ii, joint.jj
+    pj = np.log(np.maximum(_loo_correct(density[ii, jj], joint), DENSITY_EPS))
+    pab = np.log(np.maximum(m[ii] * m[jj], DENSITY_EPS))
+    vals = np.exp(rho * pj - pab)
     W = np.zeros((n, n), dtype=np.float64)
-    if iu.size:
-        joint = model.joint
-        kn = joint.factors(proj)
-        density = kn @ joint.pair_counts() @ kn.T / joint.n_samples
-        m = kn @ joint.weights / joint.n_samples
-        pj = np.log(np.maximum(_loo_correct(density[iu, ju], joint), DENSITY_EPS))
-        pab = np.log(np.maximum(m[iu] * m[ju], DENSITY_EPS))
-        vals = np.exp(rho * pj - pab)
-        W[iu, ju] = vals
-        W[ju, iu] = vals
-    diag = W.max(axis=1)
-    W[np.arange(n), np.arange(n)] = diag
+    W[ii, jj] = vals
+    W[jj, ii] = vals
+    W[np.arange(n), np.arange(n)] = W.max(axis=1)
     return W

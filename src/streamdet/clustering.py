@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affinity import (FeatureVector, HIST_BINS, ProductKDE,
+from .affinity import (FeatureVector, HIST_BINS, ProductKDE, _loo_correct,
                        silverman_bandwidths)
 
 KL_EPS = 1e-12
@@ -278,7 +278,7 @@ def kl_divergence(p: ClusterDescriptor, q: ClusterDescriptor,
     p_kde, _ = _descriptor_kde(x)
     p_x = p_kde.evaluate(x)
     if p.size > 1:
-        p_x = np.maximum((p.size * p_x - p_kde._norm) / (p.size - 1), 0.0)
+        p_x = _loo_correct(p_x, p_kde)
     log_p = np.log(np.maximum(p_x, eps))
     log_q = np.log(np.maximum(q.kde.evaluate(x), eps))
     return max(0.0, float(np.mean(log_p - log_q)))

@@ -37,7 +37,6 @@ class PipelineConfig:
     resize: int | None = 500         # square resize target; None keeps native size
     search_radius: int = 4           # block-matching fallback flow
     block_size: int = 5
-    u_bins: int = 10
     edges_dir: str | None = None     # optional precomputed edge maps (PGM)
 
     def __post_init__(self):
@@ -65,8 +64,6 @@ class PipelineConfig:
                               f"got {self.confidence_threshold}")
         if self.resize is not None and self.resize < 16:
             raise ConfigError(f"resize target must be >= 16 px, got {self.resize}")
-        if self.u_bins < 1:
-            raise ConfigError(f"u_bins must be >= 1, got {self.u_bins}")
         if self.min_box_area <= 0:
             raise ConfigError(f"min_box_area must be positive, got {self.min_box_area}")
 
@@ -97,5 +94,5 @@ class PipelineConfig:
 
     def replace(self, **overrides) -> "PipelineConfig":
         data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data.update({k: v for k, v in overrides.items() if v is not None})
+        data.update(overrides)
         return PipelineConfig(**data)

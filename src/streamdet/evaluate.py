@@ -135,27 +135,6 @@ def detection_pr(detections: list[dict], gt_by_frame: dict[int, list[dict]],
     return out
 
 
-def label_accuracy(detections: list[dict], gt_by_frame: dict[int, list[dict]],
-                   match_iou: float = MATCH_IOU) -> float:
-    """Fraction of (frame, object) slots whose best-overlapping detection
-    carries the right class."""
-    total = 0
-    correct = 0
-    for frame, gts in gt_by_frame.items():
-        frame_dets = [d for d in detections if d["frame"] == frame]
-        for g in gts:
-            total += 1
-            gbox = _rec_box(g)
-            best, best_iou = None, match_iou
-            for d in frame_dets:
-                v = iou(gbox, _rec_box(d))
-                if v >= best_iou:
-                    best, best_iou = d, v
-            if best is not None and best["class"] == g["class"]:
-                correct += 1
-    return correct / total if total else 0.0
-
-
 def gt_index(gt_doc: dict) -> dict[int, list[dict]]:
     """Frame-index lookup from a ground-truth document."""
     return {f["index"]: f["objects"] for f in gt_doc["frames"]}

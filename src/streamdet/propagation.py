@@ -277,7 +277,7 @@ def resolve_flow_source(frames, flow_source, config: PipelineConfig):
 
 
 def _proposal_params(config: PipelineConfig) -> ProposalParams:
-    return ProposalParams(lam=config.lam, max_proposals=config.max_proposals,
+    return ProposalParams(max_proposals=config.max_proposals,
                           step_iou=config.step_iou, nms_beta=config.pre_nms_beta,
                           kappa=config.kappa, min_area=config.min_box_area,
                           magnitude_threshold=config.edge_threshold)
@@ -363,7 +363,7 @@ def stream_cluster(frames, flow_source, config: PipelineConfig,
         if n == 1:
             labels = np.zeros(1, dtype=np.int64)
         else:
-            pairs = collect_pairs(proposals, features, config.u_bins)
+            pairs = collect_pairs(proposals, features)
             try:
                 model = fit_density(pairs, features)
                 W = affinity_matrix(features, model, config.rho)

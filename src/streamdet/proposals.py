@@ -21,7 +21,6 @@ class Proposal:
 class ProposalParams:
     """Knobs for candidate enumeration, scoring and suppression."""
 
-    lam: float = 0.3              # spatio-temporal mixing weight (used upstream)
     max_proposals: int = 500
     step_iou: float = 0.65        # IoU between neighboring sliding-window candidates
     nms_beta: float = 0.75        # greedy suppression overlap
@@ -39,8 +38,6 @@ class ProposalParams:
             raise ValueError("step_iou must lie in (0, 1)")
         if not 0.0 < self.nms_beta < 1.0:
             raise ValueError("nms_beta must lie in (0, 1)")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("lambda must lie in [0, 1]")
 
 
 class ScoreContext:
@@ -71,39 +68,9 @@ class ScoreContext:
         return (box.x + mx, box.y + my, box.x2 - mx, box.y2 - my)
 
 
-def _group_mass_in_rect(group: EdgeGroup, x0, y0, x1, y1) -> float:
-    ys, xs = group.pixels[:, 0], group.pixels[:, 1]
-    inside = (xs >= x0) & (xs < x1) & (ys >= y0) & (ys < y1)
-    return float(group.magnitudes[inside].sum(dtype=np.float64))
-
-
-def score_box(box: Box, ctx: ScoreContext, kappa: float = 1.5) -> float:
-    """Enclosed-group edge mass, minus center clutter, perimeter-normalized.
-
-    Fast route: the interior mass comes from the integral image and the
-    contributions of groups that straddle the interior are subtracted, which
-    leaves exactly the mass of groups whose bounding box lies wholly inside.
-    """
-    if box.x < 0 or box.y < 0 or box.x2 > ctx.width or box.y2 > ctx.height:
-        raise ValueError(f"box {box} outside {ctx.width}x{ctx.height} frame")
-    ix0, iy0, ix1, iy1 = ctx.interior(box)
-    numerator = 0.0
-    if ix1 > ix0 and iy1 > iy0:
-        numerator = ctx.integral.rect_sum(ix0, iy0, ix1, iy1)
-        gb = ctx.group_bounds
-        overlaps = (gb[:, 0] < ix1) & (gb[:, 2] > ix0) & (gb[:, 1] < iy1) & (gb[:, 3] > iy0)
-        contained = (gb[:, 0] >= ix0) & (gb[:, 1] >= iy0) & (gb[:, 2] <= ix1) & (gb[:, 3] <= iy1)
-        for gi in np.nonzero(overlaps & ~contained)[0]:
-            numerator -= _group_mass_in_rect(ctx.groups[gi], ix0, iy0, ix1, iy1)
-    cx0, cy0, cx1, cy1 = ctx.center_rect(box)
-    center = ctx.integral.rect_sum(cx0, cy0, cx1, cy1)
-    denom = (2.0 * (box.w + box.h)) ** kappa
-    return max(0.0, (numerator - center) / denom)
-
-
 def score_box_bruteforce(box: Box, ctx: ScoreContext, kappa: float = 1.5) -> float:
-    """Independent route: direct per-group containment scan plus a direct
-    pixel sum for the center penalty. Must agree with score_box."""
+    """Reference scorer for tests: a direct per-group containment scan plus a
+    direct pixel sum for the center penalty. Must agree with score_boxes."""
     if box.x < 0 or box.y < 0 or box.x2 > ctx.width or box.y2 > ctx.height:
         raise ValueError(f"box {box} outside {ctx.width}x{ctx.height} frame")
     ix0, iy0, ix1, iy1 = ctx.interior(box)

@@ -129,16 +129,6 @@ def render(spec: SyntheticSpec) -> SyntheticVideo:
     return SyntheticVideo(frames, flows, gt, spec)
 
 
-def gt_masks(video: SyntheticVideo, frame: int) -> dict[int, np.ndarray]:
-    """Binary ground-truth masks (box support) per object id for one frame."""
-    masks = {}
-    for rec in video.gt[frame]:
-        m = np.zeros((video.spec.height, video.spec.width), dtype=bool)
-        m[rec["y"]:rec["y"] + rec["h"], rec["x"]:rec["x"] + rec["w"]] = True
-        masks[rec["id"]] = m
-    return masks
-
-
 def spec_from_dict(data: dict) -> SyntheticSpec:
     objects = [ObjectSpec(color=o["color"], size=tuple(o["size"]),
                           start=tuple(o["start"]),

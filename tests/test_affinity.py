@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from streamdet.affinity import (DensityError, FeatureVector, PairSample,
+from streamdet.affinity import (DENSITY_EPS, DensityError, FeatureVector,
                                 affinity_matrix, collect_pairs,
-                                extract_features, fit_density, pmi)
+                                extract_features, fit_density)
 from streamdet.core import Box
 from streamdet.proposals import Proposal
 
@@ -83,15 +83,14 @@ def _props(boxes):
 def test_collect_pairs_disjoint():
     props = _props([(0, 0, 10, 10), (30, 30, 5, 5)])
     feats = [None, None]
-    assert collect_pairs(props, feats) == []
+    pairs = collect_pairs(props, feats)
+    assert pairs.shape == (0, 2) and pairs.dtype == np.int64
 
 
 def test_collect_pairs_identical_boxes():
     props = _props([(4, 4, 8, 8), (4, 4, 8, 8)])
     pairs = collect_pairs(props, [None, None])
-    assert len(pairs) == 1
-    assert pairs[0].u == pytest.approx(1.0)
-    assert pairs[0].u_bin == 9
+    assert pairs.tolist() == [[0, 1]]
 
 
 def test_collect_pairs_mutual_overlap_count():
@@ -105,14 +104,14 @@ def test_fit_density_too_few_pairs():
     rng = np.random.default_rng(1)
     feats = [_feature(rng), _feature(rng)]
     with pytest.raises(DensityError, match="uniform"):
-        fit_density([PairSample(0, 1, 0.5, 5)], feats)
+        fit_density([(0, 1)], feats)
 
 
 def test_fit_density_identical_pairs_peak():
     rng = np.random.default_rng(2)
     f = _feature(rng, loc=[0.5, 0.5, 0.3, 0.3], hot_bin=(7, 7, 7))
     feats = [f] * 6
-    pairs = [PairSample(i, j, 1.0, 9) for i in range(6) for j in range(i + 1, 6)]
+    pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
     model = fit_density(pairs, feats)
     proj = model.projector.project(feats)
     at_peak = model.joint.evaluate(np.concatenate([proj[0], proj[1]])[None, :])[0]
@@ -131,8 +130,8 @@ def test_fit_density_two_blobs():
     pairs = []
     for i in range(40):
         for j in range(i + 1, 40):
-            pairs.append(PairSample(i, j, 0.6, 5))
-            pairs.append(PairSample(40 + i, 40 + j, 0.6, 5))
+            pairs.append((i, j))
+            pairs.append((40 + i, 40 + j))
     model = fit_density(pairs, feats)
     proj = model.projector.project(feats)
     intra = np.concatenate([proj[0], proj[1]])[None, :]
@@ -140,13 +139,15 @@ def test_fit_density_two_blobs():
     assert model.joint.evaluate(intra)[0] > model.joint.evaluate(inter)[0]
 
 
-def test_pmi_exchange_symmetric():
-    rng = np.random.default_rng(5)
-    feats = [_feature(rng) for _ in range(12)]
-    pairs = [PairSample(i, j, 0.5, 4) for i in range(12) for j in range(i + 1, 12)]
-    model = fit_density(pairs, feats)
-    for a, b in [(0, 1), (2, 9), (4, 7)]:
-        assert pmi(model, feats[a], feats[b]) == pmi(model, feats[b], feats[a])
+def _pmi(model, a, b, rho=1.2):
+    """log(P(A,B)^rho / (P(A) P(B))) of feature pairs (a[k], b[k]) from the
+    fitted joint and its marginals, each floored at DENSITY_EPS."""
+    pa = model.projector.project(a)
+    pb = model.projector.project(b)
+    pj = model.joint.evaluate(np.concatenate([pa, pb], axis=1))
+    pab = model.joint.marginal(pa) * model.joint.marginal(pb)
+    return (rho * np.log(np.maximum(pj, DENSITY_EPS))
+            - np.log(np.maximum(pab, DENSITY_EPS)))
 
 
 def test_pmi_independence_near_zero():
@@ -154,12 +155,11 @@ def test_pmi_independence_near_zero():
     rng = np.random.default_rng(6)
     n = 3000
     feats = [_feature(rng) for _ in range(2 * n)]
-    pairs = [PairSample(2 * i, 2 * i + 1, float(rng.random() * 0.9 + 0.05), 4)
-             for i in range(n)]
+    pairs = [(2 * i, 2 * i + 1) for i in range(n)]
+    rng.random(n)  # fixed draw order: the fresh features follow these n draws
     model = fit_density(pairs, feats)
     fresh = [_feature(rng) for _ in range(800)]
-    vals = [pmi(model, fresh[2 * i], fresh[2 * i + 1], rho=1.0)
-            for i in range(400)]
+    vals = _pmi(model, fresh[0::2], fresh[1::2], rho=1.0)
     assert abs(np.mean(vals)) < 0.15
 
 
@@ -169,18 +169,17 @@ def test_pmi_correlated_exceeds_unrelated():
     pairs = []
     feats = list(base)
     for i in range(0, 60, 2):
-        pairs.append(PairSample(i, i + 1, 0.7, 6))
+        pairs.append((i, i + 1))
     model = fit_density(pairs, feats)
-    near = pmi(model, feats[0], feats[1])
+    near = _pmi(model, [feats[0]], [feats[1]])[0]
     far_feature = _feature(rng, loc=[0.9, 0.9, 0.1, 0.1], hot_bin=(1, 12, 1))
-    far = pmi(model, feats[0], far_feature)
+    far = _pmi(model, [feats[0]], [far_feature])[0]
     assert near > far
 
 
 def test_affinity_matrix_properties():
     rng = np.random.default_rng(8)
     feats = _overlapping_features(rng, 20, (0.5, 0.5), (8, 8, 8), jitter=0.08)
-    props = []
     pairs = collect_pairs_from_locations(feats)
     model = fit_density(pairs, feats)
     W = affinity_matrix(feats, model, rho=1.2)
@@ -196,14 +195,7 @@ def collect_pairs_from_locations(feats):
     rects = np.stack([loc[:, 0] - loc[:, 3] / 2, loc[:, 1] - loc[:, 2] / 2,
                       loc[:, 3], loc[:, 2]], axis=1)
     overlaps = iou_matrix(rects, rects)
-    pairs = []
-    n = len(feats)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if overlaps[i, j] > 0:
-                pairs.append(PairSample(i, j, float(overlaps[i, j]),
-                                        min(9, int(overlaps[i, j] * 10))))
-    return pairs
+    return np.argwhere(np.triu(overlaps > 0, 1))
 
 
 def test_affinity_color_separated_objects():
@@ -226,8 +218,7 @@ def _explicit_samples(model, pairs):
     """The 2P joint sample rows the pair density stands for: each fitted pair
     in both orders."""
     proj = model.joint.points
-    ii = np.array([p.i for p in pairs])
-    jj = np.array([p.j for p in pairs])
+    ii, jj = np.asarray(pairs).T
     fwd = np.concatenate([proj[ii], proj[jj]], axis=1)
     bwd = np.concatenate([proj[jj], proj[ii]], axis=1)
     return np.concatenate([fwd, bwd], axis=0)
@@ -237,7 +228,7 @@ def test_fit_density_bandwidths_match_explicit_samples():
     from streamdet.affinity import silverman_bandwidths
     rng = np.random.default_rng(13)
     feats = [_feature(rng) for _ in range(50)]
-    pairs = [PairSample(int(i), int(j), 0.5, 5)
+    pairs = [(int(i), int(j))
              for i, j in rng.integers(0, 50, size=(300, 2)) if i != j]
     model = fit_density(pairs, feats)
     bw = silverman_bandwidths(_explicit_samples(model, pairs), dim=10)
@@ -277,12 +268,12 @@ def test_affinity_matrix_matches_per_pair_oracle():
     proj = model.projector.project(feats)
     n_s = len(samples)
     expected = np.zeros_like(W)
-    for p in pairs:
-        pj = joint.evaluate(np.concatenate([proj[p.i], proj[p.j]])[None, :])[0]
+    for i, j in pairs:
+        pj = joint.evaluate(np.concatenate([proj[i], proj[j]])[None, :])[0]
         pj = max((n_s * pj - joint._norm) / (n_s - 1), 0.0)  # leave one out
-        pa, pb = marginal.evaluate(proj[[p.i, p.j]])
+        pa, pb = marginal.evaluate(proj[[i, j]])
         val = np.exp(rho * np.log(max(pj, 1e-12)) - np.log(max(pa * pb, 1e-12)))
-        expected[p.i, p.j] = expected[p.j, p.i] = val
+        expected[i, j] = expected[j, i] = val
     np.fill_diagonal(expected, expected.max(axis=1))
     assert np.count_nonzero(expected) > len(feats)
     assert np.allclose(W, expected, rtol=1e-9, atol=0.0)
@@ -298,10 +289,25 @@ def test_collect_pairs_matches_row_loop():
     expected = []
     for i in range(len(props)):
         for j in range(i + 1, len(props)):
-            u = iou(props[i].box, props[j].box)
-            if u > 0.0:
-                expected.append((i, j, min(9, int(u * 10))))
+            if iou(props[i].box, props[j].box) > 0.0:
+                expected.append([i, j])
     pairs = collect_pairs(props, [None] * len(props))
-    assert [(p.i, p.j, p.u_bin) for p in pairs] == expected
-    for p in pairs:
-        assert p.u == pytest.approx(iou(props[p.i].box, props[p.j].box), rel=1e-12)
+    assert pairs.tolist() == expected
+
+
+def test_affinity_support_is_the_fitted_pair_set():
+    # boxes 0 and 1 only touch: pixel IoU 0, but their normalised rects
+    # overlap by about 1e-16 in floating point
+    rng = np.random.default_rng(14)
+    frame = rng.integers(0, 256, size=(72, 96, 3), dtype=np.uint8)
+    boxes = [(10, 1, 20, 5), (10, 6, 20, 5),
+             (40, 20, 20, 20), (45, 25, 20, 20), (50, 30, 20, 20)]
+    props = _props(boxes)
+    feats = [extract_features(frame, p.box) for p in props]
+    pairs = collect_pairs(props, feats)
+    assert len(pairs) >= 2
+    W = affinity_matrix(feats, fit_density(pairs, feats))
+    assert W[0, 1] == 0.0 and W[1, 0] == 0.0
+    off_diagonal = W - np.diag(np.diag(W))
+    assert np.argwhere(np.triu(off_diagonal != 0.0, 1)).tolist() == pairs.tolist()
+    assert np.array_equal(off_diagonal != 0.0, (off_diagonal != 0.0).T)

@@ -4,8 +4,8 @@ import pytest
 from streamdet.core import Box, iou
 from streamdet.edges import edge_groups
 from streamdet.proposals import (Proposal, ProposalParams, ScoreContext,
-                                 generate_proposals, nms, score_box,
-                                 score_box_bruteforce, score_boxes)
+                                 generate_proposals, nms, score_box_bruteforce,
+                                 score_boxes)
 
 
 def _random_scene(rng, size=64, density=0.85, thr=0.1):
@@ -31,50 +31,38 @@ def _square_scene(size=64, lo=20, hi=43, thr=0.1):
 
 def test_score_empty_map_is_zero():
     ctx = ScoreContext(np.zeros((32, 32), dtype=np.float32), [], 0.1)
-    assert score_box(Box(4, 4, 16, 16), ctx) == 0.0
+    assert score_boxes([(4, 4, 16, 16)], ctx)[0] == 0.0
 
 
 def test_score_out_of_bounds():
     ctx = ScoreContext(np.zeros((16, 16), dtype=np.float32), [], 0.1)
     with pytest.raises(ValueError):
-        score_box(Box(10, 10, 10, 10), ctx)
+        score_box_bruteforce(Box(10, 10, 10, 10), ctx)
 
 
 def test_fast_score_matches_bruteforce_random():
     rng = np.random.default_rng(21)
     for _ in range(20):
         ctx = _random_scene(rng)
+        boxes = []
         for _ in range(50):
             w = int(rng.integers(6, 60))
             h = int(rng.integers(6, 60))
             x = int(rng.integers(0, 64 - w + 1))
             y = int(rng.integers(0, 64 - h + 1))
-            b = Box(x, y, w, h)
-            fast = score_box(b, ctx)
-            brute = score_box_bruteforce(b, ctx)
-            assert fast == pytest.approx(brute, rel=1e-6, abs=1e-12)
-
-
-def test_batch_score_matches_single():
-    rng = np.random.default_rng(22)
-    ctx = _random_scene(rng)
-    boxes = []
-    for _ in range(200):
-        w = int(rng.integers(6, 60))
-        h = int(rng.integers(6, 60))
-        x = int(rng.integers(0, 64 - w + 1))
-        y = int(rng.integers(0, 64 - h + 1))
-        boxes.append((x, y, w, h))
-    batch = score_boxes(np.asarray(boxes), ctx)
-    singles = [score_box(Box(*b), ctx) for b in boxes]
-    assert np.allclose(batch, singles, rtol=1e-9, atol=1e-12)
+            boxes.append((x, y, w, h))
+        fast = score_boxes(np.asarray(boxes), ctx)
+        for b, f in zip(boxes, fast):
+            brute = score_box_bruteforce(Box(*b), ctx)
+            assert f == pytest.approx(brute, rel=1e-6, abs=1e-12)
 
 
 def test_tight_box_beats_straddling_box():
     _, ctx = _square_scene()
     tight = Box(17, 17, 30, 30)       # contour groups wholly inside
     straddle = Box(30, 17, 30, 30)    # cuts through the square
-    assert score_box(tight, ctx) > score_box(straddle, ctx)
+    fast = score_boxes([tight.as_tuple(), straddle.as_tuple()], ctx)
+    assert fast[0] > fast[1]
     assert score_box_bruteforce(tight, ctx) > score_box_bruteforce(straddle, ctx)
 
 
@@ -89,8 +77,8 @@ def test_score_linear_in_magnitudes():
     c1 = ScoreContext(E, g1, 0.1)
     c2 = ScoreContext(2.0 * E, g2, 0.1)
     b = Box(17, 17, 30, 30)
-    s1 = score_box(b, c1)
-    s2 = score_box(b, c2)
+    s1 = score_boxes([b.as_tuple()], c1)[0]
+    s2 = score_boxes([b.as_tuple()], c2)[0]
     assert s1 > 0
     assert s2 == pytest.approx(2.0 * s1, rel=1e-9)
 
