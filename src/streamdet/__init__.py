@@ -7,7 +7,7 @@ from .clustering import (ClusterDescriptor, ClusterRegistry, associate_clusters,
                          cluster_descriptor, kl_divergence, make_subsequences,
                          spectral_cluster_fixed, spectral_cluster_selftune)
 from .config import ConfigError, PipelineConfig
-from .core import Box, IntegralImage, box_sum, integral_image, iou
+from .core import Box, IntegralImage, iou
 from .edges import EdgeGroup, combine_edges, edge_groups, spatial_edge
 from .motion import (accumulate_prior, block_matching_flow, inside_outside_map,
                      load_flow, motion_boundary, read_flow, temporal_edge,

@@ -77,6 +77,20 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inter / np.maximum(union, 1e-12)
 
 
+def greedy_keep(rects, beta: float) -> list[int]:
+    """Greedy suppression over (n, 4) (x, y, w, h) rows ranked best first: the
+    indices of the rows kept, each kept row dropping every later row whose IoU
+    with it exceeds beta."""
+    clash = iou_matrix(rects, rects) > beta
+    suppressed = np.zeros(len(clash), dtype=bool)
+    keep = []
+    for k in range(len(clash)):
+        if not suppressed[k]:
+            keep.append(k)
+            suppressed |= clash[k]
+    return keep
+
+
 def as_field(data, dtype=np.float32) -> np.ndarray:
     """Coerce to a non-empty 2-D array (row-major)."""
     arr = np.ascontiguousarray(np.asarray(data, dtype=dtype))
@@ -99,30 +113,9 @@ class IntegralImage:
         table[1:, 1:] = field.cumsum(axis=0).cumsum(axis=1)
         self.table = table
 
-    def rect_sum(self, x0: int, y0: int, x1: int, y1: int) -> float:
-        """Sum over the half-open rectangle [x0, x1) x [y0, y1). Empty rects give 0."""
-        if x1 <= x0 or y1 <= y0:
-            return 0.0
-        t = self.table
-        return float(t[y1, x1] - t[y0, x1] - t[y1, x0] + t[y0, x0])
-
     def rect_sums(self, x0, y0, x1, y1) -> np.ndarray:
-        """Vectorized rect_sum over index arrays (half-open, caller clips bounds)."""
+        """Sums over the half-open rectangles [x0, x1) x [y0, y1), vectorized over
+        index arrays; the caller clips bounds, and empty rects give 0."""
         t = self.table
         s = t[y1, x1] - t[y0, x1] - t[y1, x0] + t[y0, x0]
         return np.where((x1 > x0) & (y1 > y0), s, 0.0)
-
-    def box_sum(self, box: Box) -> float:
-        """Sum of the source field over an in-bounds box."""
-        if box.x < 0 or box.y < 0 or box.x2 > self.width or box.y2 > self.height:
-            raise ValueError(f"box {box} outside {self.width}x{self.height} field")
-        return self.rect_sum(box.x, box.y, box.x2, box.y2)
-
-
-def integral_image(field) -> IntegralImage:
-    """Build the cumulative-sum table for a non-empty field."""
-    return IntegralImage(field)
-
-
-def box_sum(ii: IntegralImage, box: Box) -> float:
-    return ii.box_sum(box)

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import subprocess
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from .clustering import (ClusterRegistry, associate_clusters,
                          cluster_descriptor, make_subsequences,
                          spectral_cluster_fixed, spectral_cluster_selftune)
 from .config import PipelineConfig
-from .core import Box, iou
+from .core import Box, greedy_keep
 from .edges import combine_edges, combined_orientation, edge_groups, \
     orientation_of, spatial_edge
 from .motion import (accumulate_prior, block_matching_flow, inside_outside_map,
@@ -404,11 +405,9 @@ def _detection_nms(dets: list[Detection], beta: float) -> list[Detection]:
     kept: list[Detection] = []
     order = sorted(dets, key=lambda d: (d.frame, d.label, -d.confidence,
                                         d.box.as_tuple()))
-    for det in order:
-        clash = any(k.frame == det.frame and k.label == det.label
-                    and iou(k.box, det.box) > beta for k in kept)
-        if not clash:
-            kept.append(det)
+    for _, group in groupby(order, key=lambda d: (d.frame, d.label)):
+        group = list(group)
+        kept += [group[k] for k in greedy_keep([d.box.as_tuple() for d in group], beta)]
     kept.sort(key=lambda d: (d.frame, -d.confidence, d.box.as_tuple()))
     return kept
 

