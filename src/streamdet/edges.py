@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,15 +80,12 @@ class EdgeGroup:
     """Connected set of edge pixels with coherent orientation."""
 
     pixels: np.ndarray      # (n, 2) int32 rows of (y, x)
-    magnitudes: np.ndarray  # (n,) float32 per-pixel magnitude
     magnitude: float        # aggregate magnitude (sum of members)
-    orientation: float      # circular mean orientation mod pi
     bbox: Box
 
 
-def _orient_diff(a: float, b: float) -> float:
-    d = abs(a - b) % np.pi
-    return min(d, np.pi - d)
+# 8-neighbourhood in BFS visiting order
+_NEIGHBOURS = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx]
 
 
 def edge_groups(edge_map, orientations, magnitude_threshold: float = 0.1) -> list[EdgeGroup]:
@@ -104,47 +100,58 @@ def edge_groups(edge_map, orientations, magnitude_threshold: float = 0.1) -> lis
     if O.shape != E.shape:
         raise ValueError("orientation field must match the edge map")
     h, w = E.shape
-    mask = E >= magnitude_threshold
-    labels = np.full((h, w), -1, dtype=np.int32)
-    groups: list[EdgeGroup] = []
+    ys, xs = np.nonzero(E >= magnitude_threshold)
+    n = len(ys)
+    if n == 0:
+        return []
+    # compact index of the supra-threshold pixels; n marks "no candidate"
+    # (outside the mask or the frame) and counts as already visited
+    index = np.full((h + 2, w + 2), n, dtype=np.int32)
+    index[ys + 1, xs + 1] = np.arange(n)
+    angle = np.append(O[ys, xs], 0.0)
+    nbr = np.stack([index[ys + 1 + dy, xs + 1 + dx] for dy, dx in _NEIGHBOURS], axis=1)
+    # orientation change to each neighbour, folded mod pi onto [0, pi/2]
+    diff = angle[nbr]
+    np.subtract(angle[:n, None], diff, out=diff)
+    np.abs(diff, out=diff)
+    np.remainder(diff, np.pi, out=diff)
+    np.minimum(diff, np.pi - diff, out=diff)
     # tolerance absorbs float32 rounding so a clean right-angle corner splits
     limit = np.pi / 2 - 1e-6
 
-    ys, xs = np.nonzero(mask)
-    for y0, x0 in zip(ys.tolist(), xs.tolist()):
-        if labels[y0, x0] >= 0:
+    # one BFS per unvisited seed, in scan order; each group's member list is
+    # its own queue
+    seen = [False] * n + [True]
+    acc_of = [0.0] * n
+    order: list[int] = []
+    starts: list[int] = []
+    for seed in range(n):
+        if seen[seed]:
             continue
-        gid = len(groups)
-        labels[y0, x0] = gid
-        members = [(y0, x0)]
-        queue = deque([(y0, x0, 0.0)])
-        while queue:
-            y, x, acc = queue.popleft()
-            for dy in (-1, 0, 1):
-                for dx in (-1, 0, 1):
-                    if dy == 0 and dx == 0:
-                        continue
-                    ny, nx = y + dy, x + dx
-                    if ny < 0 or nx < 0 or ny >= h or nx >= w:
-                        continue
-                    if not mask[ny, nx] or labels[ny, nx] >= 0:
-                        continue
-                    nacc = acc + _orient_diff(O[y, x], O[ny, nx])
-                    if nacc >= limit:
-                        continue
-                    labels[ny, nx] = gid
-                    members.append((ny, nx))
-                    queue.append((ny, nx, nacc))
-        pix = np.array(members, dtype=np.int32)
-        mags = E[pix[:, 0], pix[:, 1]].astype(np.float32)
-        angles = O[pix[:, 0], pix[:, 1]]
-        # magnitude-weighted circular mean over doubled angles
-        c = float(np.sum(mags * np.cos(2 * angles)))
-        s = float(np.sum(mags * np.sin(2 * angles)))
-        mean_orient = float(np.mod(0.5 * np.arctan2(s, c), np.pi))
-        y_min, x_min = pix.min(axis=0)
-        y_max, x_max = pix.max(axis=0)
-        bbox = Box(int(x_min), int(y_min), int(x_max - x_min + 1), int(y_max - y_min + 1))
-        groups.append(EdgeGroup(pix, mags, float(mags.sum(dtype=np.float64)),
-                                mean_orient, bbox))
-    return groups
+        seen[seed] = True
+        members = [seed]
+        for i in members:
+            acc = acc_of[i]
+            # rows convert as visited: all at once they would hold about 70 bytes
+            # of Python objects per neighbour entry and raise peak memory
+            for j, d in zip(nbr[i].tolist(), diff[i].tolist()):
+                if seen[j]:
+                    continue
+                nacc = acc + d
+                if nacc >= limit:
+                    continue
+                seen[j] = True
+                acc_of[j] = nacc
+                members.append(j)
+        starts.append(len(order))
+        order += members
+
+    pix = np.stack([ys[order], xs[order]], axis=1).astype(np.int32)
+    mags = E[pix[:, 0], pix[:, 1]]
+    lo = np.minimum.reduceat(pix, starts, axis=0).tolist()
+    hi = np.maximum.reduceat(pix, starts, axis=0).tolist()
+    ends = starts[1:] + [n]
+    # one float64 sum per group: np.add.reduceat would add in another order
+    return [EdgeGroup(pix[a:b], float(mags[a:b].sum(dtype=np.float64)),
+                      Box(x0, y0, x1 - x0 + 1, y1 - y0 + 1))
+            for a, b, (y0, x0), (y1, x1) in zip(starts, ends, lo, hi)]

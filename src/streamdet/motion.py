@@ -66,20 +66,24 @@ def block_matching_flow(f1, f2, search_radius: int = 4, block: int = 5) -> np.nd
                   for dx in range(-search_radius, search_radius + 1)]
     candidates.sort(key=lambda d: (d[0] * d[0] + d[1] * d[1], d[0], d[1]))
 
-    big = 1e6
+    # a sentinel border search_radius wide makes every candidate a slice;
+    # displacements that leave the frame cost about 1e6 per pixel
+    r = search_radius
+    g2_pad = np.pad(g2.astype(np.float64), r, constant_values=1e6)
+    g1 = g1.astype(np.float64)
     best_cost = np.full((h, w), np.inf, dtype=np.float64)
     best = np.zeros((h, w), dtype=np.intp)
+    diff = np.empty((h, w), dtype=np.float64)
+    cost = np.empty((h, w), dtype=np.float64)
+    better = np.empty((h, w), dtype=bool)
     for idx, (dx, dy) in enumerate(candidates):
-        shifted = np.full((h, w), big, dtype=np.float64)
-        y0, y1 = max(0, -dy), min(h, h - dy)
-        x0, x1 = max(0, -dx), min(w, w - dx)
-        if y1 > y0 and x1 > x0:
-            shifted[y0:y1, x0:x1] = g2[y0 + dy:y1 + dy, x0 + dx:x1 + dx]
-        cost = uniform_filter(np.abs(g1 - shifted), size=block, mode="nearest")
+        np.subtract(g1, g2_pad[r + dy:r + dy + h, r + dx:r + dx + w], out=diff)
+        np.abs(diff, out=diff)
+        uniform_filter(diff, size=block, output=cost, mode="nearest")
         # strictly lower only: the first minimum wins, so candidate order is the tie-break
-        better = cost < best_cost
-        best_cost[better] = cost[better]
-        best[better] = idx
+        np.less(cost, best_cost, out=better)
+        np.copyto(best_cost, cost, where=better)
+        np.copyto(best, idx, where=better)
     cand = np.asarray(candidates, dtype=np.float32)
     flow = cand[best]
     return flow.astype(np.float32)

@@ -259,14 +259,11 @@ def classification_fraction(stats: StreamStats) -> float:
 def resolve_flow_source(frames, flow_source, config: PipelineConfig):
     """Normalize a flow source into a callable index -> (h, w, 2) array."""
     if flow_source is None:
-        cache: dict[int, np.ndarray] = {}
-
+        # sub-sequences overlap by one frame, so no two of them share a flow
+        # (frame_ids[:-1]) and each flow is computed once without a cache
         def compute(i: int) -> np.ndarray:
-            if i not in cache:
-                cache[i] = block_matching_flow(frames[i], frames[i + 1],
-                                               config.search_radius,
-                                               config.block_size)
-            return cache[i]
+            return block_matching_flow(frames[i], frames[i + 1],
+                                       config.search_radius, config.block_size)
         return compute
     if callable(flow_source):
         return flow_source

@@ -258,3 +258,13 @@ def test_block_matching_matches_stacked_argmin_on_ties():
         ref = _stacked_argmin_flow(f1, f2, radius, block)
         assert flow.dtype == np.float32
         assert np.array_equal(flow, ref)
+    # non-square frames, and frames smaller than the search window, where
+    # whole candidates read only the 1e6 sentinel beyond the frame
+    for (h, w), radius, block in (((23, 9), 3, 5), ((3, 5), 4, 3), ((3, 5), 4, 5),
+                                  ((5, 3), 4, 5), ((1, 6), 2, 3), ((2, 2), 3, 5)):
+        g1 = rng.integers(0, 3, size=(h, w)).astype(np.uint8) * 90
+        g2 = np.roll(g1, shift=(1, -1), axis=(0, 1))
+        g2[0] = 255
+        flow = block_matching_flow(g1, g2, search_radius=radius, block=block)
+        assert flow.shape == (h, w, 2)
+        assert np.array_equal(flow, _stacked_argmin_flow(g1, g2, radius, block))

@@ -295,3 +295,24 @@ def test_detection_nms_matches_greedy_iou_loop_with_tied_confidences():
         expected.sort(key=lambda d: (d.frame, -d.confidence, d.box.as_tuple()))
         kept = _detection_nms(dets, beta)
         assert [id(d) for d in kept] == [id(d) for d in expected]
+
+
+@pytest.mark.parametrize("subseq_len", [3, 4, 5])
+def test_stream_without_flow_source_computes_each_flow_once(monkeypatch, subseq_len):
+    import streamdet.propagation as propagation
+    video = render(SyntheticSpec(n_frames=9, width=48, height=40, seed=3, objects=[
+        ObjectSpec("red", (14, 12), (6, 10), velocity=(2, 1))]))
+    frames = video.frames
+    calls = []
+    block_matching_flow = propagation.block_matching_flow
+
+    def counting(f1, f2, *args):
+        i = next(k for k, f in enumerate(frames) if f is f1)
+        assert f2 is frames[i + 1]
+        calls.append(i)
+        return block_matching_flow(f1, f2, *args)
+    monkeypatch.setattr(propagation, "block_matching_flow", counting)
+    config = PipelineConfig(subseq_len=subseq_len, max_proposals=8, seed=0)
+    records = list(propagation.stream_cluster(frames, None, config))
+    assert records[-1].frame_ids[-1] == 8
+    assert sorted(calls) == list(range(8))

@@ -205,8 +205,7 @@ def test_score_grid_is_exactly_zero_where_no_group_lies():
     # sum; boxes right of both groups must still score exactly 0, as they do
     # in score_boxes, so that empty boxes rank by position alone
     def group(x, mass):
-        return EdgeGroup(np.zeros((0, 2), np.int32), np.zeros(0, np.float32),
-                         mass, 0.0, Box(x, 3, 2, 2))
+        return EdgeGroup(np.zeros((0, 2), np.int32), mass, Box(x, 3, 2, 2))
     ctx = ScoreContext(np.zeros((12, 40), dtype=np.float32),
                        [group(2, 0.1), group(5, 0.2)], 0.1)
     xs, ys = np.arange(31), np.arange(3)
