@@ -16,7 +16,7 @@ from .propagation import (Detection, LocationModel, OracleColorClassifier,
                           classification_fraction, detect_stream,
                           fit_location_gaussian, propagate_localization,
                           record_offset, stream_cluster)
-from .proposals import Proposal, ProposalParams, generate_proposals, nms
+from .proposals import Proposal, generate_proposals, nms
 from .segmentation import foreground_prior, prior_mask
 
 __version__ = "0.1.0"

@@ -26,10 +26,6 @@ class FeatureVector:
     color_hist: np.ndarray  # (45,), each 15-bin channel block sums to 1
     location: np.ndarray    # (4,) center x/y, height, width over frame dims
 
-    @property
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.color_hist, self.location])
-
 
 def extract_features(frame, box: Box) -> FeatureVector:
     """Channel-normalized color histograms and normalized box geometry."""
@@ -115,22 +111,32 @@ class ProductKDE:
         return kernel_factor_matrix(points, self.samples, self.bandwidths).mean(axis=1)
 
 
+def _fit_pca(X: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row mean and the first dim principal axes of X, each signed so that
+    its largest-magnitude entry is positive; zero rows fill missing axes."""
+    mean = X.mean(axis=0)
+    centered = X - mean
+    if X.shape[0] > 1 and np.any(centered):
+        _, _, vt = np.linalg.svd(centered, full_matrices=False)
+        comps = vt[:dim]
+        for r in range(comps.shape[0]):
+            if comps[r, np.argmax(np.abs(comps[r]))] < 0:
+                comps[r] = -comps[r]
+        if comps.shape[0] < dim:
+            comps = np.pad(comps, ((0, dim - comps.shape[0]), (0, 0)))
+    else:
+        comps = np.zeros((dim, X.shape[1]))
+    return mean, comps
+
+
 class FeatureProjector:
     """49-D feature -> 5-D: 4 normalized location dims plus one color
     coordinate from the first principal direction of the histograms."""
 
     def __init__(self, features: list[FeatureVector]):
         hists = np.array([f.color_hist for f in features], dtype=np.float64)
-        self.hist_mean = hists.mean(axis=0)
-        centered = hists - self.hist_mean
-        if len(features) > 1 and np.any(centered):
-            _, _, vt = np.linalg.svd(centered, full_matrices=False)
-            comp = vt[0]
-            if comp[np.argmax(np.abs(comp))] < 0:
-                comp = -comp
-        else:
-            comp = np.zeros(hists.shape[1])
-        self.color_axis = comp
+        self.hist_mean, comps = _fit_pca(hists, 1)
+        self.color_axis = comps[0]
 
     def project(self, features) -> np.ndarray:
         if isinstance(features, FeatureVector):

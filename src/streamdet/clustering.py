@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affinity import (FeatureVector, HIST_BINS, ProductKDE, _loo_correct,
-                       silverman_bandwidths)
+from .affinity import (FeatureVector, HIST_BINS, ProductKDE, _fit_pca,
+                       _loo_correct, silverman_bandwidths)
 
 KL_EPS = 1e-12
 
@@ -80,12 +80,15 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
     return d2.argmin(axis=1)
 
 
-def _spectral_embedding(W: np.ndarray, k: int) -> np.ndarray:
-    """Row-normalized leading-k eigenvectors of D^-1/2 W D^-1/2."""
+def _normalized_affinity(W: np.ndarray) -> np.ndarray:
+    """S = D^-1/2 W D^-1/2 of the symmetrized W, with degrees floored at 1e-12."""
     W = 0.5 * (W + W.T)
-    deg = W.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(np.maximum(deg, 1e-12))
-    S = inv_sqrt[:, None] * W * inv_sqrt[None, :]
+    inv_sqrt = 1.0 / np.sqrt(np.maximum(W.sum(axis=1), 1e-12))
+    return inv_sqrt[:, None] * W * inv_sqrt[None, :]
+
+
+def _spectral_embedding(S: np.ndarray, k: int) -> np.ndarray:
+    """Row-normalized leading-k eigenvectors of a normalized affinity S."""
     vals, vecs = np.linalg.eigh(S)
     U = vecs[:, np.argsort(vals)[::-1][:k]]
     norms = np.linalg.norm(U, axis=1, keepdims=True)
@@ -100,47 +103,31 @@ def spectral_cluster_fixed(W: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     if n < k:
         warnings.warn(f"only {n} points for k={k}: every point is its own cluster")
         return np.arange(n, dtype=np.int64)
-    U = _spectral_embedding(W, k)
+    U = _spectral_embedding(_normalized_affinity(W), k)
     rng = np.random.default_rng(seed)
     return _kmeans(U, k, rng)
 
 
-def _normalized_laplacian_eigvals(W: np.ndarray) -> np.ndarray:
-    deg = W.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(np.maximum(deg, 1e-12))
-    S = inv_sqrt[:, None] * W * inv_sqrt[None, :]
-    L = np.eye(W.shape[0]) - 0.5 * (S + S.T)
-    return np.sort(np.linalg.eigvalsh(L))
-
-
-def spectral_cluster_selftune(W: np.ndarray | None = None,
-                              distances: np.ndarray | None = None,
-                              max_clusters: int = 5, knn: int = 7,
+def spectral_cluster_selftune(W: np.ndarray, max_clusters: int = 5, knn: int = 7,
                               seed: int = 0) -> np.ndarray:
     """Local-scaling spectral clustering with the cluster count chosen by the
     largest eigengap of the normalized Laplacian, capped at max_clusters.
 
-    Pairwise distances are used directly when given; otherwise they are
-    derived from the affinity matrix as sqrt(max(log W) - log W_ij).
+    Pairwise distances are derived from the affinity matrix as
+    sqrt(max(log W) - log W_ij); zero affinities are infinitely far.
     """
-    if distances is None:
-        if W is None:
-            raise ValueError("need an affinity matrix or a distance matrix")
-        W = np.asarray(W, dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            logw = np.log(np.maximum(W, 0.0))
-        finite = logw[np.isfinite(logw)]
-        top = finite.max() if finite.size else 0.0
-        d2 = np.where(np.isfinite(logw), np.maximum(top - logw, 0.0), np.inf)
-    else:
-        distances = np.asarray(distances, dtype=np.float64)
-        d2 = distances ** 2
-    n = d2.shape[0]
+    W = np.asarray(W, dtype=np.float64)
+    n = W.shape[0]
     if n <= 1:
         return np.zeros(n, dtype=np.int64)
+    with np.errstate(divide="ignore"):
+        logw = np.log(np.maximum(W, 0.0))
+    finite = logw[np.isfinite(logw)]
+    top = finite.max() if finite.size else 0.0
+    d2 = np.where(np.isfinite(logw), np.maximum(top - logw, 0.0), np.inf)
 
     # local scales: distance to the knn-th neighbor (self excluded)
-    d = np.sqrt(np.where(np.isfinite(d2), d2, np.inf))
+    d = np.sqrt(d2)
     np.fill_diagonal(d, np.inf)
     sigma = np.empty(n)
     for i in range(n):
@@ -151,11 +138,11 @@ def spectral_cluster_selftune(W: np.ndarray | None = None,
             sigma[i] = finite[min(knn - 1, finite.size - 1)]
     sigma = np.maximum(sigma, 1e-9)
 
-    A = np.exp(-np.where(np.isfinite(d2), d2, np.inf) / (sigma[:, None] * sigma[None, :]))
-    A[~np.isfinite(A)] = 0.0
+    A = np.exp(-d2 / (sigma[:, None] * sigma[None, :]))
     np.fill_diagonal(A, 0.0)
 
-    vals = _normalized_laplacian_eigvals(A)
+    S = _normalized_affinity(A)
+    vals = np.sort(np.linalg.eigvalsh(np.eye(n) - 0.5 * (S + S.T)))
     k_hi = min(max_clusters, n)
     # eigengap judged against the mean of the preceding (inside-cluster)
     # eigenvalues: k clusters require lambda_0..lambda_{k-1} all small and a
@@ -167,7 +154,7 @@ def spectral_cluster_selftune(W: np.ndarray | None = None,
     k = int(np.argmax(gaps)) + 1
     if k == 1:
         return np.zeros(n, dtype=np.int64)
-    U = _spectral_embedding(A, k)
+    U = _spectral_embedding(S, k)
     rng = np.random.default_rng(seed)
     return _kmeans(U, k, rng)
 
@@ -189,29 +176,12 @@ class ClusterDescriptor:
     components: np.ndarray     # (dim, 49) orthonormal rows
     samples: np.ndarray        # (n, dim) projected members
     bandwidths: np.ndarray     # (dim,)
-    member_indices: np.ndarray
     degenerate: bool
     kde: ProductKDE = field(repr=False, default=None)
 
     @property
     def size(self) -> int:
         return self.raw.shape[0]
-
-
-def _fit_pca(X: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    mean = X.mean(axis=0)
-    centered = X - mean
-    if X.shape[0] > 1 and np.any(centered):
-        _, _, vt = np.linalg.svd(centered, full_matrices=False)
-        comps = vt[:dim]
-        for r in range(comps.shape[0]):
-            if comps[r, np.argmax(np.abs(comps[r]))] < 0:
-                comps[r] = -comps[r]
-        if comps.shape[0] < dim:
-            comps = np.pad(comps, ((0, dim - comps.shape[0]), (0, 0)))
-    else:
-        comps = np.zeros((dim, X.shape[1]))
-    return mean, comps
 
 
 # smallest descriptor bandwidth, in scaled feature units (one histogram bin
@@ -243,7 +213,7 @@ def _descriptor_kde(samples: np.ndarray) -> tuple[ProductKDE, np.ndarray]:
 
 
 def cluster_descriptor(features: list[FeatureVector],
-                       member_indices=None, max_dim: int = 8) -> ClusterDescriptor:
+                       max_dim: int = 8) -> ClusterDescriptor:
     """PCA-reduce a cluster's scaled features and fit an Epanechnikov KDE.
 
     Singleton clusters produce a degenerate point-mass descriptor.
@@ -257,9 +227,7 @@ def cluster_descriptor(features: list[FeatureVector],
     samples = _project_with_residual(raw, mean, comps)
     kde, bw = _descriptor_kde(samples)
     degenerate = n == 1 or not np.any(samples.std(axis=0) > 0)
-    idx = (np.asarray(member_indices, dtype=np.int64)
-           if member_indices is not None else np.arange(n, dtype=np.int64))
-    return ClusterDescriptor(raw, mean, comps, samples, bw, idx, degenerate, kde)
+    return ClusterDescriptor(raw, mean, comps, samples, bw, degenerate, kde)
 
 
 def kl_divergence(p: ClusterDescriptor, q: ClusterDescriptor,

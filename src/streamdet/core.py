@@ -46,10 +46,6 @@ class Box:
         y = min(max(self.y, 0), height - h)
         return Box(x, y, w, h)
 
-    def contains(self, other: "Box") -> bool:
-        return (other.x >= self.x and other.y >= self.y
-                and other.x2 <= self.x2 and other.y2 <= self.y2)
-
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.x, self.y, self.w, self.h)
 

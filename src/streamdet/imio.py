@@ -95,7 +95,7 @@ def resize_nearest(image, size: tuple[int, int]) -> np.ndarray:
         return arr
     ys = np.minimum((np.arange(height) * h) // height, h - 1)
     xs = np.minimum((np.arange(width) * w) // width, w - 1)
-    return arr[np.ix_(ys, xs)] if arr.ndim == 2 else arr[np.ix_(ys, xs)]
+    return arr[np.ix_(ys, xs)]
 
 
 _NUM_RE = re.compile(r"(\d+)")
@@ -127,7 +127,3 @@ def read_jsonl(path) -> list[dict]:
             if line:
                 records.append(json.loads(line))
     return records
-
-
-def dumps_record(rec: dict) -> str:
-    return json.dumps(rec, separators=(", ", ": "))

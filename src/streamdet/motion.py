@@ -27,11 +27,12 @@ def read_flow(path) -> np.ndarray:
             raise ValueError(f"{path}: bad magic number {magic!r}")
         if width <= 0 or height <= 0:
             raise ValueError(f"{path}: bad dimensions {width}x{height}")
-        data = np.frombuffer(fh.read(8 * width * height), dtype="<f4")
-    if data.size != 2 * width * height:
+        data = fh.read(8 * width * height)
+    if len(data) != 8 * width * height:
         raise ValueError(f"{path}: truncated flow payload "
-                         f"({data.size} of {2 * width * height} floats)")
-    return data.reshape(height, width, 2).astype(np.float32)
+                         f"({len(data)} of {8 * width * height} bytes)")
+    flow = np.frombuffer(data, dtype="<f4").reshape(height, width, 2)
+    return flow.astype(np.float32)
 
 
 def write_flow(path, flow) -> None:

@@ -22,7 +22,7 @@ from .edges import combine_edges, combined_orientation, edge_groups, \
     orientation_of, spatial_edge
 from .motion import (accumulate_prior, block_matching_flow, inside_outside_map,
                      motion_boundary, temporal_edge)
-from .proposals import Proposal, ProposalParams, generate_proposals
+from .proposals import Proposal, generate_proposals
 
 
 class ClassifierProtocolError(RuntimeError):
@@ -158,6 +158,7 @@ class CommandClassifier:
 
     def _ensure(self):
         if self._proc is None or self._proc.poll() is not None:
+            self.close()
             self._proc = subprocess.Popen(
                 self.command, shell=True, text=True,
                 stdin=subprocess.PIPE, stdout=subprocess.PIPE)
@@ -204,12 +205,18 @@ class CommandClassifier:
                     pass
 
     def close(self):
-        if self._proc is not None and self._proc.poll() is None:
+        """Close stdin, wait for the process to end and close stdout, also
+        when the wait times out."""
+        if self._proc is None:
+            return
+        try:
             try:
                 self._proc.stdin.close()
             except OSError:
                 pass
             self._proc.wait(timeout=5)
+        finally:
+            self._proc.stdout.close()
 
 
 def make_classifier(spec: str, classes=("red", "green", "blue")):
@@ -274,13 +281,6 @@ def resolve_flow_source(frames, flow_source, config: PipelineConfig):
     return lookup
 
 
-def _proposal_params(config: PipelineConfig) -> ProposalParams:
-    return ProposalParams(max_proposals=config.max_proposals,
-                          step_iou=config.step_iou, nms_beta=config.pre_nms_beta,
-                          kappa=config.kappa, min_area=config.min_box_area,
-                          magnitude_threshold=config.edge_threshold)
-
-
 @dataclass
 class SubsequenceRecord:
     """Everything one sub-sequence contributes to the stream."""
@@ -313,7 +313,6 @@ def stream_cluster(frames, flow_source, config: PipelineConfig,
     stats = stats if stats is not None else StreamStats()
     stats.frames = n_frames
     get_flow = resolve_flow_source(frames, flow_source, config)
-    params = _proposal_params(config)
     frame_cache: dict[int, tuple[list[Proposal], list]] = {}
 
     ranges = make_subsequences(n_frames, config.subseq_len)
@@ -329,15 +328,16 @@ def stream_cluster(frames, flow_source, config: PipelineConfig,
         for i in frame_ids:
             if i in frame_cache:
                 continue
-            if edge_maps is not None and edge_maps(i) is not None:
-                es = np.asarray(edge_maps(i), dtype=np.float32)
+            es = edge_maps(i) if edge_maps is not None else None
+            if es is not None:
+                es = np.asarray(es, dtype=np.float32)
                 orient_s = orientation_of(es, config.sigma_smooth)
             else:
                 es, orient_s = spatial_edge(frames[i], config.sigma_smooth)
             combined = combine_edges(es, et, config.lam)
             orient = combined_orientation(es, et, orient_s, orient_t, config.lam)
             groups = edge_groups(combined, orient, config.edge_threshold)
-            props = generate_proposals(combined, groups, params, frame_index=i)
+            props = generate_proposals(combined, groups, config, frame_index=i)
             feats = [extract_features(frames[i], p.box) for p in props]
             frame_cache[i] = (props, feats)
             stats.total_windows += len(props)
@@ -378,8 +378,7 @@ def stream_cluster(frames, flow_source, config: PipelineConfig,
         for idx, lab in enumerate(labels.tolist()):
             cluster_members.setdefault(lab, []).append(idx)
         local_labels = sorted(cluster_members)
-        descriptors = [cluster_descriptor([features[m] for m in cluster_members[lab]],
-                                          member_indices=cluster_members[lab])
+        descriptors = [cluster_descriptor([features[m] for m in cluster_members[lab]])
                        for lab in local_labels]
         gids, new_ids = associate_clusters(descriptors, registry,
                                            config.tau_kl, t)

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import PipelineConfig
 from .core import Box, IntegralImage, as_field, greedy_keep
 from .edges import EdgeGroup
 
@@ -17,27 +18,10 @@ class Proposal:
     frame_index: int = 0
 
 
-@dataclass
-class ProposalParams:
-    """Knobs for candidate enumeration, scoring and suppression."""
-
-    max_proposals: int = 500
-    step_iou: float = 0.65        # IoU between neighboring sliding-window candidates
-    nms_beta: float = 0.75        # greedy suppression overlap
-    kappa: float = 1.5            # perimeter normalization exponent
-    min_area: float = 1000.0      # smallest candidate area in px^2
-    max_aspect: float = 3.0
-    magnitude_threshold: float = 0.1
-    refine_steps: int = 2         # local refinement rounds (halving step size)
-    min_score: float = 1e-9      # boxes without enclosed edge content are dropped
-
-    def __post_init__(self):
-        if self.max_proposals < 1:
-            raise ValueError("max_proposals must be >= 1")
-        if not 0.0 < self.step_iou < 1.0:
-            raise ValueError("step_iou must lie in (0, 1)")
-        if not 0.0 < self.nms_beta < 1.0:
-            raise ValueError("nms_beta must lie in (0, 1)")
+# EdgeBoxes settings the pipeline config does not expose
+MAX_ASPECT = 3.0
+REFINE_STEPS = 2     # local refinement rounds (halving step size)
+MIN_SCORE = 1e-9     # boxes without enclosed edge content are dropped
 
 
 class ScoreContext:
@@ -146,20 +130,21 @@ def score_grid(w: int, h: int, xs: np.ndarray, ys: np.ndarray, ctx: ScoreContext
     return np.maximum(0.0, (numer - center) / denom)
 
 
-def _window_grids(width: int, height: int,
-                  params: ProposalParams) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
+def _window_grids(width: int, height: int, min_area: float, step_iou: float,
+                  max_aspect: float = MAX_ASPECT
+                  ) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
     """Sliding windows over geometric scale/aspect grids whose neighbors
     overlap at roughly step_iou: one (w, h, xs, ys) per distinct shape, xs
     and ys sorted and including the last position width - w / height - h."""
-    delta = params.step_iou
+    delta = step_iou
     area_step = 1.0 / delta
     aspect_step = ((1.0 + delta) / (2.0 * delta)) ** 2
     areas = []
-    area = params.min_area
+    area = min_area
     while area <= float(width * height) + 1e-9:
         areas.append(area)
         area *= area_step
-    n_aspects = int(np.floor(np.log(params.max_aspect) / np.log(aspect_step)))
+    n_aspects = int(np.floor(np.log(max_aspect) / np.log(aspect_step)))
     ratios = np.array([aspect_step ** k for k in range(-n_aspects, n_aspects + 1)])
     a = np.asarray(areas)[:, None]
     ws = np.rint(np.sqrt(a * ratios)).astype(np.int64).ravel()
@@ -176,14 +161,15 @@ def _window_grids(width: int, height: int,
 
 
 def _refine(boxes: np.ndarray, scores: np.ndarray, ctx: ScoreContext,
-            params: ProposalParams) -> tuple[np.ndarray, np.ndarray]:
+            config: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
     """Greedy local search: try +-step moves of each corner coordinate,
     halving the step each round."""
     boxes = boxes.copy()
     scores = scores.copy()
     w0 = np.maximum(boxes[:, 2], boxes[:, 3])
-    step = np.maximum(1, (w0 * (1.0 - params.step_iou) / (1.0 + params.step_iou) / 2).astype(np.int64))
-    for _ in range(params.refine_steps):
+    delta = config.step_iou
+    step = np.maximum(1, (w0 * (1.0 - delta) / (1.0 + delta) / 2).astype(np.int64))
+    for _ in range(REFINE_STEPS):
         moves = [(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0),
                  (0, 0, 1, 0), (0, 0, -1, 0), (0, 0, 0, 1), (0, 0, 0, -1)]
         for _pass in range(2):
@@ -195,7 +181,7 @@ def _refine(boxes: np.ndarray, scores: np.ndarray, ctx: ScoreContext,
                       & (cand[:, 0] + cand[:, 2] <= ctx.width)
                       & (cand[:, 1] + cand[:, 3] <= ctx.height))
                 trial = np.where(ok[:, None], cand, boxes)
-                s = score_boxes(trial, ctx, params.kappa)
+                s = score_boxes(trial, ctx, config.kappa)
                 better = s > scores + 1e-12
                 boxes = np.where(better[:, None], trial, boxes)
                 scores = np.where(better, s, scores)
@@ -213,12 +199,12 @@ def nms(proposals: list[Proposal], beta: float) -> list[Proposal]:
     return [ranked[k] for k in greedy_keep([p.box.as_tuple() for p in ranked], beta)]
 
 
-def generate_proposals(edge_map, groups: list[EdgeGroup], params: ProposalParams,
+def generate_proposals(edge_map, groups: list[EdgeGroup], config: PipelineConfig,
                        frame_index: int = 0) -> list[Proposal]:
     """Ranked proposals: enumerate sliding windows, score, refine the best
     pool locally, suppress near-duplicates and truncate."""
-    ctx = ScoreContext(edge_map, groups, params.magnitude_threshold)
-    grids = _window_grids(ctx.width, ctx.height, params)
+    ctx = ScoreContext(edge_map, groups, config.edge_threshold)
+    grids = _window_grids(ctx.width, ctx.height, config.min_box_area, config.step_iou)
     if not grids:
         return []
     cand, scores = [], []
@@ -226,16 +212,16 @@ def generate_proposals(edge_map, groups: list[EdgeGroup], params: ProposalParams
         yy, xx = np.meshgrid(ys, xs, indexing="ij")
         cand.append(np.stack([xx.ravel(), yy.ravel(),
                               np.full(xx.size, w), np.full(xx.size, h)], axis=1))
-        scores.append(score_grid(w, h, xs, ys, ctx, params.kappa).ravel())
+        scores.append(score_grid(w, h, xs, ys, ctx, config.kappa).ravel())
     cand = np.concatenate(cand)
     scores = np.concatenate(scores)
     # the pool is the first boxes by (-score, x, y, w, h); only boxes scoring
     # at least the pool-th best score can be among them
-    pool = min(len(scores), 4 * params.max_proposals)
+    pool = min(len(scores), 4 * config.max_proposals)
     top = np.flatnonzero(scores >= -np.partition(-scores, pool - 1)[pool - 1])
     b = cand[top]
     order = top[np.lexsort((b[:, 3], b[:, 2], b[:, 1], b[:, 0], -scores[top]))[:pool]]
-    boxes, scores = _refine(cand[order], scores[order], ctx, params)
+    boxes, scores = _refine(cand[order], scores[order], ctx, config)
 
     # dedupe identical refined boxes, keep the best score for each
     uniq: dict[tuple, float] = {}
@@ -244,7 +230,7 @@ def generate_proposals(edge_map, groups: list[EdgeGroup], params: ProposalParams
         if key not in uniq or s > uniq[key]:
             uniq[key] = s
     proposals = [Proposal(Box(*key), sc, frame_index) for key, sc in uniq.items()
-                 if sc > params.min_score]
-    proposals = nms(proposals, params.nms_beta)
+                 if sc > MIN_SCORE]
+    proposals = nms(proposals, config.pre_nms_beta)
     proposals.sort(key=lambda p: (-p.score,) + p.box.as_tuple())
-    return proposals[:params.max_proposals]
+    return proposals[:config.max_proposals]

@@ -1,5 +1,7 @@
 import json
 import os
+import shlex
+import sys
 
 import pytest
 
@@ -62,3 +64,28 @@ def test_truncated_ppm_exits_3(tmp_path, capsys):
                  "--resize", "0"])
     assert code == 3
     assert "truncated" in capsys.readouterr().err
+
+
+def test_truncated_flow_exits_3(tmp_path, capsys):
+    video = _synth(tmp_path)
+    flows = video / "flow"
+    first = sorted(os.listdir(flows))[0]
+    data = (flows / first).read_bytes()
+    (flows / first).write_bytes(data[:len(data) // 2])
+    code = main(["detect", str(video / "frames"), "--flow-dir", str(flows),
+                 "--out", str(tmp_path / "det"), "--resize", "0"])
+    assert code == 3
+    assert "truncated flow payload" in capsys.readouterr().err
+
+
+def test_classifier_that_exits_at_once_exits_4_and_writes_stats(tmp_path, capsys):
+    video = _synth(tmp_path)
+    out = tmp_path / "det"
+    classifier = f"cmd:exec {shlex.quote(sys.executable)} -c pass"
+    code = main(["detect", str(video / "frames"), "--flow-dir", str(video / "flow"),
+                 "--out", str(out), "--resize", "0", "--classifier", classifier])
+    assert code == 4
+    assert "classifier" in capsys.readouterr().err
+    stats = json.loads((out / "stats.json").read_text())
+    assert stats["frames"] == 7 and stats["classifier_calls"] == 0
+    assert (out / "detections.jsonl").read_text() == ""

@@ -111,7 +111,7 @@ def test_selftune_two_blobs():
     pts = np.concatenate([rng.normal((0, 0), 0.3, (25, 2)),
                           rng.normal((6, 0), 0.3, (25, 2))])
     dist = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(axis=2))
-    labels = spectral_cluster_selftune(distances=dist, seed=0)
+    labels = spectral_cluster_selftune(np.exp(-dist ** 2), seed=0)
     truth = [0] * 25 + [1] * 25
     assert len(set(labels.tolist())) == 2
     assert _purity(labels, truth) == 1.0
@@ -121,13 +121,13 @@ def test_selftune_single_blob():
     rng = np.random.default_rng(5)
     pts = rng.normal((0, 0), 0.5, (40, 2))
     dist = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(axis=2))
-    labels = spectral_cluster_selftune(distances=dist, seed=0)
+    labels = spectral_cluster_selftune(np.exp(-dist ** 2), seed=0)
     assert len(set(labels.tolist())) == 1
 
 
 def test_selftune_identical_points():
     dist = np.zeros((2, 2))
-    labels = spectral_cluster_selftune(distances=dist, seed=0)
+    labels = spectral_cluster_selftune(np.exp(-dist ** 2), seed=0)
     assert labels.tolist() == [0, 0]
 
 

@@ -1,0 +1,79 @@
+import json
+
+import pytest
+
+from streamdet.config import ConfigError, PipelineConfig
+
+
+def test_lambda_alias():
+    assert PipelineConfig.from_dict({"lambda": 0.4}).lam == 0.4
+
+
+def test_unknown_key_is_named():
+    with pytest.raises(ConfigError, match="no_such_key"):
+        PipelineConfig.from_dict({"subseq_len": 4, "no_such_key": 1})
+
+
+def test_classes_become_a_tuple():
+    config = PipelineConfig.from_dict({"classes": ["cat", "dog"]})
+    assert config.classes == ("cat", "dog")
+
+
+def test_from_file(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"k": 3, "lambda": 0.2}))
+    config = PipelineConfig.from_file(path)
+    assert (config.k, config.lam) == (3, 0.2)
+
+
+@pytest.mark.parametrize("text", ['{"k": 3', "[1, 2]", '"k"'])
+def test_from_file_rejects_bad_json_and_non_objects(tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="config.json"):
+        PipelineConfig.from_file(path)
+
+
+def test_params_validation():
+    with pytest.raises(ConfigError):
+        PipelineConfig(max_proposals=0)
+    with pytest.raises(ConfigError):
+        PipelineConfig(step_iou=1.0)
+    with pytest.raises(ConfigError):
+        PipelineConfig(pre_nms_beta=0.0)
+
+
+# every validated field with values just outside and at its limits
+RANGES = [
+    ("lam", [-0.01, 1.01], [0.0, 1.0]),
+    ("subseq_len", [2, 6], [3, 5]),
+    ("k", [0, -1], [1]),
+    ("rho", [0.0, -1.0], [1e-6]),
+    ("tau_kl", [0.0, -2.0], [1e-6]),
+    ("max_proposals", [0], [1]),
+    ("pre_nms_beta", [0.0, 1.0], [0.01, 0.99]),
+    ("det_nms_beta", [0.0, 1.0], [0.01, 0.99]),
+    ("step_iou", [0.0, 1.0], [0.01, 0.99]),
+    ("confidence_threshold", [-0.01, 1.01], [0.0, 1.0]),
+    ("resize", [15, 0], [16, None]),
+    ("min_box_area", [0.0, -1.0], [1e-6]),
+]
+
+
+@pytest.mark.parametrize("name, bad, good", RANGES, ids=[r[0] for r in RANGES])
+def test_validate_ranges(name, bad, good):
+    for value in bad:
+        with pytest.raises(ConfigError, match="lambda" if name == "lam" else name):
+            PipelineConfig(**{name: value})
+    for value in good:
+        assert getattr(PipelineConfig(**{name: value}), name) == value
+
+
+def test_replace_validates_again():
+    config = PipelineConfig(k=2)
+    assert config.replace(k=4).k == 4
+    assert config.k == 2
+    with pytest.raises(ConfigError):
+        config.replace(k=0)
+    with pytest.raises(ConfigError):
+        config.replace(subseq_len=9)

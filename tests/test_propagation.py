@@ -316,3 +316,50 @@ def test_stream_without_flow_source_computes_each_flow_once(monkeypatch, subseq_
     records = list(propagation.stream_cluster(frames, None, config))
     assert records[-1].frame_ids[-1] == 8
     assert sorted(calls) == list(range(8))
+
+
+def _record_key(rec):
+    return (rec.frame_ids, [(p.box.as_tuple(), p.score, p.frame_index)
+                            for p in rec.proposals],
+            rec.labels.tolist(), rec.cluster_members, rec.global_ids,
+            rec.new_ids, rec.emit_frames)
+
+
+def test_stream_requests_each_edge_map_once():
+    from streamdet.edges import spatial_edge
+    import streamdet.propagation as propagation
+    video = _single_mover(n_frames=7)
+    config = _scene_config(max_proposals=10)
+    requested = []
+
+    def some_maps(i):
+        requested.append(i)
+        return spatial_edge(video.frames[i], 1.0)[0] if i % 2 == 0 else None
+    records = list(propagation.stream_cluster(video.frames, video.flows, config,
+                                              edge_maps=some_maps))
+    assert records[-1].frame_ids[-1] == 6
+    assert sorted(requested) == list(range(7))
+
+    def no_maps(i):
+        return None
+    with_source = propagation.stream_cluster(video.frames, video.flows, config,
+                                             edge_maps=no_maps)
+    without = propagation.stream_cluster(video.frames, video.flows, config)
+    assert ([_record_key(r) for r in with_source]
+            == [_record_key(r) for r in without])
+
+
+def test_command_classifier_close_closes_both_pipes():
+    import sys
+    echo = ("import json, sys\n"
+            "for line in sys.stdin:\n"
+            "    n = len(json.loads(line)['boxes'])\n"
+            "    print(json.dumps({'scores': [[0.7, 0.1, 0.1, 0.1]] * n}), flush=True)\n")
+    clf, _ = make_classifier(f"cmd:exec {sys.executable} -c \"{echo}\"")
+    frame = np.zeros((8, 8, 3), dtype=np.uint8)
+    scores = clf.classify(frame, [Box(0, 0, 4, 4), Box(2, 2, 4, 4)])
+    assert scores.shape == (2, 4)
+    proc = clf._proc
+    clf.close()
+    assert proc.stdin.closed and proc.stdout.closed
+    assert proc.returncode == 0

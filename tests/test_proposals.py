@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from streamdet.config import PipelineConfig
 from streamdet.core import Box, iou
 from streamdet.edges import EdgeGroup, edge_groups
-from streamdet.proposals import (Proposal, ProposalParams, ScoreContext,
+from streamdet.proposals import (MAX_ASPECT, Proposal, ScoreContext,
                                  _window_grids, generate_proposals, nms,
                                  score_box_bruteforce, score_boxes, score_grid)
 
@@ -111,8 +112,8 @@ def test_nms_postcondition_random():
 
 
 def test_generate_on_blank_map():
-    params = ProposalParams(max_proposals=10, min_area=100.0)
-    out = generate_proposals(np.zeros((48, 48), dtype=np.float32), [], params)
+    config = PipelineConfig(max_proposals=10, min_box_area=100.0, pre_nms_beta=0.75)
+    out = generate_proposals(np.zeros((48, 48), dtype=np.float32), [], config)
     assert len(out) <= 10
 
 
@@ -122,8 +123,8 @@ def test_generate_finds_square_object():
     O[20, :] = np.pi / 2
     O[43, :] = np.pi / 2
     groups = edge_groups(E, O, 0.1)
-    params = ProposalParams(max_proposals=50, min_area=144.0)
-    props = generate_proposals(E, groups, params, frame_index=3)
+    config = PipelineConfig(max_proposals=50, min_box_area=144.0, pre_nms_beta=0.75)
+    props = generate_proposals(E, groups, config, frame_index=3)
     assert props
     assert all(p.frame_index == 3 for p in props)
     target = Box(20, 20, 24, 24)
@@ -135,8 +136,8 @@ def test_generate_truncates_and_sorts():
     E = (rng.random((48, 48)) * (rng.random((48, 48)) > 0.6)).astype(np.float32)
     O = (rng.random((48, 48)) * np.pi).astype(np.float32)
     groups = edge_groups(E, O, 0.1)
-    params = ProposalParams(max_proposals=15, min_area=100.0)
-    props = generate_proposals(E, groups, params)
+    config = PipelineConfig(max_proposals=15, min_box_area=100.0, pre_nms_beta=0.75)
+    props = generate_proposals(E, groups, config)
     assert len(props) <= 15
     scores = [p.score for p in props]
     assert scores == sorted(scores, reverse=True)
@@ -147,20 +148,11 @@ def test_generate_deterministic():
     E = (rng.random((48, 48)) * (rng.random((48, 48)) > 0.6)).astype(np.float32)
     O = (rng.random((48, 48)) * np.pi).astype(np.float32)
     groups = edge_groups(E, O, 0.1)
-    params = ProposalParams(max_proposals=20, min_area=100.0)
-    a = generate_proposals(E, groups, params)
-    b = generate_proposals(E, groups, params)
+    config = PipelineConfig(max_proposals=20, min_box_area=100.0, pre_nms_beta=0.75)
+    a = generate_proposals(E, groups, config)
+    b = generate_proposals(E, groups, config)
     assert [(p.box.as_tuple(), p.score) for p in a] == \
            [(p.box.as_tuple(), p.score) for p in b]
-
-
-def test_params_validation():
-    with pytest.raises(ValueError):
-        ProposalParams(max_proposals=0)
-    with pytest.raises(ValueError):
-        ProposalParams(step_iou=1.0)
-    with pytest.raises(ValueError):
-        ProposalParams(nms_beta=0.0)
 
 
 def test_nms_matches_greedy_iou_loop_with_tied_scores():
@@ -184,13 +176,12 @@ def test_nms_matches_greedy_iou_loop_with_tied_scores():
 
 def test_score_grid_matches_bruteforce():
     rng = np.random.default_rng(41)
-    params = ProposalParams(min_area=150.0, step_iou=0.5)
     size = 48
     for _ in range(6):
         ctx = _random_scene(rng, size=size)
         gb = ctx.group_bounds
         assert ((gb[:, :2] == 0) | (gb[:, 2:] == size)).any()   # groups on the border
-        for w, h, xs, ys in _window_grids(size, size, params):
+        for w, h, xs, ys in _window_grids(size, size, 150.0, 0.5):
             assert xs[-1] == size - w and ys[-1] == size - h
             grid = score_grid(w, h, xs, ys, ctx)
             assert grid.shape == (len(ys), len(xs))
@@ -215,15 +206,15 @@ def test_score_grid_is_exactly_zero_where_no_group_lies():
     assert (grid[:, 5:] == 0.0).all() and (grid[:, :5] > 0.0).all()
 
 
-def _loop_candidates(width, height, params):
+def _loop_candidates(width, height, min_area, step_iou, max_aspect):
     """The sliding-window enumeration as a per-window loop."""
-    delta = params.step_iou
+    delta = step_iou
     area_step = 1.0 / delta
     aspect_step = ((1.0 + delta) / (2.0 * delta)) ** 2
     boxes = []
-    area = params.min_area
+    area = min_area
     while area <= float(width * height) + 1e-9:
-        n_aspects = int(np.floor(np.log(params.max_aspect) / np.log(aspect_step)))
+        n_aspects = int(np.floor(np.log(max_aspect) / np.log(aspect_step)))
         for k in range(-n_aspects, n_aspects + 1):
             r = aspect_step ** k
             w = int(round(np.sqrt(area * r)))
@@ -246,20 +237,21 @@ def _loop_candidates(width, height, params):
 
 
 def test_window_grids_match_loop_enumeration():
-    params = [ProposalParams(), ProposalParams(min_area=250.0),
-              ProposalParams(min_area=100.0, step_iou=0.5, max_aspect=2.0),
-              ProposalParams(min_area=30.0, step_iou=0.8, max_aspect=4.0)]
+    # (min_area, step_iou, max_aspect)
+    params = [(1000.0, 0.65, MAX_ASPECT), (250.0, 0.65, MAX_ASPECT),
+              (100.0, 0.5, 2.0), (30.0, 0.8, 4.0)]
     sizes = [(500, 500), (128, 96), (96, 72), (37, 23), (7, 5)]
     for width, height in sizes:
         for p in params[:2] if width * height > 20000 else params:
-            rows = [(x, y, w, h) for w, h, xs, ys in _window_grids(width, height, p)
+            rows = [(x, y, w, h) for w, h, xs, ys in _window_grids(width, height, *p)
                     for y in ys.tolist() for x in xs.tolist()]
             assert len(rows) == len(set(rows))
-            assert set(rows) == _loop_candidates(width, height, p)
+            assert set(rows) == _loop_candidates(width, height, *p)
 
 
 def test_generate_on_frame_too_small_for_any_window():
     E = np.ones((3, 40), dtype=np.float32)
     groups = edge_groups(E, np.zeros_like(E), 0.1)
     assert groups
-    assert generate_proposals(E, groups, ProposalParams(min_area=16.0)) == []
+    config = PipelineConfig(min_box_area=16.0, pre_nms_beta=0.75)
+    assert generate_proposals(E, groups, config) == []
