@@ -9,7 +9,6 @@ import sys
 
 import numpy as np
 
-from .clustering import ClusterRegistry
 from .config import ConfigError, PipelineConfig
 from .core import Box
 from .evaluate import (cluster_purity, detection_pr, gt_index, recall_at_n,
@@ -17,8 +16,8 @@ from .evaluate import (cluster_purity, detection_pr, gt_index, recall_at_n,
 from .imio import (list_frames, load_edge_map, read_ppm, resize_nearest,
                    write_jsonl, write_pgm)
 from .motion import load_flow
-from .propagation import (ClassifierProtocolError, StreamStats, detect_stream,
-                          make_classifier, stream_cluster)
+from .propagation import (ClassifierProtocolError, detect_stream, make_classifier,
+                          stream_cluster)
 from .segmentation import foreground_prior, prior_mask
 from .synth import render, spec_from_dict, write_video
 
@@ -29,7 +28,10 @@ EXIT_CLASSIFIER = 4
 
 
 def _add_config_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", metavar="PATH", help="JSON config file")
+    parser.add_argument("--config", metavar="PATH",
+                        help="JSON config file; its keys, types and ranges are "
+                             "listed in the docstring of "
+                             "streamdet.config.PipelineConfig")
     parser.add_argument("--lambda", dest="lam", type=float, metavar="F",
                         help="temporal edge weight in [0, 1]")
     parser.add_argument("--subseq-len", type=int, metavar="N")
@@ -98,11 +100,13 @@ def _edge_map_source(frames, config: PipelineConfig):
     if config.edges_dir is None:
         return None
     paths = list_frames(config.edges_dir, suffix=".pgm")
+    if len(paths) < len(frames):
+        raise FileNotFoundError(
+            f"{config.edges_dir}: found {len(paths)} edge maps for "
+            f"{len(frames)} frames")
 
     def lookup(i: int):
-        if i < len(paths):
-            return load_edge_map(paths[i])
-        return None
+        return load_edge_map(paths[i])
     return lookup
 
 
@@ -124,9 +128,7 @@ def cmd_propose(args) -> int:
     edge_maps = _edge_map_source(frames, config)
     seen: set[int] = set()
     records = []
-    for rec in stream_cluster(frames, flow_source, config,
-                              registry=ClusterRegistry(), stats=StreamStats(),
-                              edge_maps=edge_maps):
+    for rec in stream_cluster(frames, flow_source, config, edge_maps=edge_maps):
         for p in rec.proposals:
             if p.frame_index in seen:
                 continue
@@ -175,25 +177,25 @@ def cmd_detect(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     det_path = os.path.join(args.out, "detections.jsonl")
     stats_path = os.path.join(args.out, "stats.json")
+    failure = None
     try:
         detections, stats, _ = detect_stream(
             frames, flow_source, config, classifier,
             frame_paths=paths if config.resize is None else None,
             edge_maps=edge_maps)
     except ClassifierProtocolError as exc:
-        if exc.partial is not None:
-            detections, stats = exc.partial
-            write_jsonl(det_path, [d.to_record() for d in detections])
-            with open(stats_path, "w", encoding="utf-8") as fh:
-                json.dump(stats.to_record(), fh, indent=2)
-        print(f"classifier protocol failure: {exc}", file=sys.stderr)
-        return EXIT_CLASSIFIER
+        # detect_stream attaches what it had finished before the failure
+        detections, stats = exc.partial
+        failure = exc
     finally:
         if hasattr(classifier, "close"):
             classifier.close()
     write_jsonl(det_path, [d.to_record() for d in detections])
     with open(stats_path, "w", encoding="utf-8") as fh:
         json.dump(stats.to_record(), fh, indent=2)
+    if failure is not None:
+        print(f"classifier protocol failure: {failure}", file=sys.stderr)
+        return EXIT_CLASSIFIER
     print(f"wrote {len(detections)} detections to {det_path}")
     print(json.dumps(stats.to_record(), indent=2))
     return EXIT_OK
@@ -313,9 +315,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ClassifierProtocolError as exc:
-        print(f"classifier protocol failure: {exc}", file=sys.stderr)
-        return EXIT_CLASSIFIER
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

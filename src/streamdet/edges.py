@@ -13,6 +13,9 @@ from .core import Box, as_field
 _SCHARR_X = np.array([[-3, 0, 3], [-10, 0, 10], [-3, 0, 3]], dtype=np.float64) / 32.0
 _SCHARR_Y = _SCHARR_X.T
 
+SMOOTH_SIGMA = 1.5      # Gaussian smoothing before the derivatives
+EDGE_THRESHOLD = 0.1    # least edge magnitude that groups and box scores count
+
 
 def to_gray(frame) -> np.ndarray:
     """Luma in [0, 1] from an RGB or grayscale frame (uint8 or float)."""
@@ -32,16 +35,19 @@ def _convolve3(field, kernel):
     return convolve(field.astype(np.float64), kernel, mode="nearest")
 
 
-def spatial_edge(frame, sigma: float = 1.5):
+def _gradients(field, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Scharr derivatives (gx, gy) of a field after Gaussian smoothing."""
+    smooth = gaussian_filter(np.asarray(field, dtype=np.float64), sigma, mode="nearest")
+    return _convolve3(smooth, _SCHARR_X), _convolve3(smooth, _SCHARR_Y)
+
+
+def spatial_edge(frame, sigma: float = SMOOTH_SIGMA):
     """Gradient-magnitude edge map of a frame plus per-pixel edge orientation.
 
     Returns (magnitude, orientation): magnitude is normalized to [0, 1],
     orientation is the gradient (edge normal) angle in [0, pi).
     """
-    gray = to_gray(frame)
-    smooth = gaussian_filter(gray.astype(np.float64), sigma, mode="nearest")
-    gx = _convolve3(smooth, _SCHARR_X)
-    gy = _convolve3(smooth, _SCHARR_Y)
+    gx, gy = _gradients(to_gray(frame), sigma)
     mag = np.hypot(gx, gy)
     peak = mag.max()
     if peak > 0:
@@ -50,11 +56,9 @@ def spatial_edge(frame, sigma: float = 1.5):
     return mag.astype(np.float32), orient.astype(np.float32)
 
 
-def orientation_of(field, sigma: float = 1.5) -> np.ndarray:
+def orientation_of(field, sigma: float = SMOOTH_SIGMA) -> np.ndarray:
     """Gradient-direction angles in [0, pi) for an arbitrary scalar field."""
-    smooth = gaussian_filter(np.asarray(field, dtype=np.float64), sigma, mode="nearest")
-    gx = _convolve3(smooth, _SCHARR_X)
-    gy = _convolve3(smooth, _SCHARR_Y)
+    gx, gy = _gradients(field, sigma)
     return np.mod(np.arctan2(gy, gx), np.pi).astype(np.float32)
 
 
@@ -88,7 +92,8 @@ class EdgeGroup:
 _NEIGHBOURS = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx]
 
 
-def edge_groups(edge_map, orientations, magnitude_threshold: float = 0.1) -> list[EdgeGroup]:
+def edge_groups(edge_map, orientations,
+                magnitude_threshold: float = EDGE_THRESHOLD) -> list[EdgeGroup]:
     """Partition supra-threshold edge pixels into orientation-coherent groups.
 
     8-connected components are grown breadth-first from scan order; growth

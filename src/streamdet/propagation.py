@@ -263,14 +263,13 @@ def classification_fraction(stats: StreamStats) -> float:
     return stats.classified_windows / stats.total_windows
 
 
-def resolve_flow_source(frames, flow_source, config: PipelineConfig):
+def resolve_flow_source(frames, flow_source):
     """Normalize a flow source into a callable index -> (h, w, 2) array."""
     if flow_source is None:
         # sub-sequences overlap by one frame, so no two of them share a flow
         # (frame_ids[:-1]) and each flow is computed once without a cache
         def compute(i: int) -> np.ndarray:
-            return block_matching_flow(frames[i], frames[i + 1],
-                                       config.search_radius, config.block_size)
+            return block_matching_flow(frames[i], frames[i + 1])
         return compute
     if callable(flow_source):
         return flow_source
@@ -288,7 +287,6 @@ class SubsequenceRecord:
     index: int
     frame_ids: list[int]
     proposals: list[Proposal]
-    features: list
     window_ids: list[tuple[int, int]]    # (frame, slot) per proposal
     labels: np.ndarray                   # local cluster label per proposal
     cluster_members: dict[int, list[int]]
@@ -312,18 +310,16 @@ def stream_cluster(frames, flow_source, config: PipelineConfig,
     registry = registry if registry is not None else ClusterRegistry()
     stats = stats if stats is not None else StreamStats()
     stats.frames = n_frames
-    get_flow = resolve_flow_source(frames, flow_source, config)
+    get_flow = resolve_flow_source(frames, flow_source)
     frame_cache: dict[int, tuple[list[Proposal], list]] = {}
 
     ranges = make_subsequences(n_frames, config.subseq_len)
     for t, frame_ids in enumerate(ranges):
         flows = [get_flow(i) for i in frame_ids[:-1]]
-        masks = [inside_outside_map(
-                     motion_boundary(fl, config.alpha_mag, config.alpha_dir),
-                     config.boundary_threshold) for fl in flows]
+        masks = [inside_outside_map(motion_boundary(fl)) for fl in flows]
         prior = accumulate_prior(masks, frame_index=frame_ids[0])
         et = temporal_edge(prior)
-        orient_t = orientation_of(prior.values, config.sigma_smooth)
+        orient_t = orientation_of(prior.values)
 
         for i in frame_ids:
             if i in frame_cache:
@@ -331,12 +327,12 @@ def stream_cluster(frames, flow_source, config: PipelineConfig,
             es = edge_maps(i) if edge_maps is not None else None
             if es is not None:
                 es = np.asarray(es, dtype=np.float32)
-                orient_s = orientation_of(es, config.sigma_smooth)
+                orient_s = orientation_of(es)
             else:
-                es, orient_s = spatial_edge(frames[i], config.sigma_smooth)
+                es, orient_s = spatial_edge(frames[i])
             combined = combine_edges(es, et, config.lam)
             orient = combined_orientation(es, et, orient_s, orient_t, config.lam)
-            groups = edge_groups(combined, orient, config.edge_threshold)
+            groups = edge_groups(combined, orient)
             props = generate_proposals(combined, groups, config, frame_index=i)
             feats = [extract_features(frames[i], p.box) for p in props]
             frame_cache[i] = (props, feats)
@@ -354,7 +350,7 @@ def stream_cluster(frames, flow_source, config: PipelineConfig,
         n = len(proposals)
         if n == 0:
             stats.subsequences += 1
-            yield SubsequenceRecord(t, frame_ids, [], [], [], np.zeros(0, np.int64),
+            yield SubsequenceRecord(t, frame_ids, [], [], np.zeros(0, np.int64),
                                     {}, {}, set(),
                                     frame_ids if t == 0 else frame_ids[1:])
             continue
@@ -391,7 +387,7 @@ def stream_cluster(frames, flow_source, config: PipelineConfig,
             if i < frame_ids[0]:
                 del frame_cache[i]
 
-        yield SubsequenceRecord(t, frame_ids, proposals, features, window_ids,
+        yield SubsequenceRecord(t, frame_ids, proposals, window_ids,
                                 labels, cluster_members, global_ids, new_ids,
                                 frame_ids if t == 0 else frame_ids[1:])
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .core import Box, IntegralImage, as_field, greedy_keep
-from .edges import EdgeGroup
+from .edges import EDGE_THRESHOLD, EdgeGroup
 
 
 @dataclass
@@ -18,10 +18,11 @@ class Proposal:
     frame_index: int = 0
 
 
-# EdgeBoxes settings the pipeline config does not expose
+# EdgeBoxes settings
 MAX_ASPECT = 3.0
 REFINE_STEPS = 2     # local refinement rounds (halving step size)
 MIN_SCORE = 1e-9     # boxes without enclosed edge content are dropped
+KAPPA = 1.5          # perimeter exponent of the box score's normaliser
 
 
 class ScoreContext:
@@ -29,7 +30,7 @@ class ScoreContext:
     group bounding boxes, masses and pixel lists."""
 
     def __init__(self, edge_map, groups: list[EdgeGroup],
-                 magnitude_threshold: float = 0.1):
+                 magnitude_threshold: float = EDGE_THRESHOLD):
         E = as_field(edge_map)
         self.height, self.width = E.shape
         self.mass_field = np.where(E >= magnitude_threshold, E, 0.0).astype(np.float64)
@@ -52,7 +53,7 @@ class ScoreContext:
         return (box.x + mx, box.y + my, box.x2 - mx, box.y2 - my)
 
 
-def score_box_bruteforce(box: Box, ctx: ScoreContext, kappa: float = 1.5) -> float:
+def score_box_bruteforce(box: Box, ctx: ScoreContext, kappa: float = KAPPA) -> float:
     """Reference scorer for tests: a direct per-group containment scan plus a
     direct pixel sum for the center penalty. Must agree with score_boxes."""
     if box.x < 0 or box.y < 0 or box.x2 > ctx.width or box.y2 > ctx.height:
@@ -72,7 +73,7 @@ def score_box_bruteforce(box: Box, ctx: ScoreContext, kappa: float = 1.5) -> flo
     return max(0.0, (numerator - center) / denom)
 
 
-def score_boxes(boxes: np.ndarray, ctx: ScoreContext, kappa: float = 1.5) -> np.ndarray:
+def score_boxes(boxes: np.ndarray, ctx: ScoreContext, kappa: float = KAPPA) -> np.ndarray:
     """Vectorized scoring of an (n, 4) array of (x, y, w, h) boxes."""
     boxes = np.asarray(boxes, dtype=np.int64).reshape(-1, 4)
     x, y, w, h = boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3]
@@ -89,7 +90,7 @@ def score_boxes(boxes: np.ndarray, ctx: ScoreContext, kappa: float = 1.5) -> np.
 
 
 def score_grid(w: int, h: int, xs: np.ndarray, ys: np.ndarray, ctx: ScoreContext,
-               kappa: float = 1.5) -> np.ndarray:
+               kappa: float = KAPPA) -> np.ndarray:
     """Scores of every w x h box with top-left corner in xs x ys (both sorted
     and distinct), as a (len(ys), len(xs)) array; equal to score_boxes up to
     the summation order of the numerator.
@@ -181,7 +182,7 @@ def _refine(boxes: np.ndarray, scores: np.ndarray, ctx: ScoreContext,
                       & (cand[:, 0] + cand[:, 2] <= ctx.width)
                       & (cand[:, 1] + cand[:, 3] <= ctx.height))
                 trial = np.where(ok[:, None], cand, boxes)
-                s = score_boxes(trial, ctx, config.kappa)
+                s = score_boxes(trial, ctx)
                 better = s > scores + 1e-12
                 boxes = np.where(better[:, None], trial, boxes)
                 scores = np.where(better, s, scores)
@@ -203,7 +204,7 @@ def generate_proposals(edge_map, groups: list[EdgeGroup], config: PipelineConfig
                        frame_index: int = 0) -> list[Proposal]:
     """Ranked proposals: enumerate sliding windows, score, refine the best
     pool locally, suppress near-duplicates and truncate."""
-    ctx = ScoreContext(edge_map, groups, config.edge_threshold)
+    ctx = ScoreContext(edge_map, groups)
     grids = _window_grids(ctx.width, ctx.height, config.min_box_area, config.step_iou)
     if not grids:
         return []
@@ -212,7 +213,7 @@ def generate_proposals(edge_map, groups: list[EdgeGroup], config: PipelineConfig
         yy, xx = np.meshgrid(ys, xs, indexing="ij")
         cand.append(np.stack([xx.ravel(), yy.ravel(),
                               np.full(xx.size, w), np.full(xx.size, h)], axis=1))
-        scores.append(score_grid(w, h, xs, ys, ctx, config.kappa).ravel())
+        scores.append(score_grid(w, h, xs, ys, ctx).ravel())
     cand = np.concatenate(cand)
     scores = np.concatenate(scores)
     # the pool is the first boxes by (-score, x, y, w, h); only boxes scoring

@@ -3,9 +3,12 @@ import os
 import shlex
 import sys
 
+import numpy as np
 import pytest
 
 from streamdet.cli import _build_config, build_parser, main
+from streamdet.edges import spatial_edge
+from streamdet.imio import read_ppm, write_pgm
 
 
 @pytest.mark.parametrize("flags, resize", [(["--resize", "0"], None),
@@ -47,11 +50,45 @@ def test_synth_detect_eval_round_trip(tmp_path, capsys):
 def test_config_with_unknown_key_exits_2(tmp_path, capsys):
     video = _synth(tmp_path)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"subseq_len": 3, "no_such_key": 1}))
-    code = main(["detect", str(video / "frames"), "--out", str(tmp_path / "det"),
-                 "--config", str(config)])
-    assert code == 2
-    assert "no_such_key" in capsys.readouterr().err
+    # an unknown key, and a known one with a value of the wrong type
+    for doc, message in [({"subseq_len": 3, "no_such_key": 1}, "no_such_key"),
+                         ({"classes": "red"}, "classes must be a list of strings")]:
+        config.write_text(json.dumps(doc))
+        code = main(["detect", str(video / "frames"), "--out", str(tmp_path / "det"),
+                     "--config", str(config)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+
+def _detect_with_edges_dir(tmp_path, video, edges):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"min_box_area": 250.0, "max_proposals": 10,
+                                  "edges_dir": str(edges)}))
+    return main(["detect", str(video / "frames"), "--flow-dir", str(video / "flow"),
+                 "--out", str(tmp_path / "det"), "--config", str(config),
+                 "--resize", "0"])
+
+
+def test_edges_dir_with_a_map_per_frame(tmp_path, capsys):
+    video = _synth(tmp_path)
+    edges = tmp_path / "edges"
+    edges.mkdir()
+    for name in sorted(os.listdir(video / "frames")):
+        magnitude, _ = spatial_edge(read_ppm(video / "frames" / name))
+        write_pgm(edges / name.replace(".ppm", ".pgm"),
+                  np.round(magnitude * 255).astype(np.uint8))
+    assert _detect_with_edges_dir(tmp_path, video, edges) == 0
+    stats = json.loads((tmp_path / "det" / "stats.json").read_text())
+    assert stats["frames"] == 7 and stats["total_windows"] > 0
+
+
+def test_edges_dir_without_maps_exits_3(tmp_path, capsys):
+    video = _synth(tmp_path)
+    edges = tmp_path / "edges"
+    edges.mkdir()
+    assert _detect_with_edges_dir(tmp_path, video, edges) == 3
+    err = capsys.readouterr().err
+    assert str(edges) in err and "found 0 edge maps for 7 frames" in err
 
 
 def test_truncated_ppm_exits_3(tmp_path, capsys):

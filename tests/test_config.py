@@ -10,8 +10,12 @@ def test_lambda_alias():
 
 
 def test_unknown_key_is_named():
-    with pytest.raises(ConfigError, match="no_such_key"):
-        PipelineConfig.from_dict({"subseq_len": 4, "no_such_key": 1})
+    # the stage settings are module constants, not config keys
+    for key in ("no_such_key", "kappa", "edge_threshold", "boundary_threshold",
+                "alpha_mag", "alpha_dir", "sigma_smooth", "search_radius",
+                "block_size"):
+        with pytest.raises(ConfigError, match=key):
+            PipelineConfig.from_dict({"subseq_len": 4, key: 1})
 
 
 def test_classes_become_a_tuple():
@@ -43,20 +47,28 @@ def test_params_validation():
         PipelineConfig(pre_nms_beta=0.0)
 
 
-# every validated field with values just outside and at its limits
+# every field with values of the wrong JSON type or just outside its limits,
+# and values at its limits; numbers accept integers
+NAN = float("nan")
 RANGES = [
-    ("lam", [-0.01, 1.01], [0.0, 1.0]),
-    ("subseq_len", [2, 6], [3, 5]),
-    ("k", [0, -1], [1]),
-    ("rho", [0.0, -1.0], [1e-6]),
-    ("tau_kl", [0.0, -2.0], [1e-6]),
-    ("max_proposals", [0], [1]),
+    ("lam", [-0.01, 1.01, "0.5"], [0.0, 1.0]),
+    ("subseq_len", [2, 6, "3", 3.0], [3, 5]),
+    ("k", [0, -1, 2.5, True], [1]),
+    ("self_tune", [1, "true", None], [True, False]),
+    ("rho", [0.0, -1.0, NAN, "x"], [1e-6, 2]),
+    ("tau_kl", [0.0, -2.0, NAN], [1e-6]),
+    ("max_proposals", [0, 2.5], [1]),
     ("pre_nms_beta", [0.0, 1.0], [0.01, 0.99]),
     ("det_nms_beta", [0.0, 1.0], [0.01, 0.99]),
     ("step_iou", [0.0, 1.0], [0.01, 0.99]),
+    ("min_box_area", [0.0, -1.0, NAN], [1e-6, 300]),
+    ("classifier", ["nonsense", "cmd", 5], ["oracle", "always", "cmd:true"]),
+    ("classify_always", ["false", 0], [True, False]),
     ("confidence_threshold", [-0.01, 1.01], [0.0, 1.0]),
-    ("resize", [15, 0], [16, None]),
-    ("min_box_area", [0.0, -1.0], [1e-6]),
+    ("classes", ["red", ("red", 1)], [("cat",)]),
+    ("seed", [-1, 1.5], [0]),
+    ("resize", [15, 0, 32.5, True], [16, None]),
+    ("edges_dir", [3, ["maps"]], ["maps", None]),
 ]
 
 
