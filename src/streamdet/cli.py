@@ -43,7 +43,9 @@ def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--classifier", metavar="oracle|cmd:PATH|always")
     parser.add_argument("--seed", type=int, metavar="N")
     parser.add_argument("--resize", type=int, metavar="N",
-                        help="square resize target; 0 keeps the native size")
+                        help="square resize target; 0, or no flag, keeps the "
+                             "native size. --flow-dir files and edges_dir maps "
+                             "must already be at the requested size")
 
 
 def _build_config(args) -> PipelineConfig:
@@ -81,33 +83,28 @@ def _load_frames(frames_dir, config: PipelineConfig):
     return frames, paths
 
 
-def _flow_source(frames, flow_dir):
-    if flow_dir is None:
-        return None
-    paths = list_frames(flow_dir, suffix=".flo")
-    if len(paths) < len(frames) - 1:
-        raise FileNotFoundError(
-            f"{flow_dir}: found {len(paths)} flow files for "
-            f"{len(frames)} frames (need {len(frames) - 1})")
+def _inputs(args):
+    """Config, frames, frame paths, flow source and edge-map source of a
+    propose, cluster or detect run."""
+    config = _build_config(args)
+    frames, paths = _load_frames(args.frames_dir, config)
     shape = np.asarray(frames[0]).shape
 
-    def lookup(i: int):
-        return load_flow(paths[i], frame_shape=shape)
-    return lookup
+    def file_source(directory, suffix, what, count, load):
+        # index -> load(that index's file), or None without a directory
+        if directory is None:
+            return None
+        files = list_frames(directory, suffix=suffix)
+        if len(files) < count:
+            raise FileNotFoundError(f"{directory}: found {len(files)} {what} for "
+                                    f"{len(frames)} frames (need {count})")
+        return lambda i: load(files[i])
 
-
-def _edge_map_source(frames, config: PipelineConfig):
-    if config.edges_dir is None:
-        return None
-    paths = list_frames(config.edges_dir, suffix=".pgm")
-    if len(paths) < len(frames):
-        raise FileNotFoundError(
-            f"{config.edges_dir}: found {len(paths)} edge maps for "
-            f"{len(frames)} frames")
-
-    def lookup(i: int):
-        return load_edge_map(paths[i])
-    return lookup
+    flows = file_source(args.flow_dir, ".flo", "flow files", len(frames) - 1,
+                        lambda path: load_flow(path, frame_shape=shape))
+    edge_maps = file_source(config.edges_dir, ".pgm", "edge maps", len(frames),
+                            load_edge_map)
+    return config, frames, paths, flows, edge_maps
 
 
 def cmd_synth(args) -> int:
@@ -122,20 +119,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_propose(args) -> int:
-    config = _build_config(args)
-    frames, _ = _load_frames(args.frames_dir, config)
-    flow_source = _flow_source(frames, args.flow_dir)
-    edge_maps = _edge_map_source(frames, config)
-    seen: set[int] = set()
+    config, frames, _, flows, edge_maps = _inputs(args)
     records = []
-    for rec in stream_cluster(frames, flow_source, config, edge_maps=edge_maps):
-        for p in rec.proposals:
-            if p.frame_index in seen:
-                continue
-            records.append({"frame": p.frame_index, "x": p.box.x, "y": p.box.y,
-                            "w": p.box.w, "h": p.box.h,
-                            "score": round(p.score, 6)})
-        seen.update(rec.frame_ids)
+    for rec in stream_cluster(frames, flows, config, edge_maps=edge_maps):
+        records += [{"frame": p.frame_index, "x": p.box.x, "y": p.box.y,
+                     "w": p.box.w, "h": p.box.h, "score": round(p.score, 6)}
+                    for p in rec.proposals if p.frame_index in rec.emit_frames]
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "proposals.jsonl")
     write_jsonl(out_path, records)
@@ -144,21 +133,14 @@ def cmd_propose(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    config = _build_config(args)
-    frames, _ = _load_frames(args.frames_dir, config)
-    flow_source = _flow_source(frames, args.flow_dir)
-    edge_maps = _edge_map_source(frames, config)
+    config, frames, _, flows, edge_maps = _inputs(args)
     records = []
-    for rec in stream_cluster(frames, flow_source, config,
-                              edge_maps=edge_maps):
-        emit = set(rec.emit_frames)
-        for idx, p in enumerate(rec.proposals):
-            if p.frame_index not in emit:
-                continue
-            records.append({"frame": p.frame_index, "x": p.box.x, "y": p.box.y,
-                            "w": p.box.w, "h": p.box.h,
-                            "local_cluster": int(rec.labels[idx]),
-                            "global_id": rec.global_ids[int(rec.labels[idx])]})
+    for rec in stream_cluster(frames, flows, config, edge_maps=edge_maps):
+        records += [{"frame": p.frame_index, "x": p.box.x, "y": p.box.y,
+                     "w": p.box.w, "h": p.box.h, "local_cluster": lab,
+                     "global_id": rec.global_ids[lab]}
+                    for p, lab in zip(rec.proposals, rec.labels.tolist())
+                    if p.frame_index in rec.emit_frames]
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "clusters.jsonl")
     write_jsonl(out_path, records)
@@ -167,10 +149,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    config = _build_config(args)
-    frames, paths = _load_frames(args.frames_dir, config)
-    flow_source = _flow_source(frames, args.flow_dir)
-    edge_maps = _edge_map_source(frames, config)
+    config, frames, paths, flows, edge_maps = _inputs(args)
     classifier, always = make_classifier(config.classifier, config.classes)
     if always:
         config = config.replace(classify_always=True)
@@ -180,7 +159,7 @@ def cmd_detect(args) -> int:
     failure = None
     try:
         detections, stats, _ = detect_stream(
-            frames, flow_source, config, classifier,
+            frames, flows, config, classifier,
             frame_paths=paths if config.resize is None else None,
             edge_maps=edge_maps)
     except ClassifierProtocolError as exc:

@@ -57,7 +57,7 @@ class PipelineConfig:
                          strings        score order
     seed                 integer        >= 0; clustering seed
     resize               integer | null >= 16; square frame side, or null
-                                        for the native size
+                                        (the default) for the native size
     edges_dir            string | null  directory of spatial edge maps
                                         (PGM), one per frame
     ==================== ============== =====================================
@@ -82,7 +82,7 @@ class PipelineConfig:
     confidence_threshold: float = 0.5
     classes: tuple[str, ...] = ("red", "green", "blue")
     seed: int = 0
-    resize: int | None = 500
+    resize: int | None = None
     edges_dir: str | None = None
 
     def __post_init__(self):

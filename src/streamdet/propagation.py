@@ -196,6 +196,8 @@ class CommandClassifier:
                 raise ClassifierProtocolError(
                     f"classifier returned shape {scores.shape}, expected "
                     f"{(len(boxes), len(self.classes) + 1)}")
+            if not np.isfinite(scores).all():
+                raise ClassifierProtocolError("classifier returned non-finite scores")
             return scores
         finally:
             if cleanup is not None:
@@ -311,7 +313,9 @@ def stream_cluster(frames, flow_source, config: PipelineConfig,
     stats = stats if stats is not None else StreamStats()
     stats.frames = n_frames
     get_flow = resolve_flow_source(frames, flow_source)
-    frame_cache: dict[int, tuple[list[Proposal], list]] = {}
+    # proposals and features of the frame the next sub-sequence shares
+    shared_props: list[Proposal] = []
+    shared_feats: list = []
 
     ranges = make_subsequences(n_frames, config.subseq_len)
     for t, frame_ids in enumerate(ranges):
@@ -321,9 +325,9 @@ def stream_cluster(frames, flow_source, config: PipelineConfig,
         et = temporal_edge(prior)
         orient_t = orientation_of(prior.values)
 
-        for i in frame_ids:
-            if i in frame_cache:
-                continue
+        emit_frames = frame_ids if t == 0 else frame_ids[1:]
+        proposals, features = list(shared_props), list(shared_feats)
+        for i in emit_frames:
             es = edge_maps(i) if edge_maps is not None else None
             if es is not None:
                 es = np.asarray(es, dtype=np.float32)
@@ -335,27 +339,16 @@ def stream_cluster(frames, flow_source, config: PipelineConfig,
             groups = edge_groups(combined, orient)
             props = generate_proposals(combined, groups, config, frame_index=i)
             feats = [extract_features(frames[i], p.box) for p in props]
-            frame_cache[i] = (props, feats)
+            proposals += props
+            features += feats
             stats.total_windows += len(props)
-
-        proposals: list[Proposal] = []
-        features: list = []
-        window_ids: list[tuple[int, int]] = []
-        for i in frame_ids:
-            props, feats = frame_cache[i]
-            proposals.extend(props)
-            features.extend(feats)
-            window_ids.extend((i, s) for s in range(len(props)))
+        shared_props, shared_feats = props, feats
+        window_ids = [(i, s) for i, run in groupby(p.frame_index for p in proposals)
+                      for s, _ in enumerate(run)]
 
         n = len(proposals)
-        if n == 0:
-            stats.subsequences += 1
-            yield SubsequenceRecord(t, frame_ids, [], [], np.zeros(0, np.int64),
-                                    {}, {}, set(),
-                                    frame_ids if t == 0 else frame_ids[1:])
-            continue
-        if n == 1:
-            labels = np.zeros(1, dtype=np.int64)
+        if n <= 1:
+            labels = np.zeros(n, dtype=np.int64)
         else:
             pairs = collect_pairs(proposals, features)
             try:
@@ -381,15 +374,9 @@ def stream_cluster(frames, flow_source, config: PipelineConfig,
         global_ids = {lab: gid for lab, gid in zip(local_labels, gids)}
         stats.clusters_created += len(new_ids)
         stats.subsequences += 1
-
-        # evict frames preceding this sub-sequence; the overlap frame stays
-        for i in list(frame_cache):
-            if i < frame_ids[0]:
-                del frame_cache[i]
-
         yield SubsequenceRecord(t, frame_ids, proposals, window_ids,
                                 labels, cluster_members, global_ids, new_ids,
-                                frame_ids if t == 0 else frame_ids[1:])
+                                emit_frames)
 
 
 def _detection_nms(dets: list[Detection], beta: float) -> list[Detection]:
@@ -417,7 +404,7 @@ def detect_stream(frames, flow_source, config: PipelineConfig, classifier,
     registry = ClusterRegistry()
     stats = StreamStats()
     detections: list[Detection] = []
-    frame_size = (np.asarray(frames[0]).shape[1], np.asarray(frames[0]).shape[0])
+    height, width = np.asarray(frames[0]).shape[:2]
 
     try:
         for rec in stream_cluster(frames, flow_source, config, registry, stats,
@@ -427,67 +414,52 @@ def detect_stream(frames, flow_source, config: PipelineConfig, classifier,
                 members = rec.cluster_members[lab]
                 gid = rec.global_ids[lab]
                 entry = registry[gid]
-                run_classifier = gid in rec.new_ids or config.classify_always
-                by_frame: dict[int, list[int]] = {}   # frame -> member positions
-                for pos, m in enumerate(members):
-                    by_frame.setdefault(rec.proposals[m].frame_index, []).append(pos)
-                frame_props = {fi: [rec.proposals[members[p]] for p in pos]
-                               for fi, pos in by_frame.items()}
+                # proposals are in frame order, so each frame's members are one run
+                frame_props = {fi: list(run) for fi, run in groupby(
+                    (rec.proposals[m] for m in members), key=lambda p: p.frame_index)}
+                classified = gid in rec.new_ids or config.classify_always
 
-                if run_classifier:
-                    member_scores = np.zeros((len(members), len(classifier.classes) + 1))
-                    for fi in sorted(by_frame):
-                        pos_list = by_frame[fi]
-                        call_boxes = [rec.proposals[members[p]].box for p in pos_list]
+                if classified:
+                    frame_scores = {}
+                    for fi, props in frame_props.items():
                         path = frame_paths[fi] if frame_paths is not None else None
-                        scores = classifier.classify(frames[fi], call_boxes,
-                                                     frame_path=path)
-                        member_scores[pos_list] = scores
+                        frame_scores[fi] = classifier.classify(
+                            frames[fi], [p.box for p in props], frame_path=path)
                         stats.classifier_calls.append(
                             {"subseq": rec.index, "global_id": gid, "frame": fi,
                              "new_cluster": gid in rec.new_ids,
-                             "n_boxes": len(call_boxes)})
-                    for m in members:
-                        stats.classified_ids.add(rec.window_ids[m])
+                             "n_boxes": len(props)})
+                    stats.classified_ids.update(rec.window_ids[m] for m in members)
                     stats.classified_windows = len(stats.classified_ids)
+                    member_scores = np.vstack(list(frame_scores.values()))
                     pooled = member_scores.max(axis=0)
                     best_c = int(np.argmax(pooled[:-1]))
-                    conf = float(pooled[best_c])
-                    if conf >= config.confidence_threshold:
+                    entry.confidence = float(pooled[best_c])
+                    entry.label = None
+                    if entry.confidence >= config.confidence_threshold:
                         entry.label = classifier.classes[best_c]
-                        entry.confidence = conf
-                        col = member_scores[:, best_c]
-                        best = rec.proposals[members[int(np.argmax(col))]]
-                        best_frame = frame_props[best.frame_index]
+                        top = int(np.argmax(member_scores[:, best_c]))
+                        best = rec.proposals[members[top]]
                         record_offset(registry, gid, best.box,
-                                      frame_location(best_frame))
-                        for fi in rec.emit_frames:
-                            in_frame = by_frame.get(fi)
-                            if not in_frame:
-                                continue
-                            top = max(in_frame, key=lambda p: (col[p],
-                                      -members[p]))
-                            sub_dets.append(Detection(
-                                fi, rec.proposals[members[top]].box,
-                                entry.label, conf, "classified", gid))
+                                      frame_location(frame_props[best.frame_index]))
+
+                if entry.label is None or entry.offset is None:
+                    continue
+                for fi in rec.emit_frames:
+                    if fi not in frame_props:
+                        continue
+                    if classified:
+                        top = int(np.argmax(frame_scores[fi][:, best_c]))
+                        box = frame_props[fi][top].box
                     else:
-                        entry.label = None
-                        entry.confidence = conf
-                else:
-                    if entry.label is not None and entry.offset is not None:
-                        for fi in rec.emit_frames:
-                            if fi not in frame_props:
-                                continue
-                            box = propagate_localization(
-                                frame_location(frame_props[fi]), entry.offset,
-                                frame_size)
-                            sub_dets.append(Detection(fi, box, entry.label,
-                                                      entry.confidence,
-                                                      "propagated", gid))
+                        box = propagate_localization(frame_location(frame_props[fi]),
+                                                     entry.offset, (width, height))
+                    sub_dets.append(Detection(
+                        fi, box, entry.label, entry.confidence,
+                        "classified" if classified else "propagated", gid))
             detections.extend(_detection_nms(sub_dets, config.det_nms_beta))
     except ClassifierProtocolError as exc:
         exc.partial = (detections, stats)
         raise
-    stats.classified_windows = len(stats.classified_ids)
     detections.sort(key=lambda d: (d.frame, -d.confidence, d.box.as_tuple()))
     return detections, stats, registry

@@ -13,7 +13,7 @@ from streamdet.imio import read_ppm, write_pgm
 
 @pytest.mark.parametrize("flags, resize", [(["--resize", "0"], None),
                                            (["--resize", "64"], 64),
-                                           ([], 500)])
+                                           ([], None)])
 def test_resize_flag(flags, resize):
     args = build_parser().parse_args(["detect", "frames", "--out", "d.jsonl"]
                                      + flags)
@@ -31,20 +31,47 @@ def _synth(tmp_path):
     return video
 
 
-def test_synth_detect_eval_round_trip(tmp_path, capsys):
-    video = _synth(tmp_path)
+def _round_trip_config(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"min_box_area": 250.0, "lam": 0.5,
                                   "self_tune": True, "max_proposals": 20}))
+    return config
+
+
+# without the flag the frames keep their native size, so the boxes are in the
+# ground truth's coordinates and the flow files fit
+@pytest.mark.parametrize("flags", [["--resize", "0"], []], ids=["resize-0", "native"])
+def test_synth_detect_eval_round_trip(tmp_path, capsys, flags):
+    video = _synth(tmp_path)
+    config = _round_trip_config(tmp_path)
     out = tmp_path / "det"
     assert main(["detect", str(video / "frames"), "--flow-dir", str(video / "flow"),
-                 "--out", str(out), "--config", str(config), "--resize", "0"]) == 0
+                 "--out", str(out), "--config", str(config)] + flags) == 0
     metrics_path = tmp_path / "metrics.json"
     assert main(["eval", "--pred", str(out / "detections.jsonl"),
                  "--gt", str(video / "gt.json"), "--mode", "detection",
                  "--out", str(metrics_path)]) == 0
     metrics = json.loads(metrics_path.read_text())
     assert metrics["detection"]["red"]["recall"] > 0
+
+
+def test_propose_and_cluster_emit_each_window_once(tmp_path, capsys):
+    video = _synth(tmp_path)
+    config = _round_trip_config(tmp_path)
+    outputs = {}
+    for command, name in [("propose", "proposals.jsonl"), ("cluster", "clusters.jsonl")]:
+        out = tmp_path / command
+        assert main([command, str(video / "frames"), "--flow-dir", str(video / "flow"),
+                     "--out", str(out), "--config", str(config)]) == 0
+        outputs[command] = [json.loads(line)
+                            for line in (out / name).read_text().splitlines()]
+    windows = [(r["frame"], r["x"], r["y"], r["w"], r["h"]) for r in outputs["propose"]]
+    assert {w[0] for w in windows} == set(range(7))
+    assert len(set(windows)) == len(windows)
+    # the sub-sequences share a frame; each window is still reported once
+    assert [(r["frame"], r["x"], r["y"], r["w"], r["h"])
+            for r in outputs["cluster"]] == windows
+    assert all(type(r["global_id"]) is int for r in outputs["cluster"])
 
 
 def test_config_with_unknown_key_exits_2(tmp_path, capsys):
@@ -115,14 +142,25 @@ def test_truncated_flow_exits_3(tmp_path, capsys):
     assert "truncated flow payload" in capsys.readouterr().err
 
 
+def _scores_stub(value):
+    return ("import json, sys\n"
+            "for line in sys.stdin:\n"
+            "    n = len(json.loads(line)['boxes'])\n"
+            f"    print(json.dumps({{'scores': [[{value}] * 4] * n}}), flush=True)\n")
+
+
 def test_classifier_that_exits_at_once_exits_4_and_writes_stats(tmp_path, capsys):
     video = _synth(tmp_path)
-    out = tmp_path / "det"
-    classifier = f"cmd:exec {shlex.quote(sys.executable)} -c pass"
-    code = main(["detect", str(video / "frames"), "--flow-dir", str(video / "flow"),
-                 "--out", str(out), "--resize", "0", "--classifier", classifier])
-    assert code == 4
-    assert "classifier" in capsys.readouterr().err
-    stats = json.loads((out / "stats.json").read_text())
-    assert stats["frames"] == 7 and stats["classifier_calls"] == 0
-    assert (out / "detections.jsonl").read_text() == ""
+    # one that exits at once, and ones whose scores are not finite (json
+    # writes them as Infinity and NaN)
+    for n, script in enumerate(["pass", _scores_stub("float('inf')"),
+                                _scores_stub("float('nan')")]):
+        out = tmp_path / f"det{n}"
+        classifier = f"cmd:exec {shlex.quote(sys.executable)} -c {shlex.quote(script)}"
+        code = main(["detect", str(video / "frames"), "--flow-dir", str(video / "flow"),
+                     "--out", str(out), "--resize", "0", "--classifier", classifier])
+        assert code == 4
+        assert "classifier" in capsys.readouterr().err
+        stats = json.loads((out / "stats.json").read_text())
+        assert stats["frames"] == 7 and stats["classifier_calls"] == 0
+        assert (out / "detections.jsonl").read_text() == ""

@@ -363,3 +363,34 @@ def test_command_classifier_close_closes_both_pipes():
     clf.close()
     assert proc.stdin.closed and proc.stdout.closed
     assert proc.returncode == 0
+
+
+def test_subsequences_with_at_most_one_window(monkeypatch):
+    import streamdet.propagation as propagation
+    from streamdet.proposals import Proposal
+    video = _single_mover(n_frames=7)
+    config = _scene_config()
+    window = Box(8, 24, 26, 22)          # the red object in frame 0
+
+    monkeypatch.setattr(propagation, "generate_proposals",
+                        lambda edges, groups, config, frame_index=0: [])
+    records = list(propagation.stream_cluster(video.frames, video.flows, config))
+    assert [r.frame_ids for r in records] == [[0, 1, 2], [2, 3, 4], [4, 5, 6]]
+    for rec in records:
+        assert rec.proposals == [] and rec.window_ids == [] and rec.labels.size == 0
+        assert rec.cluster_members == {} and rec.global_ids == {} and rec.new_ids == set()
+    detections, stats, _ = detect_stream(video.frames, video.flows, config,
+                                         OracleColorClassifier())
+    assert detections == [] and stats.total_windows == 0
+    assert stats.classifier_calls == []
+
+    def one_window(edges, groups, config, frame_index=0):
+        return [Proposal(window, 1.0, frame_index)] if frame_index == 0 else []
+    monkeypatch.setattr(propagation, "generate_proposals", one_window)
+    detections, stats, registry = detect_stream(video.frames, video.flows, config,
+                                                OracleColorClassifier())
+    assert stats.total_windows == 1 and stats.clusters_created == 1
+    assert len(registry.entries) == 1
+    assert len(stats.classifier_calls) == 1 and stats.classified_windows == 1
+    assert [(d.frame, d.box, d.label, d.provenance) for d in detections] == [
+        (0, window, "red", "classified")]
