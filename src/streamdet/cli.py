@@ -181,6 +181,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_segment_prior(args) -> int:
+    if not 0.0 < args.threshold < 1.0:
+        raise ConfigError(f"--threshold must lie in (0, 1), got {args.threshold}")
     config = _build_config(args)
     frames, _ = _load_frames(args.frames_dir, config)
     height, width = np.asarray(frames[0]).shape[:2]
@@ -270,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="foreground priors and masks from clusters")
     p.add_argument("frames_dir")
     p.add_argument("--clusters", required=True, help="clusters.jsonl path")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=float, default=0.5,
+                   help="foreground threshold of the prior, in (0, 1)")
     p.add_argument("--out", required=True)
     _add_config_flags(p)
     p.set_defaults(func=cmd_segment_prior)

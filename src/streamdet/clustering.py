@@ -176,7 +176,6 @@ class ClusterDescriptor:
     components: np.ndarray     # (dim, 49) orthonormal rows
     samples: np.ndarray        # (n, dim) projected members
     bandwidths: np.ndarray     # (dim,)
-    degenerate: bool
     kde: ProductKDE = field(repr=False, default=None)
 
     @property
@@ -214,10 +213,9 @@ def _descriptor_kde(samples: np.ndarray) -> tuple[ProductKDE, np.ndarray]:
 
 def cluster_descriptor(features: list[FeatureVector],
                        max_dim: int = 8) -> ClusterDescriptor:
-    """PCA-reduce a cluster's scaled features and fit an Epanechnikov KDE.
-
-    Singleton clusters produce a degenerate point-mass descriptor.
-    """
+    """PCA-reduce a cluster's scaled features and fit an Epanechnikov KDE
+    (bandwidths floored at BANDWIDTH_FLOOR, so a singleton or a cluster of
+    identical members still has a proper density)."""
     if not features:
         raise ValueError("a cluster needs at least one member")
     raw = scale_features(features)
@@ -226,8 +224,7 @@ def cluster_descriptor(features: list[FeatureVector],
     mean, comps = _fit_pca(raw, dim)
     samples = _project_with_residual(raw, mean, comps)
     kde, bw = _descriptor_kde(samples)
-    degenerate = n == 1 or not np.any(samples.std(axis=0) > 0)
-    return ClusterDescriptor(raw, mean, comps, samples, bw, degenerate, kde)
+    return ClusterDescriptor(raw, mean, comps, samples, bw, kde)
 
 
 def kl_divergence(p: ClusterDescriptor, q: ClusterDescriptor,

@@ -45,14 +45,10 @@ class PipelineConfig:
     tau_kl               number         > 0; KL threshold for inheriting a
                                         cluster's label
     max_proposals        integer        >= 1; proposals per frame
-    pre_nms_beta         number         (0, 1); IoU suppression of proposals
-    det_nms_beta         number         (0, 1); IoU suppression of detections
-    step_iou             number         (0, 1); IoU of neighbouring windows
     min_box_area         number         > 0; smallest window, in px
     classifier           string         oracle | always | cmd:COMMAND
     classify_always      bool           classify every cluster, not only
                                         new ones
-    confidence_threshold number         [0, 1]; least score of a label
     classes              list of        class names, in the classifier's
                          strings        score order
     seed                 integer        >= 0; clustering seed
@@ -61,6 +57,9 @@ class PipelineConfig:
     edges_dir            string | null  directory of spatial edge maps
                                         (PGM), one per frame
     ==================== ============== =====================================
+
+    Constants, not keys: ``proposals.STEP_IOU`` and ``PRE_NMS_BETA``,
+    ``propagation.DET_NMS_BETA`` and ``CONFIDENCE_THRESHOLD``.
 
     Any other key, a value of another type or one outside its range raises
     ``ConfigError`` (exit code 2 on the command line).
@@ -73,13 +72,9 @@ class PipelineConfig:
     rho: float = 1.2
     tau_kl: float = 2.0
     max_proposals: int = 500
-    pre_nms_beta: float = 0.9
-    det_nms_beta: float = 0.75
-    step_iou: float = 0.65
     min_box_area: float = 1000.0
     classifier: str = "oracle"
     classify_always: bool = False
-    confidence_threshold: float = 0.5
     classes: tuple[str, ...] = ("red", "green", "blue")
     seed: int = 0
     resize: int | None = None
@@ -109,17 +104,10 @@ class PipelineConfig:
             raise ConfigError(f"tau_kl must be positive, got {self.tau_kl}")
         if self.max_proposals < 1:
             raise ConfigError(f"max_proposals must be >= 1, got {self.max_proposals}")
-        for name in ("pre_nms_beta", "det_nms_beta", "step_iou"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ConfigError(f"{name} must lie in (0, 1), got {v}")
         if (self.classifier not in ("oracle", "always")
                 and not self.classifier.startswith("cmd:")):
             raise ConfigError(f"classifier must be oracle, always or cmd:COMMAND, "
                               f"got {self.classifier!r}")
-        if not 0.0 <= self.confidence_threshold <= 1.0:
-            raise ConfigError(f"confidence_threshold must lie in [0, 1], "
-                              f"got {self.confidence_threshold}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.resize is not None and self.resize < 16:

@@ -4,7 +4,6 @@ mid-range accumulation and an edge detector on the accumulated location prior.""
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import uniform_filter
@@ -185,17 +184,9 @@ def inside_outside_map(boundary, threshold: float = 0.5) -> np.ndarray:
     return (odd_votes >= 5)
 
 
-@dataclass
-class LocationPrior:
-    """Accumulated inside-outside evidence for a sub-sequence, values in [0, 1]."""
-
-    values: np.ndarray
-    length: int
-    frame_index: int | None = None
-
-
-def accumulate_prior(masks, frame_index: int | None = None) -> LocationPrior:
-    """Mean of 1..n equal-size binary masks from one sub-sequence."""
+def accumulate_prior(masks) -> np.ndarray:
+    """Location prior of one sub-sequence: the float32 mean of 1..n
+    equal-size binary masks, values in [0, 1]."""
     if not masks:
         raise ValueError("need at least one mask to accumulate")
     stack = [np.asarray(m, dtype=np.float64) for m in masks]
@@ -204,12 +195,12 @@ def accumulate_prior(masks, frame_index: int | None = None) -> LocationPrior:
         if m.shape != shape:
             raise ValueError(f"mask shapes disagree: {m.shape} vs {shape}")
     mean = np.mean(stack, axis=0)
-    return LocationPrior(mean.astype(np.float32), len(stack), frame_index)
+    return mean.astype(np.float32)
 
 
-def temporal_edge(prior: LocationPrior) -> np.ndarray:
+def temporal_edge(prior) -> np.ndarray:
     """Normalized gradient magnitude of the accumulated location prior."""
-    values = np.asarray(prior.values, dtype=np.float64)
+    values = np.asarray(prior, dtype=np.float64)
     gy, gx = np.gradient(values)
     mag = np.hypot(gx, gy)
     peak = mag.max()

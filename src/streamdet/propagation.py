@@ -1,6 +1,7 @@
 """The streaming detection loop: cluster proposals across sub-sequences,
 classify only windows of newly appearing clusters, propagate class labels and
-localize propagated objects via 4-D Gaussian fits plus a stored offset."""
+localize propagated objects at the mean (center_x, center_y, h, w) of a
+cluster's windows in a frame plus a stored offset."""
 
 from __future__ import annotations
 
@@ -23,6 +24,10 @@ from .edges import combine_edges, combined_orientation, edge_groups, \
 from .motion import (accumulate_prior, block_matching_flow, inside_outside_map,
                      motion_boundary, temporal_edge)
 from .proposals import Proposal, generate_proposals
+
+
+CONFIDENCE_THRESHOLD = 0.5   # least pooled class score that labels a cluster
+DET_NMS_BETA = 0.75          # IoU suppressing a frame's same-class detections
 
 
 class ClassifierProtocolError(RuntimeError):
@@ -49,14 +54,6 @@ class Detection:
                 "provenance": self.provenance, "global_id": self.global_id}
 
 
-@dataclass
-class LocationModel:
-    """4-D Gaussian over (center_x, center_y, h, w) of a cluster's boxes."""
-
-    mean: np.ndarray          # (4,)
-    covariance: np.ndarray    # (4, 4), regularized SPD
-
-
 def box_to_quadruple(box: Box) -> np.ndarray:
     cx, cy = box.center
     return np.array([cx, cy, float(box.h), float(box.w)], dtype=np.float64)
@@ -72,18 +69,12 @@ def quadruple_to_box(quad, frame_size: tuple[int, int] | None = None) -> Box:
     return box
 
 
-def fit_location_gaussian(boxes: list[Box], reg_sigma: float = 1.0) -> LocationModel:
-    """Sample mean/covariance of the member quadruples, +sigma^2 I regularizer."""
+def fit_location_gaussian(boxes: list[Box]) -> np.ndarray:
+    """Mean (center_x, center_y, h, w) quadruple of the boxes, shape (4,).
+    It keeps its old name because ``perfbench/tracing.py`` traces it."""
     if not boxes:
         raise ValueError("need at least one box")
-    quads = np.stack([box_to_quadruple(b) for b in boxes])
-    mean = quads.mean(axis=0)
-    if quads.shape[0] > 1:
-        cov = np.cov(quads, rowvar=False)
-    else:
-        cov = np.zeros((4, 4), dtype=np.float64)
-    cov = cov + (reg_sigma ** 2) * np.eye(4)
-    return LocationModel(mean, cov)
+    return np.stack([box_to_quadruple(b) for b in boxes]).mean(axis=0)
 
 
 # windows of a cluster that localize it in a frame: those scoring at least
@@ -91,9 +82,9 @@ def fit_location_gaussian(boxes: list[Box], reg_sigma: float = 1.0) -> LocationM
 LOCATION_SCORE_FRACTION = 0.75
 
 
-def frame_location(proposals: list[Proposal]) -> LocationModel:
-    """Location Gaussian of one frame's windows of a cluster, fitted to those
-    scoring at least LOCATION_SCORE_FRACTION of the best of them.
+def frame_location(proposals: list[Proposal]) -> np.ndarray:
+    """Location of one frame's windows of a cluster: the mean quadruple of
+    those scoring at least LOCATION_SCORE_FRACTION of the best of them.
 
     A cluster also holds background windows that stay put while the object
     moves; a mean over all of them lags the object, and so does every box
@@ -105,19 +96,19 @@ def frame_location(proposals: list[Proposal]) -> LocationModel:
 
 
 def record_offset(registry: ClusterRegistry, global_id: int, detected_box: Box,
-                  model: LocationModel) -> np.ndarray:
-    """Store d = detected quadruple - cluster Gaussian mean for a cluster."""
+                  mean: np.ndarray) -> np.ndarray:
+    """Store d = detected quadruple - cluster location mean for a cluster."""
     if global_id not in registry.entries:
         raise KeyError(f"unknown global cluster id {global_id}")
-    d = box_to_quadruple(detected_box) - model.mean
+    d = box_to_quadruple(detected_box) - mean
     registry[global_id].offset = d
     return d
 
 
-def propagate_localization(model: LocationModel, d: np.ndarray,
+def propagate_localization(mean: np.ndarray, d: np.ndarray,
                            frame_size: tuple[int, int] | None = None) -> Box:
     """Box at (cluster mean + d), clamped into the frame with >= 1 px extent."""
-    return quadruple_to_box(model.mean + np.asarray(d, dtype=np.float64), frame_size)
+    return quadruple_to_box(mean + np.asarray(d, dtype=np.float64), frame_size)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +182,13 @@ class CommandClassifier:
                 reply = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ClassifierProtocolError(f"classifier sent bad JSON: {exc}")
-            scores = np.asarray(reply.get("scores"), dtype=np.float64)
+            if not isinstance(reply, dict):
+                raise ClassifierProtocolError(
+                    f"classifier reply is not a JSON object: {line.strip()[:80]}")
+            try:
+                scores = np.asarray(reply.get("scores"), dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise ClassifierProtocolError(f"classifier scores are not numbers: {exc}")
             if scores.shape != (len(boxes), len(self.classes) + 1):
                 raise ClassifierProtocolError(
                     f"classifier returned shape {scores.shape}, expected "
@@ -321,9 +318,9 @@ def stream_cluster(frames, flow_source, config: PipelineConfig,
     for t, frame_ids in enumerate(ranges):
         flows = [get_flow(i) for i in frame_ids[:-1]]
         masks = [inside_outside_map(motion_boundary(fl)) for fl in flows]
-        prior = accumulate_prior(masks, frame_index=frame_ids[0])
+        prior = accumulate_prior(masks)
         et = temporal_edge(prior)
-        orient_t = orientation_of(prior.values)
+        orient_t = orientation_of(prior)
 
         emit_frames = frame_ids if t == 0 else frame_ids[1:]
         proposals, features = list(shared_props), list(shared_feats)
@@ -398,8 +395,11 @@ def detect_stream(frames, flow_source, config: PipelineConfig, classifier,
     The classifier runs only on proposals of clusters whose global id is new
     in the current sub-sequence (or on every cluster in classify-always
     mode); associated clusters inherit their label and are localized in each
-    frame they have windows in from that frame's location Gaussian (see
-    ``frame_location``) plus the stored offset d.
+    frame they have windows in at that frame's location mean (see
+    ``frame_location``) plus the stored offset d. A cluster is labelled when
+    its best pooled class score reaches CONFIDENCE_THRESHOLD, and each
+    sub-sequence's detections are suppressed per frame and class at
+    DET_NMS_BETA.
     """
     registry = ClusterRegistry()
     stats = StreamStats()
@@ -436,7 +436,7 @@ def detect_stream(frames, flow_source, config: PipelineConfig, classifier,
                     best_c = int(np.argmax(pooled[:-1]))
                     entry.confidence = float(pooled[best_c])
                     entry.label = None
-                    if entry.confidence >= config.confidence_threshold:
+                    if entry.confidence >= CONFIDENCE_THRESHOLD:
                         entry.label = classifier.classes[best_c]
                         top = int(np.argmax(member_scores[:, best_c]))
                         best = rec.proposals[members[top]]
@@ -457,7 +457,7 @@ def detect_stream(frames, flow_source, config: PipelineConfig, classifier,
                     sub_dets.append(Detection(
                         fi, box, entry.label, entry.confidence,
                         "classified" if classified else "propagated", gid))
-            detections.extend(_detection_nms(sub_dets, config.det_nms_beta))
+            detections.extend(_detection_nms(sub_dets, DET_NMS_BETA))
     except ClassifierProtocolError as exc:
         exc.partial = (detections, stats)
         raise

@@ -23,6 +23,8 @@ MAX_ASPECT = 3.0
 REFINE_STEPS = 2     # local refinement rounds (halving step size)
 MIN_SCORE = 1e-9     # boxes without enclosed edge content are dropped
 KAPPA = 1.5          # perimeter exponent of the box score's normaliser
+STEP_IOU = 0.65      # IoU of neighbouring windows (EdgeBoxes' alpha)
+PRE_NMS_BETA = 0.9   # IoU above which a lower-scoring proposal is dropped
 
 
 class ScoreContext:
@@ -161,14 +163,14 @@ def _window_grids(width: int, height: int, min_area: float, step_iou: float,
                                     steps_x.tolist(), steps_y.tolist())]
 
 
-def _refine(boxes: np.ndarray, scores: np.ndarray, ctx: ScoreContext,
-            config: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
+def _refine(boxes: np.ndarray, scores: np.ndarray,
+            ctx: ScoreContext) -> tuple[np.ndarray, np.ndarray]:
     """Greedy local search: try +-step moves of each corner coordinate,
     halving the step each round."""
     boxes = boxes.copy()
     scores = scores.copy()
     w0 = np.maximum(boxes[:, 2], boxes[:, 3])
-    delta = config.step_iou
+    delta = STEP_IOU
     step = np.maximum(1, (w0 * (1.0 - delta) / (1.0 + delta) / 2).astype(np.int64))
     for _ in range(REFINE_STEPS):
         moves = [(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0),
@@ -205,7 +207,7 @@ def generate_proposals(edge_map, groups: list[EdgeGroup], config: PipelineConfig
     """Ranked proposals: enumerate sliding windows, score, refine the best
     pool locally, suppress near-duplicates and truncate."""
     ctx = ScoreContext(edge_map, groups)
-    grids = _window_grids(ctx.width, ctx.height, config.min_box_area, config.step_iou)
+    grids = _window_grids(ctx.width, ctx.height, config.min_box_area, STEP_IOU)
     if not grids:
         return []
     cand, scores = [], []
@@ -222,7 +224,7 @@ def generate_proposals(edge_map, groups: list[EdgeGroup], config: PipelineConfig
     top = np.flatnonzero(scores >= -np.partition(-scores, pool - 1)[pool - 1])
     b = cand[top]
     order = top[np.lexsort((b[:, 3], b[:, 2], b[:, 1], b[:, 0], -scores[top]))[:pool]]
-    boxes, scores = _refine(cand[order], scores[order], ctx, config)
+    boxes, scores = _refine(cand[order], scores[order], ctx)
 
     # dedupe identical refined boxes, keep the best score for each
     uniq: dict[tuple, float] = {}
@@ -232,6 +234,6 @@ def generate_proposals(edge_map, groups: list[EdgeGroup], config: PipelineConfig
             uniq[key] = s
     proposals = [Proposal(Box(*key), sc, frame_index) for key, sc in uniq.items()
                  if sc > MIN_SCORE]
-    proposals = nms(proposals, config.pre_nms_beta)
+    proposals = nms(proposals, PRE_NMS_BETA)
     proposals.sort(key=lambda p: (-p.score,) + p.box.as_tuple())
     return proposals[:config.max_proposals]

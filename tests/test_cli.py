@@ -8,7 +8,7 @@ import pytest
 
 from streamdet.cli import _build_config, build_parser, main
 from streamdet.edges import spatial_edge
-from streamdet.imio import read_ppm, write_pgm
+from streamdet.imio import read_jsonl, read_pgm, read_ppm, write_pgm
 
 
 @pytest.mark.parametrize("flags, resize", [(["--resize", "0"], None),
@@ -74,11 +74,36 @@ def test_propose_and_cluster_emit_each_window_once(tmp_path, capsys):
     assert all(type(r["global_id"]) is int for r in outputs["cluster"])
 
 
+def test_segment_prior_writes_one_frame_sized_pair_per_cluster(tmp_path, capsys):
+    video = _synth(tmp_path)
+    config = _round_trip_config(tmp_path)
+    clusters = tmp_path / "cluster"
+    assert main(["cluster", str(video / "frames"), "--flow-dir", str(video / "flow"),
+                 "--out", str(clusters), "--config", str(config)]) == 0
+    keys = {(r["frame"], r["global_id"])
+            for r in read_jsonl(clusters / "clusters.jsonl")}
+    out = tmp_path / "priors"
+    assert main(["segment-prior", str(video / "frames"), "--clusters",
+                 str(clusters / "clusters.jsonl"), "--out", str(out)]) == 0
+    index = read_jsonl(out / "priors.jsonl")
+    assert len(index) == len(keys)
+    assert {(r["frame"], r["global_id"]) for r in index} == keys
+    for r in index:
+        assert read_pgm(out / r["prior"]).shape == (72, 96)
+        assert read_pgm(out / r["mask"]).shape == (72, 96)
+    # the threshold is checked before any input is read
+    assert main(["segment-prior", str(tmp_path / "missing"), "--clusters",
+                 str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "bad"),
+                 "--threshold", "1.5"]) == 2
+    assert "--threshold" in capsys.readouterr().err
+
+
 def test_config_with_unknown_key_exits_2(tmp_path, capsys):
     video = _synth(tmp_path)
     config = tmp_path / "config.json"
-    # an unknown key, and a known one with a value of the wrong type
+    # unknown keys (one a fixed constant), and a known one of the wrong type
     for doc, message in [({"subseq_len": 3, "no_such_key": 1}, "no_such_key"),
+                         ({"step_iou": 0.65}, "unknown config key 'step_iou'"),
                          ({"classes": "red"}, "classes must be a list of strings")]:
         config.write_text(json.dumps(doc))
         code = main(["detect", str(video / "frames"), "--out", str(tmp_path / "det"),
@@ -149,12 +174,20 @@ def _scores_stub(value):
             f"    print(json.dumps({{'scores': [[{value}] * 4] * n}}), flush=True)\n")
 
 
+def _reply_stub(text):
+    return ("import sys\n"
+            "for line in sys.stdin:\n"
+            f"    print({text!r}, flush=True)\n")
+
+
 def test_classifier_that_exits_at_once_exits_4_and_writes_stats(tmp_path, capsys):
     video = _synth(tmp_path)
-    # one that exits at once, and ones whose scores are not finite (json
-    # writes them as Infinity and NaN)
+    # one that exits at once, ones whose scores are not finite (json writes
+    # them as Infinity and NaN), one whose reply is not an object and one
+    # whose scores are not numbers
     for n, script in enumerate(["pass", _scores_stub("float('inf')"),
-                                _scores_stub("float('nan')")]):
+                                _scores_stub("float('nan')"), _reply_stub("[1]"),
+                                _reply_stub('{"scores": [["a", 1, 2, 3]]}')]):
         out = tmp_path / f"det{n}"
         classifier = f"cmd:exec {shlex.quote(sys.executable)} -c {shlex.quote(script)}"
         code = main(["detect", str(video / "frames"), "--flow-dir", str(video / "flow"),

@@ -163,22 +163,22 @@ def test_accumulate_identical_masks():
     m = np.zeros((10, 10))
     m[3:6, 3:6] = 1.0
     prior = accumulate_prior([m, m, m])
-    assert np.array_equal(prior.values, m.astype(np.float32))
-    assert prior.length == 3
+    assert np.array_equal(prior, m.astype(np.float32))
+    assert prior.dtype == np.float32
 
 
 def test_accumulate_partial_presence():
     on = np.ones((4, 4))
     off = np.zeros((4, 4))
     prior = accumulate_prior([on, on, off, off])
-    assert np.all(prior.values == 0.5)
+    assert np.all(prior == 0.5)
 
 
 def test_accumulate_permutation_invariant():
     rng = np.random.default_rng(4)
     masks = [(rng.random((8, 8)) > 0.5).astype(float) for _ in range(4)]
-    a = accumulate_prior(masks).values
-    b = accumulate_prior(masks[::-1]).values
+    a = accumulate_prior(masks)
+    b = accumulate_prior(masks[::-1])
     assert np.array_equal(a, b)
 
 
@@ -193,7 +193,7 @@ def test_accumulate_translating_square():
         m = np.zeros((20, 20))
         m[5:10, 4 + 3 * t:9 + 3 * t] = 1.0
         masks.append(m)
-    prior = accumulate_prior(masks).values
+    prior = accumulate_prior(masks)
     expect = np.mean(masks, axis=0)
     assert np.allclose(prior, expect, atol=1e-7)
 

@@ -22,9 +22,8 @@ def _descriptor_stub():
 
 def test_gaussian_identical_boxes():
     b = Box(10, 12, 20, 16)
-    model = fit_location_gaussian([b] * 4)
-    assert model.mean == pytest.approx([20.0, 20.0, 16.0, 20.0])
-    assert np.allclose(model.covariance, np.eye(4))
+    mean = fit_location_gaussian([b] * 4)
+    assert mean == pytest.approx([20.0, 20.0, 16.0, 20.0])
 
 
 def test_gaussian_jittered_mean():
@@ -32,9 +31,9 @@ def test_gaussian_jittered_mean():
     base = Box(30, 25, 24, 18)
     boxes = [Box(base.x + int(rng.integers(-5, 6)), base.y + int(rng.integers(-5, 6)),
                  base.w, base.h) for _ in range(400)]
-    model = fit_location_gaussian(boxes)
+    mean = fit_location_gaussian(boxes)
     q = box_to_quadruple(base)
-    assert np.all(np.abs(model.mean[:2] - q[:2]) <= 1.0)
+    assert np.all(np.abs(mean[:2] - q[:2]) <= 1.0)
 
 
 def test_gaussian_translation_equivariance():
@@ -45,9 +44,9 @@ def test_gaussian_translation_equivariance():
     moved = [Box(b.x + 7, b.y - 3, b.w, b.h) for b in boxes]
     m0 = fit_location_gaussian(boxes)
     m1 = fit_location_gaussian(moved)
-    assert m1.mean[0] - m0.mean[0] == pytest.approx(7.0)
-    assert m1.mean[1] - m0.mean[1] == pytest.approx(-3.0)
-    assert m1.mean[2:] == pytest.approx(m0.mean[2:])
+    assert m1[0] - m0[0] == pytest.approx(7.0)
+    assert m1[1] - m0[1] == pytest.approx(-3.0)
+    assert m1[2:] == pytest.approx(m0[2:])
 
 
 def _registry_with_cluster():
@@ -102,7 +101,7 @@ def test_propagate_translated_cluster():
     boxes = [Box(10, 10, 12, 12), Box(12, 10, 12, 12), Box(11, 12, 12, 12)]
     model0 = fit_location_gaussian(boxes)
     detected = Box(12, 11, 12, 12)
-    d = box_to_quadruple(detected) - model0.mean
+    d = box_to_quadruple(detected) - model0
     shifted = [Box(b.x + 5, b.y, b.w, b.h) for b in boxes]
     model1 = fit_location_gaussian(shifted)
     out = propagate_localization(model1, d)
@@ -253,11 +252,11 @@ def test_frame_location_fits_top_scoring_windows():
 
     obj = [Proposal(Box(40, 20, 20, 16), 0.9), Proposal(Box(42, 22, 20, 16), 0.8)]
     background = [Proposal(Box(0, 0, 30, 30), 0.6), Proposal(Box(5, 40, 30, 20), 0.1)]
-    model = frame_location(background[:1] + obj + background[1:])
-    assert np.allclose(model.mean, fit_location_gaussian([p.box for p in obj]).mean)
+    mean = frame_location(background[:1] + obj + background[1:])
+    assert np.allclose(mean, fit_location_gaussian([p.box for p in obj]))
     # the best window always takes part
     only = frame_location([Proposal(Box(3, 4, 10, 12), 0.0)])
-    assert np.allclose(only.mean, box_to_quadruple(Box(3, 4, 10, 12)))
+    assert np.allclose(only, box_to_quadruple(Box(3, 4, 10, 12)))
     with pytest.raises(ValueError):
         frame_location([])
 

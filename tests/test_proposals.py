@@ -112,7 +112,7 @@ def test_nms_postcondition_random():
 
 
 def test_generate_on_blank_map():
-    config = PipelineConfig(max_proposals=10, min_box_area=100.0, pre_nms_beta=0.75)
+    config = PipelineConfig(max_proposals=10, min_box_area=100.0)
     out = generate_proposals(np.zeros((48, 48), dtype=np.float32), [], config)
     assert len(out) <= 10
 
@@ -123,7 +123,7 @@ def test_generate_finds_square_object():
     O[20, :] = np.pi / 2
     O[43, :] = np.pi / 2
     groups = edge_groups(E, O, 0.1)
-    config = PipelineConfig(max_proposals=50, min_box_area=144.0, pre_nms_beta=0.75)
+    config = PipelineConfig(max_proposals=50, min_box_area=144.0)
     props = generate_proposals(E, groups, config, frame_index=3)
     assert props
     assert all(p.frame_index == 3 for p in props)
@@ -136,7 +136,7 @@ def test_generate_truncates_and_sorts():
     E = (rng.random((48, 48)) * (rng.random((48, 48)) > 0.6)).astype(np.float32)
     O = (rng.random((48, 48)) * np.pi).astype(np.float32)
     groups = edge_groups(E, O, 0.1)
-    config = PipelineConfig(max_proposals=15, min_box_area=100.0, pre_nms_beta=0.75)
+    config = PipelineConfig(max_proposals=15, min_box_area=100.0)
     props = generate_proposals(E, groups, config)
     assert len(props) <= 15
     scores = [p.score for p in props]
@@ -148,7 +148,7 @@ def test_generate_deterministic():
     E = (rng.random((48, 48)) * (rng.random((48, 48)) > 0.6)).astype(np.float32)
     O = (rng.random((48, 48)) * np.pi).astype(np.float32)
     groups = edge_groups(E, O, 0.1)
-    config = PipelineConfig(max_proposals=20, min_box_area=100.0, pre_nms_beta=0.75)
+    config = PipelineConfig(max_proposals=20, min_box_area=100.0)
     a = generate_proposals(E, groups, config)
     b = generate_proposals(E, groups, config)
     assert [(p.box.as_tuple(), p.score) for p in a] == \
@@ -253,5 +253,5 @@ def test_generate_on_frame_too_small_for_any_window():
     E = np.ones((3, 40), dtype=np.float32)
     groups = edge_groups(E, np.zeros_like(E), 0.1)
     assert groups
-    config = PipelineConfig(min_box_area=16.0, pre_nms_beta=0.75)
+    config = PipelineConfig(min_box_area=16.0)
     assert generate_proposals(E, groups, config) == []
