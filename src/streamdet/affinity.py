@@ -62,16 +62,16 @@ def collect_pairs(proposals, features: list[FeatureVector]) -> np.ndarray:
     return np.argwhere(np.triu(iou_matrix(rects, rects) > 0.0, 1))
 
 
-def silverman_bandwidths(samples: np.ndarray, dim: int | None = None,
-                         floor: float = 1e-6) -> np.ndarray:
-    """Per-dimension plug-in rule h_d = 2.34 * sigma_d * n^(-1/(4+dim))."""
+def silverman_bandwidths(samples: np.ndarray, dim: int | None = None) -> np.ndarray:
+    """Per-dimension plug-in rule h_d = 2.34 * sigma_d * n^(-1/(4+dim)),
+    floored at 1e-6."""
     samples = np.asarray(samples, dtype=np.float64)
     n, d = samples.shape
     if dim is None:
         dim = d
     sigma = samples.std(axis=0, ddof=0)
     h = 2.34 * sigma * n ** (-1.0 / (4.0 + dim))
-    return np.maximum(h, floor)
+    return np.maximum(h, 1e-6)
 
 
 def kernel_factor_matrix(points: np.ndarray, samples: np.ndarray,

@@ -13,8 +13,8 @@ from .config import ConfigError, PipelineConfig
 from .core import Box
 from .evaluate import (cluster_purity, detection_pr, gt_index, recall_at_n,
                        temporal_consistency)
-from .imio import (list_frames, load_edge_map, read_ppm, resize_nearest,
-                   write_jsonl, write_pgm)
+from .imio import (list_frames, load_edge_map, read_jsonl, read_ppm,
+                   resize_nearest, write_jsonl, write_pgm)
 from .motion import load_flow
 from .propagation import (ClassifierProtocolError, detect_stream, make_classifier,
                           stream_cluster)
@@ -27,7 +27,11 @@ EXIT_IO = 3
 EXIT_CLASSIFIER = 4
 
 
-def _add_config_flags(parser: argparse.ArgumentParser):
+def _add_stream_args(parser: argparse.ArgumentParser):
+    """Inputs, output and config flags of propose, cluster and detect."""
+    parser.add_argument("frames_dir")
+    parser.add_argument("--flow-dir", help="directory of .flo files (frame t -> t+1)")
+    parser.add_argument("--out", required=True)
     parser.add_argument("--config", metavar="PATH",
                         help="JSON config file; its keys, types and ranges are "
                              "listed in the docstring of "
@@ -40,7 +44,6 @@ def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--rho", type=float, metavar="F")
     parser.add_argument("--tau-kl", type=float, metavar="F")
     parser.add_argument("--max-proposals", type=int, metavar="N")
-    parser.add_argument("--classifier", metavar="oracle|cmd:PATH|always")
     parser.add_argument("--seed", type=int, metavar="N")
     parser.add_argument("--resize", type=int, metavar="N",
                         help="square resize target; 0, or no flag, keeps the "
@@ -72,10 +75,15 @@ def _build_config(args) -> PipelineConfig:
     return config.replace(**overrides)
 
 
-def _load_frames(frames_dir, config: PipelineConfig):
+def _frame_paths(frames_dir) -> list[str]:
     paths = list_frames(frames_dir)
     if not paths:
         raise FileNotFoundError(f"no .ppm frames found in {frames_dir}")
+    return paths
+
+
+def _load_frames(frames_dir, config: PipelineConfig):
+    paths = _frame_paths(frames_dir)
     frames = [read_ppm(p) for p in paths]
     if config.resize is not None:
         target = (config.resize, config.resize)
@@ -184,9 +192,12 @@ def cmd_segment_prior(args) -> int:
     if not 0.0 < args.threshold < 1.0:
         raise ConfigError(f"--threshold must lie in (0, 1), got {args.threshold}")
     config = _build_config(args)
-    frames, _ = _load_frames(args.frames_dir, config)
-    height, width = np.asarray(frames[0]).shape[:2]
-    from .imio import read_jsonl
+    # the priors take the frame size; only the native size needs a frame read
+    paths = _frame_paths(args.frames_dir)
+    if config.resize is not None:
+        height = width = config.resize
+    else:
+        height, width = read_ppm(paths[0]).shape[:2]
     records = read_jsonl(args.clusters)
     by_key: dict = {}
     for rec in records:
@@ -210,7 +221,6 @@ def cmd_segment_prior(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .imio import read_jsonl
     with open(args.gt, "r", encoding="utf-8") as fh:
         gt_doc = json.load(fh)
     gts = gt_index(gt_doc)
@@ -247,26 +257,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("propose", help="emit ranked proposals per frame")
-    p.add_argument("frames_dir")
-    p.add_argument("--flow-dir", help="directory of .flo files (frame t -> t+1)")
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_propose)
-
-    p = sub.add_parser("cluster", help="emit streaming cluster assignments")
-    p.add_argument("frames_dir")
-    p.add_argument("--flow-dir")
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_cluster)
-
-    p = sub.add_parser("detect", help="run the full detection loop")
-    p.add_argument("frames_dir")
-    p.add_argument("--flow-dir")
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_detect)
+    for name, help_text, func in (
+            ("propose", "emit ranked proposals per frame", cmd_propose),
+            ("cluster", "emit streaming cluster assignments", cmd_cluster),
+            ("detect", "run the full detection loop", cmd_detect)):
+        p = sub.add_parser(name, help=help_text)
+        _add_stream_args(p)
+        p.set_defaults(func=func)
+        if func is cmd_detect:
+            p.add_argument("--classifier", metavar="oracle|cmd:PATH|always")
 
     p = sub.add_parser("segment-prior",
                        help="foreground priors and masks from clusters")
@@ -275,7 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=0.5,
                    help="foreground threshold of the prior, in (0, 1)")
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    p.add_argument("--config", metavar="PATH",
+                   help="JSON config file; only its resize is read")
+    p.add_argument("--resize", type=int, metavar="N",
+                   help="side of the square priors and masks; 0, or no flag, "
+                        "takes the first frame's size")
     p.set_defaults(func=cmd_segment_prior)
 
     p = sub.add_parser("eval", help="score predictions against ground truth")

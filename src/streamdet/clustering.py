@@ -12,6 +12,8 @@ from .affinity import (FeatureVector, HIST_BINS, ProductKDE, _fit_pca,
                        _loo_correct, silverman_bandwidths)
 
 KL_EPS = 1e-12
+LOCAL_SCALE_KNN = 7      # self-tuning's local scale: the 7th neighbor's distance
+DESCRIPTOR_MAX_DIM = 8   # PCA dimensions of a cluster descriptor
 
 
 def make_subsequences(frame_count: int, length: int) -> list[list[int]]:
@@ -56,11 +58,12 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centers
 
 
-def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
-            max_iter: int = 100, tol: float = 1e-9) -> np.ndarray:
+def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Lloyd's iterations from a k-means++ start, at most 100 of them, until
+    no center moves by more than 1e-9."""
     centers = _kmeans_pp_init(points, k, rng)
     labels = np.zeros(points.shape[0], dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(100):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = d2.argmin(axis=1)
         new_centers = centers.copy()
@@ -74,7 +77,7 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
                 new_centers[c] = points[far]
         shift = np.abs(new_centers - centers).max()
         centers = new_centers
-        if shift <= tol:
+        if shift <= 1e-9:
             break
     d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     return d2.argmin(axis=1)
@@ -108,7 +111,15 @@ def spectral_cluster_fixed(W: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     return _kmeans(U, k, rng)
 
 
-def spectral_cluster_selftune(W: np.ndarray, max_clusters: int = 5, knn: int = 7,
+def _local_scales(d: np.ndarray) -> np.ndarray:
+    """Each row's distance to its LOCAL_SCALE_KNN-th nearest finite entry (its
+    farthest one if it has fewer), or 1.0 if it has none; inf sorts last."""
+    count = np.isfinite(d).sum(axis=1)
+    col = np.minimum(LOCAL_SCALE_KNN, np.maximum(count, 1)) - 1
+    return np.where(count > 0, np.sort(d, axis=1)[np.arange(len(d)), col], 1.0)
+
+
+def spectral_cluster_selftune(W: np.ndarray, max_clusters: int = 5,
                               seed: int = 0) -> np.ndarray:
     """Local-scaling spectral clustering with the cluster count chosen by the
     largest eigengap of the normalized Laplacian, capped at max_clusters.
@@ -126,17 +137,10 @@ def spectral_cluster_selftune(W: np.ndarray, max_clusters: int = 5, knn: int = 7
     top = finite.max() if finite.size else 0.0
     d2 = np.where(np.isfinite(logw), np.maximum(top - logw, 0.0), np.inf)
 
-    # local scales: distance to the knn-th neighbor (self excluded)
+    # local scales, self excluded
     d = np.sqrt(d2)
     np.fill_diagonal(d, np.inf)
-    sigma = np.empty(n)
-    for i in range(n):
-        finite = np.sort(d[i][np.isfinite(d[i])])
-        if finite.size == 0:
-            sigma[i] = 1.0
-        else:
-            sigma[i] = finite[min(knn - 1, finite.size - 1)]
-    sigma = np.maximum(sigma, 1e-9)
+    sigma = np.maximum(_local_scales(d), 1e-9)
 
     A = np.exp(-d2 / (sigma[:, None] * sigma[None, :]))
     np.fill_diagonal(A, 0.0)
@@ -211,24 +215,23 @@ def _descriptor_kde(samples: np.ndarray) -> tuple[ProductKDE, np.ndarray]:
     return ProductKDE(samples, bw), bw
 
 
-def cluster_descriptor(features: list[FeatureVector],
-                       max_dim: int = 8) -> ClusterDescriptor:
-    """PCA-reduce a cluster's scaled features and fit an Epanechnikov KDE
-    (bandwidths floored at BANDWIDTH_FLOOR, so a singleton or a cluster of
-    identical members still has a proper density)."""
+def cluster_descriptor(features: list[FeatureVector]) -> ClusterDescriptor:
+    """PCA-reduce a cluster's scaled features to at most DESCRIPTOR_MAX_DIM
+    dimensions and fit an Epanechnikov KDE (bandwidths floored at
+    BANDWIDTH_FLOOR, so a singleton or a cluster of identical members still
+    has a proper density)."""
     if not features:
         raise ValueError("a cluster needs at least one member")
     raw = scale_features(features)
     n = raw.shape[0]
-    dim = max(1, min(max_dim, n - 1, raw.shape[1]))
+    dim = max(1, min(DESCRIPTOR_MAX_DIM, n - 1, raw.shape[1]))
     mean, comps = _fit_pca(raw, dim)
     samples = _project_with_residual(raw, mean, comps)
     kde, bw = _descriptor_kde(samples)
     return ClusterDescriptor(raw, mean, comps, samples, bw, kde)
 
 
-def kl_divergence(p: ClusterDescriptor, q: ClusterDescriptor,
-                  eps: float = KL_EPS) -> float:
+def kl_divergence(p: ClusterDescriptor, q: ClusterDescriptor) -> float:
     """Monte Carlo KL(p || q) over p's members, evaluated in q's basis.
 
     Both densities are kernel estimates in q's projection (plus the residual
@@ -244,8 +247,8 @@ def kl_divergence(p: ClusterDescriptor, q: ClusterDescriptor,
     p_x = p_kde.evaluate(x)
     if p.size > 1:
         p_x = _loo_correct(p_x, p_kde)
-    log_p = np.log(np.maximum(p_x, eps))
-    log_q = np.log(np.maximum(q.kde.evaluate(x), eps))
+    log_p = np.log(np.maximum(p_x, KL_EPS))
+    log_q = np.log(np.maximum(q.kde.evaluate(x), KL_EPS))
     return max(0.0, float(np.mean(log_p - log_q)))
 
 

@@ -17,9 +17,8 @@ def _rec_box(rec: dict) -> Box:
 
 
 def recall_at_n(pred_by_frame: dict[int, list[dict]],
-                gt_by_frame: dict[int, list[dict]], n: int,
-                match_iou: float = MATCH_IOU) -> float:
-    """Fraction of ground-truth boxes covered (IoU >= 0.5) by the top-n
+                gt_by_frame: dict[int, list[dict]], n: int) -> float:
+    """Fraction of ground-truth boxes covered (IoU >= MATCH_IOU) by the top-n
     predictions of their frame."""
     total = 0
     hit = 0
@@ -30,15 +29,16 @@ def recall_at_n(pred_by_frame: dict[int, list[dict]],
         for g in gts:
             total += 1
             gbox = _rec_box(g)
-            if any(iou(gbox, b) >= match_iou for b in boxes):
+            if any(iou(gbox, b) >= MATCH_IOU for b in boxes):
                 hit += 1
     return hit / total if total else 0.0
 
 
-def _assign_gt(rec: dict, gts: list[dict], match_iou: float = MATCH_IOU):
-    """Ground-truth object id best overlapping a record, or None."""
+def _assign_gt(rec: dict, gts: list[dict]):
+    """Ground-truth object id best overlapping a record at IoU >= MATCH_IOU,
+    or None."""
     box = _rec_box(rec)
-    best, best_iou = None, match_iou
+    best, best_iou = None, MATCH_IOU
     for g in gts:
         v = iou(box, _rec_box(g))
         if v >= best_iou:
@@ -46,18 +46,18 @@ def _assign_gt(rec: dict, gts: list[dict], match_iou: float = MATCH_IOU):
     return best
 
 
-def cluster_purity(records: list[dict], gt_by_frame: dict[int, list[dict]],
-                   cluster_key: str = "global_id") -> float:
-    """Majority-ground-truth fraction over all cluster members.
+def cluster_purity(records: list[dict], gt_by_frame: dict[int, list[dict]]) -> float:
+    """Majority-ground-truth fraction over all cluster members, the records
+    grouped by their "global_id".
 
     Every record is matched to the ground-truth object it overlaps best
-    (IoU >= 0.5) or to a background pseudo-object; purity is the weighted
-    mean fraction of members agreeing with their cluster's majority.
+    (IoU >= MATCH_IOU) or to a background pseudo-object; purity is the
+    weighted mean fraction of members agreeing with their cluster's majority.
     """
     by_cluster: dict = defaultdict(list)
     for rec in records:
         gt_id = _assign_gt(rec, gt_by_frame.get(rec["frame"], []))
-        by_cluster[rec[cluster_key]].append(gt_id)
+        by_cluster[rec["global_id"]].append(gt_id)
     total = 0
     agree = 0
     for members in by_cluster.values():
@@ -68,13 +68,13 @@ def cluster_purity(records: list[dict], gt_by_frame: dict[int, list[dict]],
 
 
 def temporal_consistency(records: list[dict],
-                         gt_by_frame: dict[int, list[dict]],
-                         cluster_key: str = "global_id") -> dict:
+                         gt_by_frame: dict[int, list[dict]]) -> dict:
     """Per ground-truth object: fraction of its frames carrying the object's
-    modal global id.
+    modal "global_id".
 
     For each frame, the object's id is taken from the cluster owning the most
-    records matched to that object (ties: higher summed IoU).
+    records matched to that object at IoU >= MATCH_IOU (ties: higher summed
+    IoU).
     """
     per_object_frames: dict[int, dict[int, int]] = defaultdict(dict)
     for frame, gts in gt_by_frame.items():
@@ -85,8 +85,8 @@ def temporal_consistency(records: list[dict],
             for rec in frame_recs:
                 v = iou(gbox, _rec_box(rec))
                 if v >= MATCH_IOU:
-                    votes[rec[cluster_key]][0] += 1
-                    votes[rec[cluster_key]][1] += v
+                    votes[rec["global_id"]][0] += 1
+                    votes[rec["global_id"]][1] += v
             if votes:
                 best = max(votes.items(), key=lambda kv: (kv[1][0], kv[1][1], -kv[0]))
                 per_object_frames[g["id"]][frame] = best[0]
@@ -103,9 +103,9 @@ def temporal_consistency(records: list[dict],
 
 
 def detection_pr(detections: list[dict], gt_by_frame: dict[int, list[dict]],
-                 classes, match_iou: float = MATCH_IOU) -> dict:
-    """Greedy per-class matching (confidence order, IoU >= 0.5, one match per
-    ground-truth box) yielding precision/recall per class."""
+                 classes) -> dict:
+    """Greedy per-class matching (confidence order, IoU >= MATCH_IOU, one
+    match per ground-truth box) yielding precision/recall per class."""
     out = {}
     for cls in classes:
         preds = sorted((d for d in detections if d["class"] == cls),
@@ -117,7 +117,7 @@ def detection_pr(detections: list[dict], gt_by_frame: dict[int, list[dict]],
         tp = 0
         for d in preds:
             box = _rec_box(d)
-            best, best_iou = None, match_iou
+            best, best_iou = None, MATCH_IOU
             for g in gts.get(d["frame"], []):
                 key = (d["frame"], g["id"])
                 if key in matched:

@@ -12,6 +12,8 @@ from .core import as_field
 from .edges import to_gray
 
 FLOW_MAGIC = 202021.25
+ALPHA_MAG = 1.0   # motion_boundary's weight of the flow Jacobian norm
+ALPHA_DIR = 0.5   # and of the largest direction change, in radians
 
 
 def read_flow(path) -> np.ndarray:
@@ -89,12 +91,14 @@ def block_matching_flow(f1, f2, search_radius: int = 4, block: int = 5) -> np.nd
     return flow.astype(np.float32)
 
 
-def motion_boundary(flow, alpha_mag: float = 1.0, alpha_dir: float = 0.5) -> np.ndarray:
+def motion_boundary(flow) -> np.ndarray:
     """Per-pixel motion-contour strength in [0, 1).
 
-    Combines the Frobenius norm of the flow Jacobian (central differences)
-    with the largest angular deviation of the flow direction from the
-    4-neighborhood, squashed by 1 - exp(-x).
+    Combines the Frobenius norm of the flow Jacobian (central differences),
+    weighted by ALPHA_MAG, with the largest angular deviation of the flow
+    direction from the 4-neighborhood, weighted by ALPHA_DIR, squashed by
+    1 - exp(-x). An out-of-frame neighbor is the edge pixel itself, so it
+    deviates by 0.
     """
     flow = np.asarray(flow, dtype=np.float64)
     u, v = flow[..., 0], flow[..., 1]
@@ -102,28 +106,19 @@ def motion_boundary(flow, alpha_mag: float = 1.0, alpha_dir: float = 0.5) -> np.
     dv_dy, dv_dx = np.gradient(v)
     grad_norm = np.sqrt(du_dx ** 2 + du_dy ** 2 + dv_dx ** 2 + dv_dy ** 2)
 
-    mag = np.hypot(u, v)
     theta = np.arctan2(v, u)
+    moving = np.hypot(u, v) > 1e-9
+    theta_pad = np.pad(theta, 1, mode="edge")
+    moving_pad = np.pad(moving, 1, mode="edge")
+    h, w = theta.shape
     dtheta = np.zeros_like(theta)
-    moving = mag > 1e-9
-    for dy, dx in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-        nb_theta = np.roll(theta, (dy, dx), axis=(0, 1))
-        nb_moving = np.roll(moving, (dy, dx), axis=(0, 1))
-        # zero out the wrap-around rows/cols: replicate the edge instead
-        valid = np.ones_like(moving)
-        if dy == -1:
-            valid[-1, :] = False
-        elif dy == 1:
-            valid[0, :] = False
-        if dx == -1:
-            valid[:, -1] = False
-        elif dx == 1:
-            valid[:, 0] = False
+    for y, x in ((0, 1), (2, 1), (1, 0), (1, 2)):
+        nb_theta = theta_pad[y:y + h, x:x + w]
         diff = np.abs(np.arctan2(np.sin(theta - nb_theta), np.cos(theta - nb_theta)))
-        diff = np.where(moving & nb_moving & valid, diff, 0.0)
+        diff = np.where(moving & moving_pad[y:y + h, x:x + w], diff, 0.0)
         dtheta = np.maximum(dtheta, diff)
 
-    score = 1.0 - np.exp(-(alpha_mag * grad_norm + alpha_dir * dtheta))
+    score = 1.0 - np.exp(-(ALPHA_MAG * grad_norm + ALPHA_DIR * dtheta))
     return score.astype(np.float32)
 
 

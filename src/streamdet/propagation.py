@@ -295,20 +295,17 @@ class SubsequenceRecord:
 
 
 def stream_cluster(frames, flow_source, config: PipelineConfig,
-                   registry: ClusterRegistry | None = None,
-                   stats: StreamStats | None = None,
-                   edge_maps=None):
+                   registry: ClusterRegistry | None = None, edge_maps=None):
     """Generator over sub-sequences: proposals, affinities, spectral labels
     and globally associated cluster ids.
 
     Proposals for the one-frame overlap are computed once and re-clustered in
     the following sub-sequence; detections and cluster output for the shared
-    frame are emitted only by the earlier one.
+    frame are emitted only by the earlier one. It counts nothing: a consumer
+    reads the counts off the records (see ``detect_stream``).
     """
     n_frames = len(frames)
     registry = registry if registry is not None else ClusterRegistry()
-    stats = stats if stats is not None else StreamStats()
-    stats.frames = n_frames
     get_flow = resolve_flow_source(frames, flow_source)
     # proposals and features of the frame the next sub-sequence shares
     shared_props: list[Proposal] = []
@@ -338,7 +335,6 @@ def stream_cluster(frames, flow_source, config: PipelineConfig,
             feats = [extract_features(frames[i], p.box) for p in props]
             proposals += props
             features += feats
-            stats.total_windows += len(props)
         shared_props, shared_feats = props, feats
         window_ids = [(i, s) for i, run in groupby(p.frame_index for p in proposals)
                       for s, _ in enumerate(run)]
@@ -369,8 +365,6 @@ def stream_cluster(frames, flow_source, config: PipelineConfig,
         gids, new_ids = associate_clusters(descriptors, registry,
                                            config.tau_kl, t)
         global_ids = {lab: gid for lab, gid in zip(local_labels, gids)}
-        stats.clusters_created += len(new_ids)
-        stats.subsequences += 1
         yield SubsequenceRecord(t, frame_ids, proposals, window_ids,
                                 labels, cluster_members, global_ids, new_ids,
                                 emit_frames)
@@ -400,15 +394,23 @@ def detect_stream(frames, flow_source, config: PipelineConfig, classifier,
     its best pooled class score reaches CONFIDENCE_THRESHOLD, and each
     sub-sequence's detections are suppressed per frame and class at
     DET_NMS_BETA.
+
+    The stats count each record on arrival, before any classifier call (one
+    sub-sequence, its emitted frames' proposals as windows, its new ids as
+    created clusters), so a ClassifierProtocolError's partial stats include
+    the sub-sequence that failed.
     """
     registry = ClusterRegistry()
-    stats = StreamStats()
+    stats = StreamStats(frames=len(frames))
     detections: list[Detection] = []
     height, width = np.asarray(frames[0]).shape[:2]
 
     try:
-        for rec in stream_cluster(frames, flow_source, config, registry, stats,
-                                  edge_maps):
+        for rec in stream_cluster(frames, flow_source, config, registry, edge_maps):
+            stats.subsequences += 1
+            stats.total_windows += sum(p.frame_index in rec.emit_frames
+                                       for p in rec.proposals)
+            stats.clusters_created += len(rec.new_ids)
             sub_dets: list[Detection] = []
             for lab in sorted(rec.cluster_members):
                 members = rec.cluster_members[lab]

@@ -55,7 +55,7 @@ class ScoreContext:
         return (box.x + mx, box.y + my, box.x2 - mx, box.y2 - my)
 
 
-def score_box_bruteforce(box: Box, ctx: ScoreContext, kappa: float = KAPPA) -> float:
+def score_box_bruteforce(box: Box, ctx: ScoreContext) -> float:
     """Reference scorer for tests: a direct per-group containment scan plus a
     direct pixel sum for the center penalty. Must agree with score_boxes."""
     if box.x < 0 or box.y < 0 or box.x2 > ctx.width or box.y2 > ctx.height:
@@ -71,11 +71,11 @@ def score_box_bruteforce(box: Box, ctx: ScoreContext, kappa: float = KAPPA) -> f
     center = 0.0
     if cx1 > cx0 and cy1 > cy0:
         center = float(ctx.mass_field[cy0:cy1, cx0:cx1].sum(dtype=np.float64))
-    denom = (2.0 * (box.w + box.h)) ** kappa
+    denom = (2.0 * (box.w + box.h)) ** KAPPA
     return max(0.0, (numerator - center) / denom)
 
 
-def score_boxes(boxes: np.ndarray, ctx: ScoreContext, kappa: float = KAPPA) -> np.ndarray:
+def score_boxes(boxes: np.ndarray, ctx: ScoreContext) -> np.ndarray:
     """Vectorized scoring of an (n, 4) array of (x, y, w, h) boxes."""
     boxes = np.asarray(boxes, dtype=np.int64).reshape(-1, 4)
     x, y, w, h = boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3]
@@ -87,12 +87,12 @@ def score_boxes(boxes: np.ndarray, ctx: ScoreContext, kappa: float = KAPPA) -> n
     numer = np.where((ix1 > ix0) & (iy1 > iy0), contained @ ctx.group_mass, 0.0)
     mx, my = w // 4, h // 4
     center = ctx.integral.rect_sums(x + mx, y + my, x + w - mx, y + h - my)
-    denom = (2.0 * (w + h)) ** kappa
+    denom = (2.0 * (w + h)) ** KAPPA
     return np.maximum(0.0, (numer - center) / denom)
 
 
-def score_grid(w: int, h: int, xs: np.ndarray, ys: np.ndarray, ctx: ScoreContext,
-               kappa: float = KAPPA) -> np.ndarray:
+def score_grid(w: int, h: int, xs: np.ndarray, ys: np.ndarray,
+               ctx: ScoreContext) -> np.ndarray:
     """Scores of every w x h box with top-left corner in xs x ys (both sorted
     and distinct), as a (len(ys), len(xs)) array; equal to score_boxes up to
     the summation order of the numerator.
@@ -129,7 +129,7 @@ def score_grid(w: int, h: int, xs: np.ndarray, ys: np.ndarray, ctx: ScoreContext
     center = ctx.integral.rect_sums(x + mx, y + my, x + w - mx, y + h - my)
     # an array power, like score_boxes': numpy's vector pow may differ from
     # the scalar one in the last bit
-    denom = (2.0 * np.array([w + h])) ** kappa
+    denom = (2.0 * np.array([w + h])) ** KAPPA
     return np.maximum(0.0, (numer - center) / denom)
 
 

@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+import streamdet.cli
 from streamdet.cli import _build_config, build_parser, main
+from streamdet.config import ConfigError
 from streamdet.edges import spatial_edge
 from streamdet.imio import read_jsonl, read_pgm, read_ppm, write_pgm
 
@@ -18,6 +20,39 @@ def test_resize_flag(flags, resize):
     args = build_parser().parse_args(["detect", "frames", "--out", "d.jsonl"]
                                      + flags)
     assert _build_config(args).resize == resize
+
+
+@pytest.mark.parametrize("flags, field, value", [
+    (["--lambda", "0.4"], "lam", 0.4),
+    (["--subseq-len", "4"], "subseq_len", 4),
+    (["--k", "3"], "k", 3),
+    (["--k", "auto"], "self_tune", True),
+    (["--rho", "1.5"], "rho", 1.5),
+    (["--tau-kl", "0.7"], "tau_kl", 0.7),
+    (["--max-proposals", "25"], "max_proposals", 25),
+    (["--seed", "9"], "seed", 9),
+    (["--classifier", "cmd:true"], "classifier", "cmd:true"),
+])
+def test_pipeline_flags_reach_the_config(flags, field, value):
+    args = build_parser().parse_args(["detect", "frames", "--out", "d"] + flags)
+    assert getattr(_build_config(args), field) == value
+
+
+def test_k_flag_rejects_a_fraction():
+    args = build_parser().parse_args(["cluster", "frames", "--out", "d", "--k", "2.5"])
+    with pytest.raises(ConfigError, match="--k"):
+        _build_config(args)
+
+
+# each command takes only the flags it reads
+@pytest.mark.parametrize("argv", [
+    ["segment-prior", "frames", "--clusters", "c.jsonl", "--out", "d", "--k", "3"],
+    ["propose", "frames", "--out", "d", "--classifier", "oracle"],
+])
+def test_flags_a_command_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
 
 
 def _synth(tmp_path):
@@ -96,6 +131,33 @@ def test_segment_prior_writes_one_frame_sized_pair_per_cluster(tmp_path, capsys)
                  str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "bad"),
                  "--threshold", "1.5"]) == 2
     assert "--threshold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, calls, shape", [([], 1, (72, 96)),
+                                                 (["--resize", "64"], 0, (64, 64))],
+                         ids=["native", "resize-64"])
+def test_segment_prior_reads_at_most_one_frame(tmp_path, monkeypatch, capsys,
+                                               flags, calls, shape):
+    video = _synth(tmp_path)
+    clusters = tmp_path / "cluster"
+    assert main(["cluster", str(video / "frames"), "--flow-dir", str(video / "flow"),
+                 "--out", str(clusters), "--config",
+                 str(_round_trip_config(tmp_path))]) == 0
+    read = []
+    monkeypatch.setattr(streamdet.cli, "read_ppm",
+                        lambda path: read.append(path) or read_ppm(path))
+    out = tmp_path / "priors"
+    assert main(["segment-prior", str(video / "frames"), "--clusters",
+                 str(clusters / "clusters.jsonl"), "--out", str(out)] + flags) == 0
+    assert len(read) == calls
+    for r in read_jsonl(out / "priors.jsonl"):
+        assert read_pgm(out / r["prior"]).shape == shape
+        assert read_pgm(out / r["mask"]).shape == shape
+    # a directory without frames still exits 3, also when no frame is read
+    (tmp_path / "empty").mkdir()
+    assert main(["segment-prior", str(tmp_path / "empty"), "--clusters",
+                 str(clusters / "clusters.jsonl"), "--out", str(out)] + flags) == 3
+    assert "no .ppm frames found" in capsys.readouterr().err
 
 
 def test_config_with_unknown_key_exits_2(tmp_path, capsys):

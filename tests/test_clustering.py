@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from streamdet import clustering
 from streamdet.affinity import FeatureVector
 from streamdet.clustering import (ClusterRegistry, associate_clusters,
                                   cluster_descriptor, kl_divergence,
@@ -129,6 +130,27 @@ def test_selftune_identical_points():
     dist = np.zeros((2, 2))
     labels = spectral_cluster_selftune(np.exp(-dist ** 2), seed=0)
     assert labels.tolist() == [0, 0]
+
+
+def _row_loop_local_scales(d, knn):
+    """Reference: each row's finite distances sorted, one row at a time."""
+    sigma = np.empty(len(d))
+    for i in range(len(d)):
+        finite = np.sort(d[i][np.isfinite(d[i])])
+        sigma[i] = finite[min(knn - 1, finite.size - 1)] if finite.size else 1.0
+    return sigma
+
+
+@pytest.mark.parametrize("knn", [1, 3, 7])
+def test_local_scales_match_the_row_loop(monkeypatch, knn):
+    monkeypatch.setattr(clustering, "LOCAL_SCALE_KNN", knn)
+    rng = np.random.default_rng(knn)
+    for _ in range(150):
+        n = int(rng.integers(1, 25))
+        d = rng.integers(0, 6, size=(n, n)) * rng.random()    # ties included
+        d[rng.random((n, n)) < rng.random()] = np.inf          # zero affinities
+        np.fill_diagonal(d, np.inf)
+        assert np.array_equal(clustering._local_scales(d), _row_loop_local_scales(d, knn))
 
 
 def _fv(rng, center, color_bin, jitter=0.03):

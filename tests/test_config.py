@@ -1,7 +1,11 @@
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import streamdet
 from streamdet.config import ConfigError, PipelineConfig
 
 
@@ -82,3 +86,14 @@ def test_replace_validates_again():
         config.replace(k=0)
     with pytest.raises(ConfigError):
         config.replace(subseq_len=9)
+
+
+def test_every_field_is_read_outside_config_py():
+    # a config key nothing reads is a knob that changes nothing
+    package = Path(streamdet.__file__).parent
+    read = set()
+    for path in package.glob("*.py"):
+        if path.name != "config.py":
+            read |= set(re.findall(r"\bconfig\.(\w+)", path.read_text(encoding="utf-8")))
+    unread = [f.name for f in fields(PipelineConfig) if f.name not in read]
+    assert unread == []

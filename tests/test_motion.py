@@ -111,6 +111,45 @@ def test_motion_boundary_step_field():
     assert np.all(b >= 0.0) and np.all(b <= 1.0)
 
 
+def _rolled_motion_boundary(flow):
+    """Reference: neighbors by np.roll, with the wrapped-around row or column
+    masked out of the direction term."""
+    flow = np.asarray(flow, dtype=np.float64)
+    u, v = flow[..., 0], flow[..., 1]
+    du_dy, du_dx = np.gradient(u)
+    dv_dy, dv_dx = np.gradient(v)
+    grad_norm = np.sqrt(du_dx ** 2 + du_dy ** 2 + dv_dx ** 2 + dv_dy ** 2)
+    theta = np.arctan2(v, u)
+    moving = np.hypot(u, v) > 1e-9
+    dtheta = np.zeros_like(theta)
+    for dy, dx in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+        nb_theta = np.roll(theta, (dy, dx), axis=(0, 1))
+        nb_moving = np.roll(moving, (dy, dx), axis=(0, 1))
+        valid = np.ones_like(moving)
+        if dy == -1:
+            valid[-1, :] = False
+        elif dy == 1:
+            valid[0, :] = False
+        if dx == -1:
+            valid[:, -1] = False
+        elif dx == 1:
+            valid[:, 0] = False
+        diff = np.abs(np.arctan2(np.sin(theta - nb_theta), np.cos(theta - nb_theta)))
+        dtheta = np.maximum(dtheta, np.where(moving & nb_moving & valid, diff, 0.0))
+    return (1.0 - np.exp(-(1.0 * grad_norm + 0.5 * dtheta))).astype(np.float32)
+
+
+def test_motion_boundary_matches_rolled_reference():
+    rng = np.random.default_rng(11)
+    for trial in range(80):
+        h, w = rng.integers(2, 40, size=2)
+        flow = rng.normal(0.0, 2.0, size=(h, w, 2)).astype(np.float32)
+        if trial % 2:
+            flow = np.round(flow)               # integer flow, as block matching gives
+        flow[rng.random((h, w)) < 0.3] = 0.0    # zero-motion pixels
+        assert np.array_equal(motion_boundary(flow), _rolled_motion_boundary(flow))
+
+
 def _square_contour(size, lo, hi):
     m = np.zeros((size, size), dtype=np.float32)
     m[lo, lo:hi + 1] = 1.0
