@@ -83,11 +83,18 @@ def _frame_paths(frames_dir) -> list[str]:
 
 
 def _load_frames(frames_dir, config: PipelineConfig):
+    """The frames (resized under ``config.resize``) and their paths; every
+    frame must have the first one's size, checked before any stage runs."""
     paths = _frame_paths(frames_dir)
     frames = [read_ppm(p) for p in paths]
     if config.resize is not None:
         target = (config.resize, config.resize)
         frames = [resize_nearest(f, target) for f in frames]
+    height, width = frames[0].shape[:2]
+    for path, frame in zip(paths, frames):
+        if frame.shape[:2] != (height, width):
+            raise ValueError(f"{path}: frame is {frame.shape[1]}x{frame.shape[0]}, "
+                             f"but {paths[0]} is {width}x{height}")
     return frames, paths
 
 

@@ -1,8 +1,17 @@
-"""Box scoring on grouped edge content and sliding-window proposal generation."""
+"""Box scoring on grouped edge content and sliding-window proposal generation.
+
+A box scores like an EdgeBoxes window (Zitnick & Dollar, ECCV 2014): the mass
+of the edge groups wholly inside its interior, less the edge mass of its
+central half, over its perimeter to the power KAPPA. Every window of a frame
+is scored in one pass over a ``WindowLayout``, cached per frame size; the
+best pool is refined by a local search whose box scores test containment by
+table lookup (``ScoreContext``).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,7 +38,13 @@ PRE_NMS_BETA = 0.9   # IoU above which a lower-scoring proposal is dropped
 
 class ScoreContext:
     """Per-frame scoring structures: thresholded-magnitude integral image plus
-    group bounding boxes, masses and pixel lists."""
+    group bounding boxes, masses and pixel lists.
+
+    It also holds four bool tables over the frame's coordinates, one row per
+    value v in 0..width + 1 (or height + 1) and one column per group:
+    ``x0_from[v]`` is gx0 >= v, ``y0_from[v]`` is gy0 >= v, ``x1_to[v]`` is
+    gx1 <= v and ``y1_to[v]`` is gy1 <= v, on the half-open group bounds.
+    """
 
     def __init__(self, edge_map, groups: list[EdgeGroup],
                  magnitude_threshold: float = EDGE_THRESHOLD):
@@ -44,6 +59,21 @@ class ScoreContext:
         for i, g in enumerate(groups):
             self.group_bounds[i] = (g.bbox.x, g.bbox.y, g.bbox.x2, g.bbox.y2)
             self.group_mass[i] = g.magnitude
+        gx0, gy0, gx1, gy1 = self.group_bounds.T
+        vx = np.arange(self.width + 2)[:, None]
+        vy = np.arange(self.height + 2)[:, None]
+        self.x0_from, self.x1_to = gx0 >= vx, gx1 <= vx
+        self.y0_from, self.y1_to = gy0 >= vy, gy1 <= vy
+
+    def contained(self, x0, y0, x1, y1) -> np.ndarray:
+        """(n, groups) bool: whether each group lies in [x0, x1) x [y0, y1),
+        for integer index arrays of length n. Four row gathers of the tables;
+        clipping a coordinate to the tables' range keeps the answer exact for
+        groups inside the frame, so any integer coordinate may be passed."""
+        def rows(table, v):
+            return np.take(table, v, axis=0, mode="clip")
+        return (rows(self.x0_from, x0) & rows(self.y0_from, y0)
+                & rows(self.x1_to, x1) & rows(self.y1_to, y1))
 
     def interior(self, box: Box) -> tuple[int, int, int, int]:
         """Half-open interior rect after removing the 1 px straddle band."""
@@ -81,9 +111,7 @@ def score_boxes(boxes: np.ndarray, ctx: ScoreContext) -> np.ndarray:
     x, y, w, h = boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3]
     ix0, iy0 = x + 1, y + 1
     ix1, iy1 = x + w - 1, y + h - 1
-    gb = ctx.group_bounds
-    contained = ((gb[None, :, 0] >= ix0[:, None]) & (gb[None, :, 1] >= iy0[:, None])
-                 & (gb[None, :, 2] <= ix1[:, None]) & (gb[None, :, 3] <= iy1[:, None]))
+    contained = ctx.contained(ix0, iy0, ix1, iy1)
     numer = np.where((ix1 > ix0) & (iy1 > iy0), contained @ ctx.group_mass, 0.0)
     mx, my = w // 4, h // 4
     center = ctx.integral.rect_sums(x + mx, y + my, x + w - mx, y + h - my)
@@ -91,46 +119,127 @@ def score_boxes(boxes: np.ndarray, ctx: ScoreContext) -> np.ndarray:
     return np.maximum(0.0, (numer - center) / denom)
 
 
-def score_grid(w: int, h: int, xs: np.ndarray, ys: np.ndarray,
-               ctx: ScoreContext) -> np.ndarray:
-    """Scores of every w x h box with top-left corner in xs x ys (both sorted
-    and distinct), as a (len(ys), len(xs)) array; equal to score_boxes up to
-    the summation order of the numerator.
+class WindowLayout:
+    """The sliding windows of one frame size, shape by shape, and what scoring
+    them needs beyond the frame's content.
 
-    A group lies in the interior of the box at (a, b) exactly when
-    x1 - w + 1 <= a <= x0 - 1 and y1 - h + 1 <= b <= y0 - 1, so it adds its
-    mass to one rectangle of grid indices. The rectangles' corners go into a
-    difference array with one bincount, and a 2-D cumulative sum gives every
-    numerator in O(G + windows).
+    ``grids`` holds one (w, h, xs, ys) per shape, as ``_window_grids`` gives
+    them; ``denom`` the score's normaliser per shape. Window k of shape s is
+    the flat score index ``window_start[s] + j * nx[s] + i`` for position
+    (xs[i], ys[j]), and its difference-array cells start at ``cell_start[s]``.
+    ``x_keys`` lists every shape's positions as s * (width + 3) + x + 1, so
+    one sorted array answers position queries for all shapes at once (and
+    ``y_keys`` likewise with height). Its arrays are read-only: one cached
+    layout serves every frame of its size.
     """
-    xs = np.asarray(xs, dtype=np.int64)
-    ys = np.asarray(ys, dtype=np.int64)
-    nx, ny = len(xs), len(ys)
+
+    def __init__(self, grids, width: int, height: int):
+        self.grids = tuple((int(w), int(h), np.array(xs, dtype=np.int64),
+                            np.array(ys, dtype=np.int64)) for w, h, xs, ys in grids)
+        self.width, self.height = width, height
+        self.ws, self.hs, self.nx, self.ny = np.array(
+            [(w, h, len(xs), len(ys)) for w, h, xs, ys in self.grids],
+            dtype=np.int64).reshape(-1, 4).T
+
+        def starts(counts):
+            return np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+
+        def keys(coords, size):
+            return np.concatenate([np.zeros(0, np.int64)]
+                                  + [s * (size + 3) + c + 1
+                                     for s, c in enumerate(coords)])
+        self.x_start, self.y_start = starts(self.nx), starts(self.ny)
+        self.window_start = starts(self.nx * self.ny)
+        self.cell_start = starts((self.nx + 1) * (self.ny + 1))
+        self.x_keys = keys([g[2] for g in self.grids], width)
+        self.y_keys = keys([g[3] for g in self.grids], height)
+        # one array power per shape, like score_boxes': numpy's vector pow
+        # may differ from the scalar one in the last bit
+        self.denom = np.array([((2.0 * np.array([w + h])) ** KAPPA)[0]
+                               for w, h, _, _ in self.grids])
+        for a in [self.ws, self.hs, self.nx, self.ny, self.x_start, self.y_start,
+                  self.window_start, self.cell_start, self.x_keys, self.y_keys,
+                  self.denom] + [c for g in self.grids for c in g[2:]]:
+            a.flags.writeable = False
+
+    def boxes(self, flat: np.ndarray) -> np.ndarray:
+        """(n, 4) int64 (x, y, w, h) rows of the windows at flat score indices."""
+        s = np.searchsorted(self.window_start, flat, side="right") - 1
+        j, i = np.divmod(flat - self.window_start[s], self.nx[s])
+        x = self.x_keys[self.x_start[s] + i] - s * (self.width + 3) - 1
+        y = self.y_keys[self.y_start[s] + j] - s * (self.height + 3) - 1
+        return np.stack([x, y, self.ws[s], self.hs[s]], axis=1)
+
+
+def _position_counts(keys, start, size, q, side):
+    """Per shape s (rows), how many of its positions are < q (side "left")
+    or <= q (side "right"), from one searchsorted over the keyed positions
+    of all shapes. Clipping q to [-1, size + 1] keeps each count exact and
+    each key inside shape s's stretch of keys."""
+    s = np.arange(len(start) - 1)[:, None]
+    keyed = s * (size + 3) + np.clip(q, -1, size + 1) + 1
+    return np.searchsorted(keys, keyed, side=side) - start[:-1, None]
+
+
+def _difference_cells(layout: WindowLayout, ctx: ScoreContext) -> np.ndarray:
+    """The ragged difference array of every shape of ``layout``, as
+    (cells, 2): each cell's numerator and coverage count side by side."""
     gx0, gy0, gx1, gy1 = ctx.group_bounds.T.astype(np.int64)
-    i0 = np.searchsorted(xs, gx1 - w + 1, side="left")
-    i1 = np.searchsorted(xs, gx0 - 1, side="right")
-    j0 = np.searchsorted(ys, gy1 - h + 1, side="left")
-    j1 = np.searchsorted(ys, gy0 - 1, side="right")
+    x = (layout.x_keys, layout.x_start, layout.width)
+    y = (layout.y_keys, layout.y_start, layout.height)
+    i0 = _position_counts(*x, gx1 - layout.ws[:, None] + 1, "left")
+    i1 = _position_counts(*x, gx0 - 1, "right")
+    j0 = _position_counts(*y, gy1 - layout.hs[:, None] + 1, "left")
+    j1 = _position_counts(*y, gy0 - 1, "right")
     hit = (i0 < i1) & (j0 < j1)
-    i0, i1, j0, j1, mass = i0[hit], i1[hit], j0[hit], j1[hit], ctx.group_mass[hit]
-    corners = np.concatenate([j0 * (nx + 1) + i0, j0 * (nx + 1) + i1,
-                              j1 * (nx + 1) + i0, j1 * (nx + 1) + i1])
-    signs = np.repeat([1.0, -1.0, -1.0, 1.0], len(mass))
-    size = (ny + 1) * (nx + 1)
-    numer = np.bincount(corners, signs * np.tile(mass, 4), size)
-    covered = np.bincount(corners, signs, size)
-    numer = numer.reshape(ny + 1, nx + 1).cumsum(axis=0).cumsum(axis=1)[:ny, :nx]
-    covered = covered.reshape(ny + 1, nx + 1).cumsum(axis=0).cumsum(axis=1)[:ny, :nx]
-    # the +m/-m corners can leave a rounding residue where no group lies;
-    # such boxes have a numerator of exactly 0, as in score_boxes
-    numer = np.where(covered > 0, numer, 0.0)
-    x, y = xs[None, :], ys[:, None]
-    mx, my = w // 4, h // 4
-    center = ctx.integral.rect_sums(x + mx, y + my, x + w - mx, y + h - my)
-    # an array power, like score_boxes': numpy's vector pow may differ from
-    # the scalar one in the last bit
-    denom = (2.0 * np.array([w + h])) ** KAPPA
-    return np.maximum(0.0, (numer - center) / denom)
+    shape, group = np.nonzero(hit)       # shape-major, groups in order
+    i0, i1, j0, j1 = i0[hit], i1[hit], j0[hit], j1[hit]
+    row = layout.nx[shape] + 1
+    base = layout.cell_start[shape]
+    corners = np.concatenate([base + j0 * row + i0, base + j0 * row + i1,
+                              base + j1 * row + i0, base + j1 * row + i1])
+    mass = ctx.group_mass[group]
+    cells = np.empty((layout.cell_start[-1], 2))
+    cells[:, 0] = np.bincount(corners, np.concatenate([mass, -mass, -mass, mass]),
+                              len(cells))
+    cells[:, 1] = np.bincount(corners, np.repeat([1.0, -1.0, -1.0, 1.0], len(mass)),
+                              len(cells))
+    return cells
+
+
+def score_grid(layout, ctx: ScoreContext) -> np.ndarray:
+    """Scores of every window of ``layout`` (a ``WindowLayout`` of the
+    frame's size, or a list of (w, h, xs, ys) grids with xs and ys sorted and
+    distinct), as one flat vector: shape by shape, each row-major over
+    (ys, xs). Equal to score_boxes up to the summation order of the numerator.
+
+    A group lies in the interior of the w x h box at (a, b) exactly when
+    x1 - w + 1 <= a <= x0 - 1 and y1 - h + 1 <= b <= y0 - 1, so it adds its
+    mass to one rectangle of grid indices per shape. One searchsorted per
+    bound finds those rectangles for all shapes and groups; their corners go
+    into one ragged difference array, holding numerator and coverage count
+    interleaved, with one bincount pair, and a 2-D cumulative sum per shape
+    gives every numerator in O(shapes * G + windows). Each cell receives its
+    terms in the order a per-shape difference array would (corner kind, then
+    group), so the scores are bitwise those of scoring each shape on its own.
+    """
+    if not isinstance(layout, WindowLayout):
+        layout = WindowLayout(layout, ctx.width, ctx.height)
+    cells = _difference_cells(layout, ctx)
+    scores = np.empty(layout.window_start[-1])
+    for s, (w, h, xs, ys) in enumerate(layout.grids):
+        nx, ny = len(xs), len(ys)
+        acc = (cells[layout.cell_start[s]:layout.cell_start[s + 1]]
+               .reshape(ny + 1, nx + 1, 2).cumsum(axis=0).cumsum(axis=1)[:ny, :nx])
+        # the +m/-m corners can leave a rounding residue where no group lies;
+        # such boxes have a numerator of exactly 0, as in score_boxes
+        numer = np.where(acc[..., 1] > 0, acc[..., 0], 0.0)
+        x, y = xs[None, :], ys[:, None]
+        mx, my = w // 4, h // 4
+        center = ctx.integral.rect_sums(x + mx, y + my, x + w - mx, y + h - my)
+        scores[layout.window_start[s]:layout.window_start[s + 1]] = np.maximum(
+            0.0, (numer - center) / layout.denom[s]).ravel()
+    return scores
 
 
 def _window_grids(width: int, height: int, min_area: float, step_iou: float,
@@ -161,6 +270,12 @@ def _window_grids(width: int, height: int, min_area: float, step_iou: float,
              np.union1d(np.arange(0, height - h + 1, sy), [height - h]))
             for w, h, sx, sy in zip(ws.tolist(), hs.tolist(),
                                     steps_x.tolist(), steps_y.tolist())]
+
+
+@lru_cache(maxsize=4)
+def _window_layout(width: int, height: int, min_area: float) -> WindowLayout:
+    """The cached window layout of one frame size and least window area."""
+    return WindowLayout(_window_grids(width, height, min_area, STEP_IOU), width, height)
 
 
 def _refine(boxes: np.ndarray, scores: np.ndarray,
@@ -205,26 +320,24 @@ def nms(proposals: list[Proposal], beta: float) -> list[Proposal]:
 def generate_proposals(edge_map, groups: list[EdgeGroup], config: PipelineConfig,
                        frame_index: int = 0) -> list[Proposal]:
     """Ranked proposals: enumerate sliding windows, score, refine the best
-    pool locally, suppress near-duplicates and truncate."""
+    pool locally, suppress near-duplicates and truncate.
+
+    The windows of a frame size come from ``_window_layout``, which builds
+    them at the first frame of that size and keeps the last few sizes; only
+    the pool's windows are decoded to boxes.
+    """
     ctx = ScoreContext(edge_map, groups)
-    grids = _window_grids(ctx.width, ctx.height, config.min_box_area, STEP_IOU)
-    if not grids:
+    layout = _window_layout(ctx.width, ctx.height, config.min_box_area)
+    if not layout.grids:
         return []
-    cand, scores = [], []
-    for w, h, xs, ys in grids:
-        yy, xx = np.meshgrid(ys, xs, indexing="ij")
-        cand.append(np.stack([xx.ravel(), yy.ravel(),
-                              np.full(xx.size, w), np.full(xx.size, h)], axis=1))
-        scores.append(score_grid(w, h, xs, ys, ctx).ravel())
-    cand = np.concatenate(cand)
-    scores = np.concatenate(scores)
+    scores = score_grid(layout, ctx)
     # the pool is the first boxes by (-score, x, y, w, h); only boxes scoring
     # at least the pool-th best score can be among them
     pool = min(len(scores), 4 * config.max_proposals)
     top = np.flatnonzero(scores >= -np.partition(-scores, pool - 1)[pool - 1])
-    b = cand[top]
-    order = top[np.lexsort((b[:, 3], b[:, 2], b[:, 1], b[:, 0], -scores[top]))[:pool]]
-    boxes, scores = _refine(cand[order], scores[order], ctx)
+    b = layout.boxes(top)
+    order = np.lexsort((b[:, 3], b[:, 2], b[:, 1], b[:, 0], -scores[top]))[:pool]
+    boxes, scores = _refine(b[order], scores[top[order]], ctx)
 
     # dedupe identical refined boxes, keep the best score for each
     uniq: dict[tuple, float] = {}
@@ -234,6 +347,5 @@ def generate_proposals(edge_map, groups: list[EdgeGroup], config: PipelineConfig
             uniq[key] = s
     proposals = [Proposal(Box(*key), sc, frame_index) for key, sc in uniq.items()
                  if sc > MIN_SCORE]
-    proposals = nms(proposals, PRE_NMS_BETA)
-    proposals.sort(key=lambda p: (-p.score,) + p.box.as_tuple())
-    return proposals[:config.max_proposals]
+    # nms returns its kept proposals ranked by (-score, x, y, w, h)
+    return nms(proposals, PRE_NMS_BETA)[:config.max_proposals]

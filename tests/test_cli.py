@@ -10,7 +10,7 @@ import streamdet.cli
 from streamdet.cli import _build_config, build_parser, main
 from streamdet.config import ConfigError
 from streamdet.edges import spatial_edge
-from streamdet.imio import read_jsonl, read_pgm, read_ppm, write_pgm
+from streamdet.imio import read_jsonl, read_pgm, read_ppm, write_pgm, write_ppm
 
 
 @pytest.mark.parametrize("flags, resize", [(["--resize", "0"], None),
@@ -227,6 +227,21 @@ def test_truncated_flow_exits_3(tmp_path, capsys):
                  "--out", str(tmp_path / "det"), "--resize", "0"])
     assert code == 3
     assert "truncated flow payload" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flow", [False, True], ids=["no-flow", "flow-dir"])
+def test_frame_of_another_size_exits_3_before_any_stage(tmp_path, capsys, flow):
+    video = _synth(tmp_path)
+    frames = video / "frames"
+    odd = sorted(os.listdir(frames))[3]
+    write_ppm(frames / odd, np.zeros((40, 50, 3), dtype=np.uint8))
+    out = tmp_path / "det"
+    argv = ["detect", str(frames), "--out", str(out)]
+    code = main(argv + (["--flow-dir", str(video / "flow")] if flow else []))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert odd in err and "50x40" in err and "96x72" in err
+    assert not out.exists()
 
 
 def _scores_stub(value):

@@ -1,20 +1,63 @@
+import runpy
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import streamdet.propagation
 from streamdet.config import PipelineConfig
 from streamdet.core import Box, iou
 from streamdet.edges import EdgeGroup, edge_groups
-from streamdet.proposals import (MAX_ASPECT, Proposal, ScoreContext,
-                                 _window_grids, generate_proposals, nms,
+from streamdet.proposals import (KAPPA, MAX_ASPECT, STEP_IOU, Proposal,
+                                 ScoreContext, WindowLayout, _window_grids,
+                                 _window_layout, generate_proposals, nms,
                                  score_box_bruteforce, score_boxes, score_grid)
+from streamdet.synth import render
+
+SCENES = Path(__file__).resolve().parents[1] / "perfbench" / "scenes.py"
+# 1.2x the 18.3 MB tracemalloc peak of generate_proposals on the first
+# large-cli frame; scoring each shape on its own and keeping a per-window
+# candidate array peaked at 25.9 MB there
+PEAK_BOUND_MB = 21.9
 
 
-def _random_scene(rng, size=64, density=0.85, thr=0.1):
-    E = (rng.random((size, size)) * (rng.random((size, size)) > density))
+def _random_scene(rng, size=64, density=0.85, thr=0.1, height=None):
+    shape = (height or size, size)
+    E = (rng.random(shape) * (rng.random(shape) > density))
     E = E.astype(np.float32)
-    O = (rng.random((size, size)) * np.pi).astype(np.float32)
+    O = (rng.random(shape) * np.pi).astype(np.float32)
     groups = edge_groups(E, O, thr)
     return ScoreContext(E, groups, thr)
+
+
+def _score_grid_per_shape(w, h, xs, ys, ctx):
+    """The scorer of one window shape, one difference array per shape: the
+    reference the flat score_grid must equal bit for bit."""
+    xs = np.asarray(xs, dtype=np.int64)
+    ys = np.asarray(ys, dtype=np.int64)
+    nx, ny = len(xs), len(ys)
+    gx0, gy0, gx1, gy1 = ctx.group_bounds.T.astype(np.int64)
+    i0 = np.searchsorted(xs, gx1 - w + 1, side="left")
+    i1 = np.searchsorted(xs, gx0 - 1, side="right")
+    j0 = np.searchsorted(ys, gy1 - h + 1, side="left")
+    j1 = np.searchsorted(ys, gy0 - 1, side="right")
+    hit = (i0 < i1) & (j0 < j1)
+    i0, i1, j0, j1, mass = i0[hit], i1[hit], j0[hit], j1[hit], ctx.group_mass[hit]
+    corners = np.concatenate([j0 * (nx + 1) + i0, j0 * (nx + 1) + i1,
+                              j1 * (nx + 1) + i0, j1 * (nx + 1) + i1])
+    signs = np.repeat([1.0, -1.0, -1.0, 1.0], len(mass))
+    size = (ny + 1) * (nx + 1)
+    numer = np.bincount(corners, signs * np.tile(mass, 4), size)
+    covered = np.bincount(corners, signs, size)
+    numer = numer.reshape(ny + 1, nx + 1).cumsum(axis=0).cumsum(axis=1)[:ny, :nx]
+    covered = covered.reshape(ny + 1, nx + 1).cumsum(axis=0).cumsum(axis=1)[:ny, :nx]
+    numer = np.where(covered > 0, numer, 0.0)
+    x, y = xs[None, :], ys[:, None]
+    mx, my = w // 4, h // 4
+    center = ctx.integral.rect_sums(x + mx, y + my, x + w - mx, y + h - my)
+    denom = (2.0 * np.array([w + h])) ** KAPPA
+    return np.maximum(0.0, (numer - center) / denom)
 
 
 def _square_scene(size=64, lo=20, hi=43, thr=0.1):
@@ -181,9 +224,12 @@ def test_score_grid_matches_bruteforce():
         ctx = _random_scene(rng, size=size)
         gb = ctx.group_bounds
         assert ((gb[:, :2] == 0) | (gb[:, 2:] == size)).any()   # groups on the border
-        for w, h, xs, ys in _window_grids(size, size, 150.0, 0.5):
+        layout = WindowLayout(_window_grids(size, size, 150.0, 0.5), size, size)
+        flat = score_grid(layout, ctx)
+        for s, (w, h, xs, ys) in enumerate(layout.grids):
             assert xs[-1] == size - w and ys[-1] == size - h
-            grid = score_grid(w, h, xs, ys, ctx)
+            grid = flat[layout.window_start[s]:layout.window_start[s + 1]].reshape(
+                len(ys), len(xs))
             assert grid.shape == (len(ys), len(xs))
             for j, y in enumerate(ys.tolist()):
                 for i, x in enumerate(xs.tolist()):
@@ -200,10 +246,100 @@ def test_score_grid_is_exactly_zero_where_no_group_lies():
     ctx = ScoreContext(np.zeros((12, 40), dtype=np.float32),
                        [group(2, 0.1), group(5, 0.2)], 0.1)
     xs, ys = np.arange(31), np.arange(3)
-    grid = score_grid(10, 10, xs, ys, ctx)
+    grid = score_grid([(10, 10, xs, ys)], ctx).reshape(len(ys), len(xs))
     boxes = [(x, y, 10, 10) for y in ys.tolist() for x in xs.tolist()]
     assert grid.ravel() == pytest.approx(score_boxes(boxes, ctx), rel=1e-12)
     assert (grid[:, 5:] == 0.0).all() and (grid[:, :5] > 0.0).all()
+
+
+@pytest.mark.parametrize("width, height", [(48, 48), (96, 72), (128, 96)])
+def test_flat_score_grid_equals_per_shape_reference(width, height):
+    rng = np.random.default_rng(width * height)
+    for _ in range(4):
+        ctx = _random_scene(rng, width, height=height)
+        gb = ctx.group_bounds
+        assert ((gb[:, 0] == 0) | (gb[:, 1] == 0)
+                | (gb[:, 2] == width) | (gb[:, 3] == height)).any()
+        for min_area, step_iou in [(250.0, STEP_IOU), (150.0, 0.5)]:
+            layout = WindowLayout(_window_grids(width, height, min_area, step_iou),
+                                  width, height)
+            flat = score_grid(layout, ctx)
+            assert len(flat) == layout.window_start[-1]
+            for s, (w, h, xs, ys) in enumerate(layout.grids):
+                part = flat[layout.window_start[s]:layout.window_start[s + 1]]
+                reference = _score_grid_per_shape(w, h, xs, ys, ctx).ravel()
+                assert np.array_equal(part, reference)
+
+
+def test_window_layout_is_cached_read_only_and_decodes_every_window():
+    layout = _window_layout(96, 72, 250.0)
+    assert _window_layout(96, 72, 250.0) is layout
+    with pytest.raises(ValueError):
+        layout.x_keys[0] = 0
+    with pytest.raises(ValueError):
+        layout.grids[0][2][0] = 1
+    expected = [(x, y, w, h) for w, h, xs, ys in _window_grids(96, 72, 250.0, STEP_IOU)
+                for y in ys.tolist() for x in xs.tolist()]
+    assert layout.boxes(np.arange(layout.window_start[-1])).tolist() == \
+        [list(b) for b in expected]
+
+
+def test_table_containment_equals_broadcast_compare():
+    rng = np.random.default_rng(43)
+    for width, height in [(48, 48), (96, 72)]:
+        ctx = _random_scene(rng, width, height=height)
+        x0, x1 = rng.integers(-5, width + 6, (2, 400))
+        y0, y1 = rng.integers(-5, height + 6, (2, 400))
+        # far outside the frame on every side
+        x0[:4], y0[:4], x1[:4], y1[:4] = -10**6, -10**6, 10**6, 10**6
+        x0[4:8], y0[4:8], x1[4:8], y1[4:8] = 10**6, 10**6, -10**6, -10**6
+        gb = ctx.group_bounds
+        expected = ((gb[None, :, 0] >= x0[:, None]) & (gb[None, :, 1] >= y0[:, None])
+                    & (gb[None, :, 2] <= x1[:, None]) & (gb[None, :, 3] <= y1[:, None]))
+        assert expected.any() and not expected.all()
+        assert np.array_equal(ctx.contained(x0, y0, x1, y1), expected)
+
+
+def _large_cli_first_frame():
+    """The first generate_proposals call of the large-cli bench workload
+    (500x500, scene seed 1), stopped before it runs."""
+    scenes = runpy.run_path(str(SCENES))
+    video = render(scenes["SPECS"]["large-cli"](1))
+
+    class Captured(Exception):
+        pass
+
+    def capture(*args, **kwargs):
+        raise Captured(args, kwargs)
+
+    real = streamdet.propagation.generate_proposals
+    streamdet.propagation.generate_proposals = capture
+    try:
+        next(streamdet.propagation.stream_cluster(
+            video.frames, None, scenes["_config"](max_proposals=15)))
+    except Captured as got:
+        return got.args
+    finally:
+        streamdet.propagation.generate_proposals = real
+    raise AssertionError("stream_cluster made no proposals")
+
+
+def test_proposal_memory_peak_on_a_500px_frame():
+    # the window layout is built inside the measured call
+    args, kwargs = _large_cli_first_frame()
+    assert len(args[1]) > 500            # groups
+    _window_layout.cache_clear()
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        generate_proposals(*args, **kwargs)
+        peak_mb = (tracemalloc.get_traced_memory()[1] - base) / 1e6
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak_mb < PEAK_BOUND_MB
 
 
 def _loop_candidates(width, height, min_area, step_iou, max_aspect):
