@@ -17,6 +17,5 @@ from .propagation import (Detection, OracleColorClassifier,
                           fit_location_gaussian, propagate_localization,
                           record_offset, stream_cluster)
 from .proposals import Proposal, generate_proposals, nms
-from .segmentation import foreground_prior, prior_mask
 
 __version__ = "0.1.0"

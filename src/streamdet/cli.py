@@ -10,15 +10,13 @@ import sys
 import numpy as np
 
 from .config import ConfigError, PipelineConfig
-from .core import Box
 from .evaluate import (cluster_purity, detection_pr, gt_index, recall_at_n,
                        temporal_consistency)
 from .imio import (list_frames, load_edge_map, read_jsonl, read_ppm,
-                   resize_nearest, write_jsonl, write_pgm)
+                   resize_nearest, write_jsonl)
 from .motion import load_flow
 from .propagation import (ClassifierProtocolError, detect_stream, make_classifier,
                           stream_cluster)
-from .segmentation import foreground_prior, prior_mask
 from .synth import render, spec_from_dict, write_video
 
 EXIT_OK = 0
@@ -75,17 +73,12 @@ def _build_config(args) -> PipelineConfig:
     return config.replace(**overrides)
 
 
-def _frame_paths(frames_dir) -> list[str]:
-    paths = list_frames(frames_dir)
-    if not paths:
-        raise FileNotFoundError(f"no .ppm frames found in {frames_dir}")
-    return paths
-
-
 def _load_frames(frames_dir, config: PipelineConfig):
     """The frames (resized under ``config.resize``) and their paths; every
     frame must have the first one's size, checked before any stage runs."""
-    paths = _frame_paths(frames_dir)
+    paths = list_frames(frames_dir)
+    if not paths:
+        raise FileNotFoundError(f"no .ppm frames found in {frames_dir}")
     frames = [read_ppm(p) for p in paths]
     if config.resize is not None:
         target = (config.resize, config.resize)
@@ -195,38 +188,6 @@ def cmd_detect(args) -> int:
     return EXIT_OK
 
 
-def cmd_segment_prior(args) -> int:
-    if not 0.0 < args.threshold < 1.0:
-        raise ConfigError(f"--threshold must lie in (0, 1), got {args.threshold}")
-    config = _build_config(args)
-    # the priors take the frame size; only the native size needs a frame read
-    paths = _frame_paths(args.frames_dir)
-    if config.resize is not None:
-        height = width = config.resize
-    else:
-        height, width = read_ppm(paths[0]).shape[:2]
-    records = read_jsonl(args.clusters)
-    by_key: dict = {}
-    for rec in records:
-        by_key.setdefault((rec["frame"], rec["global_id"]), []).append(
-            Box(rec["x"], rec["y"], rec["w"], rec["h"]))
-    os.makedirs(args.out, exist_ok=True)
-    index = []
-    for (frame, gid), boxes in sorted(by_key.items()):
-        prior = foreground_prior(boxes, (width, height))
-        mask = prior_mask(prior, args.threshold)
-        prior_name = f"prior_f{frame:05d}_c{gid}.pgm"
-        mask_name = f"mask_f{frame:05d}_c{gid}.pgm"
-        write_pgm(os.path.join(args.out, prior_name),
-                  np.round(prior * 255).astype(np.uint8))
-        write_pgm(os.path.join(args.out, mask_name), mask)
-        index.append({"frame": frame, "global_id": gid, "boxes": len(boxes),
-                      "prior": prior_name, "mask": mask_name})
-    write_jsonl(os.path.join(args.out, "priors.jsonl"), index)
-    print(f"wrote {len(index)} prior/mask pairs to {args.out}")
-    return EXIT_OK
-
-
 def cmd_eval(args) -> int:
     with open(args.gt, "r", encoding="utf-8") as fh:
         gt_doc = json.load(fh)
@@ -236,8 +197,7 @@ def cmd_eval(args) -> int:
         by_frame: dict = {}
         for rec in preds:
             by_frame.setdefault(rec["frame"], []).append(rec)
-        ns = [int(v) for v in args.at.split(",")] if args.at else [10, 50, 100]
-        metrics = {f"recall@{n}": recall_at_n(by_frame, gts, n) for n in ns}
+        metrics = {f"recall@{n}": recall_at_n(by_frame, gts, n) for n in args.at}
     elif args.mode == "purity":
         metrics = {"purity": cluster_purity(preds, gts)}
     elif args.mode == "consistency":
@@ -250,6 +210,18 @@ def cmd_eval(args) -> int:
             fh.write(text + "\n")
     print(text)
     return EXIT_OK
+
+
+def _positive_ints(text: str) -> list[int]:
+    """Parse --at: comma-separated positive integers."""
+    try:
+        values = [int(v) for v in text.split(",")]
+    except ValueError:
+        values = []
+    if not values or min(values) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated positive integers, got {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,26 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
         if func is cmd_detect:
             p.add_argument("--classifier", metavar="oracle|cmd:PATH|always")
 
-    p = sub.add_parser("segment-prior",
-                       help="foreground priors and masks from clusters")
-    p.add_argument("frames_dir")
-    p.add_argument("--clusters", required=True, help="clusters.jsonl path")
-    p.add_argument("--threshold", type=float, default=0.5,
-                   help="foreground threshold of the prior, in (0, 1)")
-    p.add_argument("--out", required=True)
-    p.add_argument("--config", metavar="PATH",
-                   help="JSON config file; only its resize is read")
-    p.add_argument("--resize", type=int, metavar="N",
-                   help="side of the square priors and masks; 0, or no flag, "
-                        "takes the first frame's size")
-    p.set_defaults(func=cmd_segment_prior)
-
     p = sub.add_parser("eval", help="score predictions against ground truth")
     p.add_argument("--pred", required=True, help="JSON-lines predictions")
     p.add_argument("--gt", required=True, help="gt.json from synth")
     p.add_argument("--mode", required=True,
                    choices=["recall", "purity", "consistency", "detection"])
-    p.add_argument("--at", help="comma-separated N values for recall@N")
+    p.add_argument("--at", type=_positive_ints, default=[10, 50, 100],
+                   help="comma-separated positive N values for recall@N "
+                        "(default: 10,50,100)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
     return parser

@@ -1,7 +1,8 @@
 """The streaming detection loop: cluster proposals across sub-sequences,
 classify only windows of newly appearing clusters, propagate class labels and
-localize propagated objects at the mean (center_x, center_y, h, w) of a
-cluster's windows in a frame plus a stored offset."""
+localize propagated objects at the mean (center_x, center_y, h, w) of those of
+a cluster's windows in a frame that score at least LOCATION_SCORE_FRACTION of
+the best of them, plus a stored offset."""
 
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ from .proposals import Proposal, generate_proposals
 
 CONFIDENCE_THRESHOLD = 0.5   # least pooled class score that labels a cluster
 DET_NMS_BETA = 0.75          # IoU suppressing a frame's same-class detections
+CLOSE_TIMEOUT_S = 5.0        # wait for a classifier to exit after EOF, then kill it
 
 
 class ClassifierProtocolError(RuntimeError):
@@ -204,8 +206,8 @@ class CommandClassifier:
                     pass
 
     def close(self):
-        """Close stdin, wait for the process to end and close stdout, also
-        when the wait times out."""
+        """Close stdin and wait for the process to end, killing it if it
+        outlives CLOSE_TIMEOUT_S; close stdout in every case."""
         if self._proc is None:
             return
         try:
@@ -213,7 +215,11 @@ class CommandClassifier:
                 self._proc.stdin.close()
             except OSError:
                 pass
-            self._proc.wait(timeout=5)
+            try:
+                self._proc.wait(timeout=CLOSE_TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                self._proc.kill()
+                self._proc.wait()
         finally:
             self._proc.stdout.close()
 

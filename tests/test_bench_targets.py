@@ -1,16 +1,75 @@
-"""The traced benchmark wraps pipeline functions by name; a deleted or
-renamed function would otherwise only show up as a failed ``--trace 1`` run."""
+"""The benchmark imports pipeline names and wraps pipeline functions by name;
+a deleted or renamed one would otherwise only show up as a failed bench run,
+and ``perfbench/selftest.py`` is not part of the test suite."""
 
+import ast
 import importlib
 import runpy
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_trace_targets_resolve():
-    targets = runpy.run_path(str(TRACING))["TARGETS"]
+    targets = runpy.run_path(str(PERFBENCH / "tracing.py"))["TARGETS"]
     assert targets
     missing = [(module, attr) for module, attr in targets
                if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert missing == []
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether a dotted name is a streamdet module or an attribute reached
+    from one, importing submodules as ``from x import y`` would."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], start=2):
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+            continue
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            return False
+    return True
+
+
+def _dotted(node):
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return [node.id] + parts[::-1] if isinstance(node, ast.Name) else None
+
+
+def _streamdet_names(tree) -> list[str]:
+    """Every streamdet name a bench file imports, at any depth, and every
+    attribute it reads through a streamdet module bound by ``import``."""
+    names, modules = [], {}   # local name -> module it is bound to
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module.split(".")[0] == "streamdet":
+            names += [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "streamdet":
+                    names.append(alias.name)
+                    if alias.asname:
+                        modules[alias.asname] = alias.name
+                    else:
+                        modules["streamdet"] = "streamdet"
+    for node in ast.walk(tree):
+        parts = _dotted(node) if isinstance(node, ast.Attribute) else None
+        if parts and parts[0] in modules:
+            names.append(".".join([modules[parts[0]]] + parts[1:]))
+    return names
+
+
+def test_bench_imports_from_streamdet_resolve():
+    checked, missing = 0, []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        names = _streamdet_names(ast.parse(path.read_text(), str(path)))
+        checked += len(names)
+        missing += [(path.name, name) for name in names if not _resolves(name)]
+    assert checked
     assert missing == []

@@ -6,11 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-import streamdet.cli
+import streamdet.propagation
 from streamdet.cli import _build_config, build_parser, main
 from streamdet.config import ConfigError
 from streamdet.edges import spatial_edge
-from streamdet.imio import read_jsonl, read_pgm, read_ppm, write_pgm, write_ppm
+from streamdet.evaluate import gt_index
+from streamdet.imio import read_ppm, write_jsonl, write_pgm, write_ppm
 
 
 @pytest.mark.parametrize("flags, resize", [(["--resize", "0"], None),
@@ -46,7 +47,7 @@ def test_k_flag_rejects_a_fraction():
 
 # each command takes only the flags it reads
 @pytest.mark.parametrize("argv", [
-    ["segment-prior", "frames", "--clusters", "c.jsonl", "--out", "d", "--k", "3"],
+    ["cluster", "frames", "--out", "d", "--classifier", "oracle"],
     ["propose", "frames", "--out", "d", "--classifier", "oracle"],
 ])
 def test_flags_a_command_does_not_read_are_rejected(argv, capsys):
@@ -109,57 +110,6 @@ def test_propose_and_cluster_emit_each_window_once(tmp_path, capsys):
     assert all(type(r["global_id"]) is int for r in outputs["cluster"])
 
 
-def test_segment_prior_writes_one_frame_sized_pair_per_cluster(tmp_path, capsys):
-    video = _synth(tmp_path)
-    config = _round_trip_config(tmp_path)
-    clusters = tmp_path / "cluster"
-    assert main(["cluster", str(video / "frames"), "--flow-dir", str(video / "flow"),
-                 "--out", str(clusters), "--config", str(config)]) == 0
-    keys = {(r["frame"], r["global_id"])
-            for r in read_jsonl(clusters / "clusters.jsonl")}
-    out = tmp_path / "priors"
-    assert main(["segment-prior", str(video / "frames"), "--clusters",
-                 str(clusters / "clusters.jsonl"), "--out", str(out)]) == 0
-    index = read_jsonl(out / "priors.jsonl")
-    assert len(index) == len(keys)
-    assert {(r["frame"], r["global_id"]) for r in index} == keys
-    for r in index:
-        assert read_pgm(out / r["prior"]).shape == (72, 96)
-        assert read_pgm(out / r["mask"]).shape == (72, 96)
-    # the threshold is checked before any input is read
-    assert main(["segment-prior", str(tmp_path / "missing"), "--clusters",
-                 str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "bad"),
-                 "--threshold", "1.5"]) == 2
-    assert "--threshold" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("flags, calls, shape", [([], 1, (72, 96)),
-                                                 (["--resize", "64"], 0, (64, 64))],
-                         ids=["native", "resize-64"])
-def test_segment_prior_reads_at_most_one_frame(tmp_path, monkeypatch, capsys,
-                                               flags, calls, shape):
-    video = _synth(tmp_path)
-    clusters = tmp_path / "cluster"
-    assert main(["cluster", str(video / "frames"), "--flow-dir", str(video / "flow"),
-                 "--out", str(clusters), "--config",
-                 str(_round_trip_config(tmp_path))]) == 0
-    read = []
-    monkeypatch.setattr(streamdet.cli, "read_ppm",
-                        lambda path: read.append(path) or read_ppm(path))
-    out = tmp_path / "priors"
-    assert main(["segment-prior", str(video / "frames"), "--clusters",
-                 str(clusters / "clusters.jsonl"), "--out", str(out)] + flags) == 0
-    assert len(read) == calls
-    for r in read_jsonl(out / "priors.jsonl"):
-        assert read_pgm(out / r["prior"]).shape == shape
-        assert read_pgm(out / r["mask"]).shape == shape
-    # a directory without frames still exits 3, also when no frame is read
-    (tmp_path / "empty").mkdir()
-    assert main(["segment-prior", str(tmp_path / "empty"), "--clusters",
-                 str(clusters / "clusters.jsonl"), "--out", str(out)] + flags) == 3
-    assert "no .ppm frames found" in capsys.readouterr().err
-
-
 def test_config_with_unknown_key_exits_2(tmp_path, capsys):
     video = _synth(tmp_path)
     config = tmp_path / "config.json"
@@ -203,6 +153,31 @@ def test_edges_dir_without_maps_exits_3(tmp_path, capsys):
     assert _detect_with_edges_dir(tmp_path, video, edges) == 3
     err = capsys.readouterr().err
     assert str(edges) in err and "found 0 edge maps for 7 frames" in err
+
+
+def test_frame_directory_without_frames_exits_3(tmp_path, capsys):
+    (tmp_path / "empty").mkdir()
+    code = main(["detect", str(tmp_path / "empty"), "--out", str(tmp_path / "det")])
+    assert code == 3
+    assert "no .ppm frames found" in capsys.readouterr().err
+
+
+def test_eval_at_takes_only_positive_integers(tmp_path, capsys):
+    video = _synth(tmp_path)
+    gts = gt_index(json.loads((video / "gt.json").read_text()))
+    preds = tmp_path / "preds.jsonl"
+    write_jsonl(preds, [dict(g, frame=frame, score=1.0)
+                        for frame, objects in gts.items() for g in objects])
+    argv = ["eval", "--pred", str(preds), "--gt", str(video / "gt.json"),
+            "--mode", "recall"]
+    capsys.readouterr()
+    for bad in ["0", "-1", "x"]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--at", bad])
+        assert exc.value.code == 2
+        assert "--at" in capsys.readouterr().err
+    assert main(argv + ["--at", "10,50"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"recall@10": 1.0, "recall@50": 1.0}
 
 
 def test_truncated_ppm_exits_3(tmp_path, capsys):
@@ -274,3 +249,22 @@ def test_classifier_that_exits_at_once_exits_4_and_writes_stats(tmp_path, capsys
         stats = json.loads((out / "stats.json").read_text())
         assert stats["frames"] == 7 and stats["classifier_calls"] == 0
         assert (out / "detections.jsonl").read_text() == ""
+
+
+def test_classifier_that_outlives_eof_is_killed(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(streamdet.propagation, "CLOSE_TIMEOUT_S", 0.2)
+    video = _synth(tmp_path)
+    pid_file = tmp_path / "pid"
+    # answers every request, then lingers after its input ends
+    script = ("import os, pathlib, time\n"
+              f"pathlib.Path({str(pid_file)!r}).write_text(str(os.getpid()))\n"
+              + _scores_stub("0.1") + "time.sleep(15)\n")
+    out = tmp_path / "det"
+    classifier = f"cmd:exec {shlex.quote(sys.executable)} -c {shlex.quote(script)}"
+    code = main(["detect", str(video / "frames"), "--flow-dir", str(video / "flow"),
+                 "--out", str(out), "--resize", "0", "--classifier", classifier])
+    assert code == 0
+    assert json.loads((out / "stats.json").read_text())["classifier_calls"] > 0
+    assert (out / "detections.jsonl").exists()
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
