@@ -1,8 +1,8 @@
 """Streaming video object detection: spatio-temporal box proposals, PMI
 affinity clustering across sub-sequences and class-label propagation."""
 
-from .affinity import (DensityModel, FeatureVector, affinity_matrix,
-                       collect_pairs, extract_features, fit_density)
+from .affinity import (affinity_matrix, collect_pairs, extract_features,
+                       fit_density)
 from .clustering import (ClusterDescriptor, ClusterRegistry, associate_clusters,
                          cluster_descriptor, kl_divergence, make_subsequences,
                          spectral_cluster_fixed, spectral_cluster_selftune)
@@ -12,8 +12,7 @@ from .edges import EdgeGroup, combine_edges, edge_groups, spatial_edge
 from .motion import (accumulate_prior, block_matching_flow, inside_outside_map,
                      load_flow, motion_boundary, read_flow, temporal_edge,
                      write_flow)
-from .propagation import (Detection, OracleColorClassifier,
-                          classification_fraction, detect_stream,
+from .propagation import (Detection, OracleColorClassifier, detect_stream,
                           fit_location_gaussian, propagate_localization,
                           record_offset, stream_cluster)
 from .proposals import Proposal, generate_proposals, nms

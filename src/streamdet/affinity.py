@@ -3,11 +3,9 @@ pairs, pointwise-mutual-information scores and the affinity matrix."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import Box, iou_matrix
+from .core import iou_matrix
 
 HIST_BINS = 15
 N_HIST = 3 * HIST_BINS          # 45 color dims
@@ -19,36 +17,32 @@ class DensityError(ValueError):
     """Raised when too few overlapping pairs exist to fit a density model."""
 
 
-@dataclass
-class FeatureVector:
-    """45-bin color histogram plus normalized (cx, cy, h, w) geometry."""
-
-    color_hist: np.ndarray  # (45,), each 15-bin channel block sums to 1
-    location: np.ndarray    # (4,) center x/y, height, width over frame dims
-
-
-def extract_features(frame, box: Box) -> FeatureVector:
-    """Channel-normalized color histograms and normalized box geometry."""
+def extract_features(frame, boxes) -> np.ndarray:
+    """(len(boxes), FEATURE_DIM) feature rows: each box's channel-normalized
+    color histograms in columns [0, N_HIST) and its (cx, cy, h, w) over the
+    frame dims in the last 4."""
     arr = np.asarray(frame)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError("expected an RGB frame of shape (h, w, 3)")
     h, w = arr.shape[:2]
-    if box.x < 0 or box.y < 0 or box.x2 > w or box.y2 > h:
-        raise ValueError(f"box {box} outside {w}x{h} frame")
-    patch = arr[box.y:box.y2, box.x:box.x2].reshape(-1, 3)
     if arr.dtype != np.uint8:
-        patch = np.clip(patch, 0, 255).astype(np.uint8)
-    hist = np.empty(N_HIST, dtype=np.float64)
-    bins = (patch.astype(np.int64) * HIST_BINS) // 256
-    for c in range(3):
-        counts = np.bincount(bins[:, c], minlength=HIST_BINS).astype(np.float64)
-        hist[c * HIST_BINS:(c + 1) * HIST_BINS] = counts / counts.sum()
-    cx, cy = box.center
-    location = np.array([cx / w, cy / h, box.h / h, box.w / w], dtype=np.float64)
-    return FeatureVector(hist, location)
+        arr = np.clip(arr, 0, 255).astype(np.uint8)
+    # the histogram column of every pixel and channel: channel offset plus bin
+    bins = ((arr.astype(np.uint16) * HIST_BINS // 256).astype(np.uint8)
+            + np.arange(0, N_HIST, HIST_BINS, dtype=np.uint8))
+    features = np.empty((len(boxes), FEATURE_DIM), dtype=np.float64)
+    for row, box in enumerate(boxes):
+        if box.x < 0 or box.y < 0 or box.x2 > w or box.y2 > h:
+            raise ValueError(f"box {box} outside {w}x{h} frame")
+        patch = bins[box.y:box.y2, box.x:box.x2]
+        features[row, :N_HIST] = (np.bincount(patch.ravel(), minlength=N_HIST)
+                                  / (patch.size // 3))
+        cx, cy = box.center
+        features[row, N_HIST:] = (cx / w, cy / h, box.h / h, box.w / w)
+    return features
 
 
-def collect_pairs(proposals, features: list[FeatureVector]) -> np.ndarray:
+def collect_pairs(proposals) -> np.ndarray:
     """(P, 2) int64 array of the index pairs i < j, in row-major order, whose
     boxes overlap by a positive pixel IoU across the sub-sequence.
 
@@ -56,8 +50,6 @@ def collect_pairs(proposals, features: list[FeatureVector]) -> np.ndarray:
     density on these pairs, and affinity_matrix gives W entries to exactly
     them. Pairs with zero overlap carry no weight.
     """
-    if len(proposals) != len(features):
-        raise ValueError("proposals and features must align")
     rects = np.array([p.box.as_tuple() for p in proposals], dtype=np.float64)
     return np.argwhere(np.triu(iou_matrix(rects, rects) > 0.0, 1))
 
@@ -130,40 +122,35 @@ def _fit_pca(X: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class FeatureProjector:
-    """49-D feature -> 5-D: 4 normalized location dims plus one color
+    """49-D feature rows -> 5-D: the 4 normalized location dims plus one color
     coordinate from the first principal direction of the histograms."""
 
-    def __init__(self, features: list[FeatureVector]):
-        hists = np.array([f.color_hist for f in features], dtype=np.float64)
-        self.hist_mean, comps = _fit_pca(hists, 1)
+    def __init__(self, features: np.ndarray):
+        self.hist_mean, comps = _fit_pca(features[:, :N_HIST], 1)
         self.color_axis = comps[0]
 
-    def project(self, features) -> np.ndarray:
-        if isinstance(features, FeatureVector):
-            features = [features]
-        locs = np.array([f.location for f in features], dtype=np.float64)
-        hists = np.array([f.color_hist for f in features], dtype=np.float64)
-        color = (hists - self.hist_mean) @ self.color_axis
-        return np.concatenate([locs, color[:, None]], axis=1)
+    def project(self, features: np.ndarray) -> np.ndarray:
+        color = (features[:, :N_HIST] - self.hist_mean) @ self.color_axis
+        return np.concatenate([features[:, N_HIST:], color[:, None]], axis=1)
 
 
 class PairKDE:
     """Exchange-symmetric 10-D product-Epanechnikov density over fitted pairs.
 
     The samples are the fitted pairs (points[i], points[j]) in both orders,
-    kept as the 5-D points and the (P, 2) pair indices rather than 2P sample
-    rows. The kernel factorizes over the two blocks: with K(x) the
+    kept as the 5-D points and the pair indices (ii, jj) rather than 2P
+    sample rows. The kernel factorizes over the two blocks: with K(x) the
     block-kernel row of x against the fitted points and C the symmetric
     pair-count matrix, the density at (a, b) is K(a) C K(b)^T / n_samples,
     and the marginal of either block is K(a) C.sum(1) / n_samples, the exact
-    marginal with the same bandwidths.
+    marginal with the same bandwidths; the independence baseline P(A) P(B)
+    is the product of two marginals.
     """
 
     def __init__(self, points: np.ndarray, pairs: np.ndarray,
                  block_bandwidths: np.ndarray):
         self.points = np.asarray(points, dtype=np.float64)
-        self.pairs = np.asarray(pairs, dtype=np.int64)
-        self.ii, self.jj = self.pairs.T
+        self.ii, self.jj = np.asarray(pairs, dtype=np.int64).T
         self.block_bandwidths = np.asarray(block_bandwidths, dtype=np.float64)
         self.bandwidths = np.concatenate([self.block_bandwidths] * 2)
         self.n_samples = 2 * self.ii.size
@@ -183,31 +170,10 @@ class PairKDE:
         """(m, n) block-kernel values of 5-D points against the fitted points."""
         return kernel_factor_matrix(points, self.points, self.block_bandwidths)
 
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        half = self.points.shape[1]
-        ka = self.factors(points[:, :half])
-        kb = self.factors(points[:, half:])
-        return (np.einsum("ij,ij->i", ka[:, self.ii], kb[:, self.jj])
-                + np.einsum("ij,ij->i", ka[:, self.jj], kb[:, self.ii])) / self.n_samples
 
-    def marginal(self, points: np.ndarray) -> np.ndarray:
-        return self.factors(np.atleast_2d(points)) @ self.weights / self.n_samples
-
-
-@dataclass
-class DensityModel:
-    """The projection of the fitted features and the joint density of
-    overlapping pairs in that 5-D space; the independence baseline
-    P(A) P(B) is the product of the joint's exact marginals."""
-
-    projector: FeatureProjector
-    joint: PairKDE          # 10-D, symmetrized over pair order
-
-
-def fit_density(pairs: np.ndarray, features: list[FeatureVector]) -> DensityModel:
+def fit_density(pairs: np.ndarray, features: np.ndarray) -> PairKDE:
     """Epanechnikov joint density over the (P, 2) index pairs from
-    collect_pairs, in projected space.
+    collect_pairs, in the projected space of the feature rows.
 
     The pairs are stored as given in the joint, and they are the pairs
     affinity_matrix scores. Each pair counts in both orders, which makes the
@@ -220,8 +186,7 @@ def fit_density(pairs: np.ndarray, features: list[FeatureVector]) -> DensityMode
         raise DensityError(
             f"need at least 2 overlapping pairs to fit a density, got "
             f"{len(pairs)}; fall back to a uniform affinity")
-    projector = FeatureProjector(features)
-    proj = projector.project(features)
+    proj = FeatureProjector(features).project(features)
     pairs = np.asarray(pairs, dtype=np.int64)
     ii, jj = pairs.T
     dim = 2 * proj.shape[1]
@@ -230,7 +195,7 @@ def fit_density(pairs: np.ndarray, features: list[FeatureVector]) -> DensityMode
     bw_block = np.maximum(
         silverman_bandwidths(proj[np.concatenate([ii, jj])], dim=dim),
         silverman_bandwidths(proj[np.concatenate([jj, ii])], dim=dim))
-    return DensityModel(projector, PairKDE(proj, pairs, bw_block))
+    return PairKDE(proj, pairs, bw_block)
 
 
 def _loo_correct(values: np.ndarray, kde: ProductKDE | PairKDE) -> np.ndarray:
@@ -241,11 +206,11 @@ def _loo_correct(values: np.ndarray, kde: ProductKDE | PairKDE) -> np.ndarray:
     return np.maximum((n * values - kde._norm) / (n - 1), 0.0)
 
 
-def affinity_matrix(features: list[FeatureVector], model: DensityModel,
+def affinity_matrix(features: np.ndarray, joint: PairKDE,
                     rho: float = 1.2) -> np.ndarray:
     """Symmetric non-negative W with W_ij = exp(PMI(f_i, f_j)) for the pairs
-    the model was fitted on, 0 for every other pair, and the row maximum on
-    the diagonal. features must be the list the model was fitted on.
+    the joint was fitted on, 0 for every other pair, and the row maximum on
+    the diagonal. features must be the rows the joint was fitted on.
 
     Every pair is evaluated at once on the fitted points: with Kn their
     block-kernel matrix and C the pair counts, the joint density at all pairs
@@ -253,10 +218,9 @@ def affinity_matrix(features: list[FeatureVector], model: DensityModel,
     The joint is leave-one-out corrected, as each scored pair is one of the
     fitted samples.
     """
-    joint = model.joint
     n = joint.points.shape[0]
     if len(features) != n:
-        raise ValueError(f"the model was fitted on {n} features, got {len(features)}")
+        raise ValueError(f"the joint was fitted on {n} features, got {len(features)}")
     kn = joint.factors(joint.points)
     density = kn @ joint.pair_counts() @ kn.T / joint.n_samples
     m = kn @ joint.weights / joint.n_samples

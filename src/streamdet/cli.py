@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_stream_args(p)
         p.set_defaults(func=func)
         if func is cmd_detect:
-            p.add_argument("--classifier", metavar="oracle|cmd:PATH|always")
+            p.add_argument("--classifier", metavar="oracle|always|cmd:COMMAND")
 
     p = sub.add_parser("eval", help="score predictions against ground truth")
     p.add_argument("--pred", required=True, help="JSON-lines predictions")

@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affinity import (FeatureVector, HIST_BINS, ProductKDE, _fit_pca,
-                       _loo_correct, silverman_bandwidths)
+from .affinity import (HIST_BINS, N_HIST, ProductKDE, _fit_pca, _loo_correct,
+                       silverman_bandwidths)
 
 KL_EPS = 1e-12
 LOCAL_SCALE_KNN = 7      # self-tuning's local scale: the 7th neighbor's distance
@@ -163,12 +163,12 @@ def spectral_cluster_selftune(W: np.ndarray, max_clusters: int = 5,
     return _kmeans(U, k, rng)
 
 
-def scale_features(features: list[FeatureVector]) -> np.ndarray:
+def scale_features(features: np.ndarray) -> np.ndarray:
     """49-D descriptor space: histogram dims stretched 15x so one bin spans a
     range comparable to the normalized location dims."""
-    hists = np.array([f.color_hist for f in features], dtype=np.float64)
-    locs = np.array([f.location for f in features], dtype=np.float64)
-    return np.concatenate([hists * HIST_BINS, locs], axis=1)
+    scaled = np.array(features, dtype=np.float64)
+    scaled[:, :N_HIST] *= HIST_BINS
+    return scaled
 
 
 @dataclass
@@ -215,12 +215,12 @@ def _descriptor_kde(samples: np.ndarray) -> tuple[ProductKDE, np.ndarray]:
     return ProductKDE(samples, bw), bw
 
 
-def cluster_descriptor(features: list[FeatureVector]) -> ClusterDescriptor:
-    """PCA-reduce a cluster's scaled features to at most DESCRIPTOR_MAX_DIM
+def cluster_descriptor(features: np.ndarray) -> ClusterDescriptor:
+    """PCA-reduce a cluster's scaled feature rows to at most DESCRIPTOR_MAX_DIM
     dimensions and fit an Epanechnikov KDE (bandwidths floored at
     BANDWIDTH_FLOOR, so a singleton or a cluster of identical members still
     has a proper density)."""
-    if not features:
+    if len(features) == 0:
         raise ValueError("a cluster needs at least one member")
     raw = scale_features(features)
     n = raw.shape[0]

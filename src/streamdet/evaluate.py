@@ -76,9 +76,12 @@ def temporal_consistency(records: list[dict],
     records matched to that object at IoU >= MATCH_IOU (ties: higher summed
     IoU).
     """
+    by_frame: dict[int, list[dict]] = {}
+    for rec in records:
+        by_frame.setdefault(rec["frame"], []).append(rec)
     per_object_frames: dict[int, dict[int, int]] = defaultdict(dict)
     for frame, gts in gt_by_frame.items():
-        frame_recs = [r for r in records if r["frame"] == frame]
+        frame_recs = by_frame.get(frame, [])
         for g in gts:
             gbox = _rec_box(g)
             votes: dict = defaultdict(lambda: [0, 0.0])

@@ -7,14 +7,16 @@ the best of them, plus a stored offset."""
 from __future__ import annotations
 
 import json
+import os
+import signal
 import subprocess
 from dataclasses import dataclass, field
 from itertools import groupby
 
 import numpy as np
 
-from .affinity import (DensityError, affinity_matrix, collect_pairs,
-                       extract_features, fit_density)
+from .affinity import (FEATURE_DIM, DensityError, affinity_matrix,
+                       collect_pairs, extract_features, fit_density)
 from .clustering import (ClusterRegistry, associate_clusters,
                          cluster_descriptor, make_subsequences,
                          spectral_cluster_fixed, spectral_cluster_selftune)
@@ -140,9 +142,26 @@ class OracleColorClassifier:
 
 
 class CommandClassifier:
-    """External classifier over a JSON-lines pipe: one request object per
-    line ({"frame_path", "boxes"}), one response object per line
-    ({"scores": [[...]]})."""
+    """External classifier over a JSON-lines pipe.
+
+    The command runs under /bin/sh in a session (and process group) of its
+    own, started on the first request and kept for the rest of the stream.
+    Each request is one line on its stdin,
+    {"frame_path": PATH, "boxes": [[x, y, w, h], ...]}: PATH is a PPM file of
+    the frame (a temporary file when the caller passes none, as
+    ``streamdet detect`` does for resized frames) and the boxes are in its
+    pixel coordinates. Each reply is one line on its stdout,
+    {"scores": [[...], ...]}: one row per box, in request order, holding one
+    score per class in ``classes`` order (the config's ``classes``) and then
+    the background score.
+
+    classify raises ClassifierProtocolError, on which ``streamdet detect``
+    exits 4, when writing the request or reading the reply fails, when the
+    process closes its stdout without replying (it exited, or the command
+    could not be started), when the reply is not JSON or not a JSON object,
+    or when its "scores" are not numbers, not of shape
+    (len(boxes), len(classes) + 1) or not all finite.
+    """
 
     def __init__(self, command: str, classes=("red", "green", "blue")):
         self.command = command
@@ -153,12 +172,11 @@ class CommandClassifier:
         if self._proc is None or self._proc.poll() is not None:
             self.close()
             self._proc = subprocess.Popen(
-                self.command, shell=True, text=True,
+                self.command, shell=True, text=True, start_new_session=True,
                 stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         return self._proc
 
     def classify(self, frame, boxes, frame_path=None) -> np.ndarray:
-        import os
         import tempfile
         from .imio import write_ppm
 
@@ -206,8 +224,12 @@ class CommandClassifier:
                     pass
 
     def close(self):
-        """Close stdin and wait for the process to end, killing it if it
-        outlives CLOSE_TIMEOUT_S; close stdout in every case."""
+        """Close stdin and wait for the process to end, killing its process
+        group if it outlives CLOSE_TIMEOUT_S; close stdout in every case.
+
+        The group holds what the shell started: /bin/sh need not ``exec`` a
+        lone command, and killing only the shell would leave it running.
+        """
         if self._proc is None:
             return
         try:
@@ -218,14 +240,14 @@ class CommandClassifier:
             try:
                 self._proc.wait(timeout=CLOSE_TIMEOUT_S)
             except subprocess.TimeoutExpired:
-                self._proc.kill()
+                os.killpg(self._proc.pid, signal.SIGKILL)
                 self._proc.wait()
         finally:
             self._proc.stdout.close()
 
 
 def make_classifier(spec: str, classes=("red", "green", "blue")):
-    """Resolve a classifier spec: 'oracle', 'cmd:PATH', or 'always' (oracle
+    """Resolve a classifier spec: 'oracle', 'cmd:COMMAND', or 'always' (oracle
     with label propagation disabled; the caller reads the second element)."""
     if spec == "oracle":
         return OracleColorClassifier(classes), False
@@ -259,13 +281,6 @@ class StreamStats:
                 "subsequences": self.subsequences,
                 "frames": self.frames,
                 "classifier_calls": len(self.classifier_calls)}
-
-
-def classification_fraction(stats: StreamStats) -> float:
-    """Unique classified windows over all generated proposal windows."""
-    if stats.total_windows == 0:
-        raise ValueError("no proposals were generated")
-    return stats.classified_windows / stats.total_windows
 
 
 def resolve_flow_source(frames, flow_source):
@@ -313,9 +328,9 @@ def stream_cluster(frames, flow_source, config: PipelineConfig,
     n_frames = len(frames)
     registry = registry if registry is not None else ClusterRegistry()
     get_flow = resolve_flow_source(frames, flow_source)
-    # proposals and features of the frame the next sub-sequence shares
+    # proposals and feature rows of the frame the next sub-sequence shares
     shared_props: list[Proposal] = []
-    shared_feats: list = []
+    shared_feats = np.empty((0, FEATURE_DIM))
 
     ranges = make_subsequences(n_frames, config.subseq_len)
     for t, frame_ids in enumerate(ranges):
@@ -326,7 +341,7 @@ def stream_cluster(frames, flow_source, config: PipelineConfig,
         orient_t = orientation_of(prior)
 
         emit_frames = frame_ids if t == 0 else frame_ids[1:]
-        proposals, features = list(shared_props), list(shared_feats)
+        proposals, rows = list(shared_props), [shared_feats]
         for i in emit_frames:
             es = edge_maps(i) if edge_maps is not None else None
             if es is not None:
@@ -338,10 +353,11 @@ def stream_cluster(frames, flow_source, config: PipelineConfig,
             orient = combined_orientation(es, et, orient_s, orient_t, config.lam)
             groups = edge_groups(combined, orient)
             props = generate_proposals(combined, groups, config, frame_index=i)
-            feats = [extract_features(frames[i], p.box) for p in props]
+            feats = extract_features(frames[i], [p.box for p in props])
             proposals += props
-            features += feats
+            rows.append(feats)
         shared_props, shared_feats = props, feats
+        features = np.concatenate(rows)
         window_ids = [(i, s) for i, run in groupby(p.frame_index for p in proposals)
                       for s, _ in enumerate(run)]
 
@@ -349,10 +365,10 @@ def stream_cluster(frames, flow_source, config: PipelineConfig,
         if n <= 1:
             labels = np.zeros(n, dtype=np.int64)
         else:
-            pairs = collect_pairs(proposals, features)
+            pairs = collect_pairs(proposals)
             try:
-                model = fit_density(pairs, features)
-                W = affinity_matrix(features, model, config.rho)
+                joint = fit_density(pairs, features)
+                W = affinity_matrix(features, joint, config.rho)
             except DensityError:
                 W = np.ones((n, n), dtype=np.float64)
             if config.self_tune:
@@ -366,7 +382,7 @@ def stream_cluster(frames, flow_source, config: PipelineConfig,
         for idx, lab in enumerate(labels.tolist()):
             cluster_members.setdefault(lab, []).append(idx)
         local_labels = sorted(cluster_members)
-        descriptors = [cluster_descriptor([features[m] for m in cluster_members[lab]])
+        descriptors = [cluster_descriptor(features[cluster_members[lab]])
                        for lab in local_labels]
         gids, new_ids = associate_clusters(descriptors, registry,
                                            config.tau_kl, t)

@@ -1,13 +1,16 @@
-"""The benchmark imports pipeline names and wraps pipeline functions by name;
-a deleted or renamed one would otherwise only show up as a failed bench run,
-and ``perfbench/selftest.py`` is not part of the test suite."""
+"""The benchmark imports pipeline names, wraps pipeline functions by name and
+builds its workloads' inputs through the pipeline's config and classifier
+specs; a deleted or renamed one would otherwise only show up as a failed
+bench run, and ``perfbench/selftest.py`` is not part of the test suite."""
 
 import ast
 import importlib
+import os
 import runpy
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_trace_targets_resolve():
@@ -73,3 +76,18 @@ def test_bench_imports_from_streamdet_resolve():
         missing += [(path.name, name) for name in names if not _resolves(name)]
     assert checked
     assert missing == []
+
+
+def test_every_workload_sets_up(tmp_path, monkeypatch):
+    # the churn-cmd classifier stub is a separate interpreter that imports
+    # streamdet from PYTHONPATH
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    scenes = importlib.import_module("scenes")
+    for name in scenes.SPECS:
+        scene = scenes.setup(name, 1, str(tmp_path / name))
+        try:
+            assert scene.n_subsequences > 0
+        finally:
+            scene.close()

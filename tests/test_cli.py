@@ -2,6 +2,7 @@ import json
 import os
 import shlex
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -251,20 +252,37 @@ def test_classifier_that_exits_at_once_exits_4_and_writes_stats(tmp_path, capsys
         assert (out / "detections.jsonl").read_text() == ""
 
 
+def _exited(pid: int) -> bool:
+    """Whether a process has exited: it is gone, or a zombie awaiting its
+    reaper."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
 def test_classifier_that_outlives_eof_is_killed(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(streamdet.propagation, "CLOSE_TIMEOUT_S", 0.2)
     video = _synth(tmp_path)
-    pid_file = tmp_path / "pid"
-    # answers every request, then lingers after its input ends
-    script = ("import os, pathlib, time\n"
-              f"pathlib.Path({str(pid_file)!r}).write_text(str(os.getpid()))\n"
-              + _scores_stub("0.1") + "time.sleep(15)\n")
-    out = tmp_path / "det"
-    classifier = f"cmd:exec {shlex.quote(sys.executable)} -c {shlex.quote(script)}"
-    code = main(["detect", str(video / "frames"), "--flow-dir", str(video / "flow"),
-                 "--out", str(out), "--resize", "0", "--classifier", classifier])
-    assert code == 0
-    assert json.loads((out / "stats.json").read_text())["classifier_calls"] > 0
-    assert (out / "detections.jsonl").exists()
-    with pytest.raises(ProcessLookupError):
-        os.kill(int(pid_file.read_text()), 0)
+    # without exec, /bin/sh runs the classifier as its child, and killing
+    # the shell alone would leave it running
+    for n, prefix in enumerate(["exec ", ""]):
+        pid_file = tmp_path / f"pid{n}"
+        # answers every request, then lingers after its input ends
+        script = ("import os, pathlib, time\n"
+                  f"pathlib.Path({str(pid_file)!r}).write_text(str(os.getpid()))\n"
+                  + _scores_stub("0.1") + "time.sleep(15)\n")
+        out = tmp_path / f"det{n}"
+        classifier = (f"cmd:{prefix}{shlex.quote(sys.executable)} "
+                      f"-c {shlex.quote(script)}")
+        code = main(["detect", str(video / "frames"), "--flow-dir", str(video / "flow"),
+                     "--out", str(out), "--resize", "0", "--classifier", classifier])
+        assert code == 0
+        assert json.loads((out / "stats.json").read_text())["classifier_calls"] > 0
+        assert (out / "detections.jsonl").exists()
+        pid = int(pid_file.read_text())
+        deadline = time.monotonic() + 1.0
+        while not _exited(pid) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert _exited(pid), f"spec prefix {prefix!r} left pid {pid} running"

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from streamdet import clustering
-from streamdet.affinity import FeatureVector
 from streamdet.clustering import (ClusterRegistry, associate_clusters,
                                   cluster_descriptor, kl_divergence,
                                   make_subsequences, spectral_cluster_fixed,
@@ -161,17 +160,17 @@ def _fv(rng, center, color_bin, jitter=0.03):
                     center[1] + rng.normal(0, jitter),
                     0.3 + rng.normal(0, jitter / 2),
                     0.3 + rng.normal(0, jitter / 2)])
-    return FeatureVector(hist, loc)
+    return np.concatenate([hist, loc])
 
 
 def _cloud(rng, n, center, color_bin, jitter=0.03):
-    return [_fv(rng, center, color_bin, jitter) for _ in range(n)]
+    return np.array([_fv(rng, center, color_bin, jitter) for _ in range(n)])
 
 
 def test_descriptor_identical_members():
     rng = np.random.default_rng(6)
     f = _fv(rng, (0.5, 0.5), (7, 7, 7), jitter=0.0)
-    desc = cluster_descriptor([f] * 5)
+    desc = cluster_descriptor(np.array([f] * 5))
     assert kl_divergence(desc, desc) == pytest.approx(0.0, abs=1e-9)
 
 

@@ -6,18 +6,17 @@ from streamdet.config import PipelineConfig
 from streamdet.core import Box, iou
 from streamdet.propagation import (Detection, OracleColorClassifier,
                                    _detection_nms, box_to_quadruple,
-                                   classification_fraction, detect_stream,
-                                   fit_location_gaussian, make_classifier,
-                                   propagate_localization, quadruple_to_box,
-                                   record_offset, StreamStats)
+                                   detect_stream, fit_location_gaussian,
+                                   make_classifier, propagate_localization,
+                                   quadruple_to_box, record_offset)
 from streamdet.synth import ObjectSpec, SyntheticSpec, render
 
 
 def _descriptor_stub():
-    from streamdet.affinity import FeatureVector
-    hist = np.zeros(45)
-    hist[[5, 20, 35]] = 1.0
-    return cluster_descriptor([FeatureVector(hist, np.array([0.5, 0.5, 0.3, 0.3]))])
+    row = np.zeros(49)
+    row[[5, 20, 35]] = 1.0
+    row[45:] = (0.5, 0.5, 0.3, 0.3)
+    return cluster_descriptor(row[None, :])
 
 
 def test_gaussian_identical_boxes():
@@ -146,11 +145,6 @@ def test_make_classifier_specs():
         make_classifier("nonsense")
 
 
-def test_classification_fraction_guard():
-    with pytest.raises(ValueError):
-        classification_fraction(StreamStats())
-
-
 def _scene_config(**kw):
     base = dict(lam=0.5, subseq_len=3, self_tune=True, max_proposals=40,
                 min_box_area=250.0, resize=None, seed=7, tau_kl=2.0)
@@ -171,8 +165,7 @@ def test_detect_stream_single_object_economy():
     clf = OracleColorClassifier()
     detections, stats, registry = detect_stream(video.frames, video.flows,
                                                 config, clf)
-    frac = classification_fraction(stats)
-    assert frac <= 1 / 3
+    assert stats.classified_windows / stats.total_windows <= 1 / 3
     # no classifier call ever happens for an inherited (non-new) cluster id
     assert all(call["new_cluster"] for call in stats.classifier_calls)
     assert detections
@@ -212,7 +205,7 @@ def test_detect_stream_classify_always_fraction_one():
     config = _scene_config(classify_always=True)
     detections, stats, _ = detect_stream(video.frames, video.flows, config,
                                          OracleColorClassifier())
-    assert classification_fraction(stats) == 1.0
+    assert stats.classified_windows / stats.total_windows == 1.0
 
 
 def test_detect_stream_deterministic():
@@ -271,7 +264,7 @@ def test_detect_stream_economy_steady_across_renderings():
         _, stats, _ = detect_stream(video.frames, video.flows, _scene_config(),
                                     OracleColorClassifier())
         assert stats.clusters_created == 1
-        assert classification_fraction(stats) == pytest.approx(1 / 3)
+        assert stats.classified_windows / stats.total_windows == pytest.approx(1 / 3)
 
 
 def test_detection_nms_matches_greedy_iou_loop_with_tied_confidences():
