@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import json
 import os
+import select
 import signal
 import subprocess
+import time
 from dataclasses import dataclass, field
 from itertools import groupby
 
@@ -32,6 +34,7 @@ from .proposals import Proposal, generate_proposals
 CONFIDENCE_THRESHOLD = 0.5   # least pooled class score that labels a cluster
 DET_NMS_BETA = 0.75          # IoU suppressing a frame's same-class detections
 CLOSE_TIMEOUT_S = 5.0        # wait for a classifier to exit after EOF, then kill it
+REPLY_TIMEOUT_S = 60.0       # wait for each classifier reply, then give up
 
 
 class ClassifierProtocolError(RuntimeError):
@@ -156,8 +159,9 @@ class CommandClassifier:
     the background score.
 
     classify raises ClassifierProtocolError, on which ``streamdet detect``
-    exits 4, when writing the request or reading the reply fails, when the
-    process closes its stdout without replying (it exited, or the command
+    exits 4, when writing the request or reading the reply fails, when no
+    complete reply line arrives within REPLY_TIMEOUT_S of the request, when
+    the process closes its stdout without replying (it exited, or the command
     could not be started), when the reply is not JSON or not a JSON object,
     or when its "scores" are not numbers, not of shape
     (len(boxes), len(classes) + 1) or not all finite.
@@ -167,14 +171,37 @@ class CommandClassifier:
         self.command = command
         self.classes = tuple(classes)
         self._proc = None
+        self._pending = b""   # bytes read past the last reply line
 
     def _ensure(self):
         if self._proc is None or self._proc.poll() is not None:
             self.close()
             self._proc = subprocess.Popen(
-                self.command, shell=True, text=True, start_new_session=True,
+                self.command, shell=True, start_new_session=True,
                 stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+            self._pending = b""
         return self._proc
+
+    def _read_reply(self, proc) -> str:
+        """The next line of the classifier's stdout, with its newline; what
+        is left at end of file, or "" there. Bytes already read are searched
+        before the pipe is polled; a line not complete within REPLY_TIMEOUT_S
+        raises ClassifierProtocolError."""
+        deadline = time.monotonic() + REPLY_TIMEOUT_S
+        fd = proc.stdout.fileno()
+        poller = select.poll()
+        poller.register(fd, select.POLLIN)
+        while b"\n" not in self._pending:
+            left = deadline - time.monotonic()
+            if left <= 0 or not poller.poll(left * 1000.0):
+                raise ClassifierProtocolError(
+                    f"classifier sent no reply within {REPLY_TIMEOUT_S} s")
+            chunk = os.read(fd, 65536)
+            if not chunk:
+                break
+            self._pending += chunk
+        line, newline, self._pending = self._pending.partition(b"\n")
+        return (line + newline).decode("utf-8", errors="replace")
 
     def classify(self, frame, boxes, frame_path=None) -> np.ndarray:
         import tempfile
@@ -191,9 +218,9 @@ class CommandClassifier:
             request = {"frame_path": str(frame_path),
                        "boxes": [list(b.as_tuple()) for b in boxes]}
             try:
-                proc.stdin.write(json.dumps(request) + "\n")
+                proc.stdin.write((json.dumps(request) + "\n").encode())
                 proc.stdin.flush()
-                line = proc.stdout.readline()
+                line = self._read_reply(proc)
             except (BrokenPipeError, OSError) as exc:
                 raise ClassifierProtocolError(f"classifier pipe failed: {exc}")
             if not line:

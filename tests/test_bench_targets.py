@@ -4,9 +4,12 @@ specs; a deleted or renamed one would otherwise only show up as a failed
 bench run, and ``perfbench/selftest.py`` is not part of the test suite."""
 
 import ast
+import functools
 import importlib
 import os
 import runpy
+import sys
+import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -19,6 +22,43 @@ def test_trace_targets_resolve():
     missing = [(module, attr) for module, attr in targets
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert missing == []
+
+
+def test_traced_stages_run_on_the_calling_thread(monkeypatch):
+    # the tracer keeps one stack of open spans, so a stage called from a
+    # worker thread (block matching's pool, say) would corrupt its span tree
+    from streamdet import motion, propagation
+    from streamdet.config import PipelineConfig
+    from streamdet.synth import ObjectSpec, SyntheticSpec, render
+
+    monkeypatch.setattr(motion, "_flow_workers", lambda: 2)
+    threads = []
+
+    def recording(fn, name):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            threads.append((name, threading.current_thread()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    targets = runpy.run_path(str(PERFBENCH / "tracing.py"))["TARGETS"]
+    for module, attr in targets:
+        original = getattr(importlib.import_module(module), attr)
+        wrapper = recording(original, attr)
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("streamdet") and getattr(mod, attr, None) is original:
+                monkeypatch.setattr(mod, attr, wrapper)
+    video = render(SyntheticSpec(
+        n_frames=5, width=64, height=48, seed=2, noise=8.0,
+        objects=[ObjectSpec("red", (20, 16), (8, 16), velocity=(2, 0))]))
+    config = PipelineConfig(subseq_len=3, max_proposals=20, min_box_area=150.0,
+                            resize=None)
+    propagation.detect_stream(video.frames, None, config,
+                              propagation.OracleColorClassifier())
+    names = {name for name, _ in threads}
+    assert {"detect_stream", "block_matching_flow", "motion_boundary"} <= names
+    assert [name for name, thread in threads
+            if thread is not threading.main_thread()] == []
 
 
 def _resolves(dotted: str) -> bool:

@@ -252,6 +252,23 @@ def test_classifier_that_exits_at_once_exits_4_and_writes_stats(tmp_path, capsys
         assert (out / "detections.jsonl").read_text() == ""
 
 
+def test_classifier_that_stalls_exits_4(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(streamdet.propagation, "REPLY_TIMEOUT_S", 0.2)
+    monkeypatch.setattr(streamdet.propagation, "CLOSE_TIMEOUT_S", 0.2)
+    video = _synth(tmp_path)
+    script = "import sys, time\nsys.stdin.readline()\ntime.sleep(30)\n"
+    classifier = f"cmd:exec {shlex.quote(sys.executable)} -c {shlex.quote(script)}"
+    out = tmp_path / "det"
+    started = time.monotonic()
+    code = main(["detect", str(video / "frames"), "--flow-dir", str(video / "flow"),
+                 "--out", str(out), "--resize", "0", "--classifier", classifier])
+    assert code == 4
+    assert time.monotonic() - started < 10.0
+    assert "no reply within 0.2 s" in capsys.readouterr().err
+    stats = json.loads((out / "stats.json").read_text())
+    assert stats["classifier_calls"] == 0
+
+
 def _exited(pid: int) -> bool:
     """Whether a process has exited: it is gone, or a zombie awaiting its
     reaper."""

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from streamdet import motion
 from streamdet.motion import (accumulate_prior, block_matching_flow,
                               inside_outside_map, load_flow, motion_boundary,
                               read_flow, temporal_edge, write_flow)
@@ -141,11 +144,19 @@ def _rolled_motion_boundary(flow):
 
 def test_motion_boundary_matches_rolled_reference():
     rng = np.random.default_rng(11)
-    for trial in range(80):
+    for trial in range(120):
         h, w = rng.integers(2, 40, size=2)
+        if trial % 5 == 4:
+            h, w = (2, w) if trial % 2 else (h, 2)
         flow = rng.normal(0.0, 2.0, size=(h, w, 2)).astype(np.float32)
-        if trial % 2:
+        if trial % 4 == 1:
             flow = np.round(flow)               # integer flow, as block matching gives
+        elif trial % 4 == 2:
+            flow *= 1e-9                        # around the moving threshold
+        elif trial % 4 == 3:
+            # leftward flow with a signed zero y: directions of exactly +-pi
+            flow[..., 0] = -np.abs(flow[..., 0])
+            flow[..., 1] = np.where(rng.random((h, w)) < 0.5, 0.0, -0.0)
         flow[rng.random((h, w)) < 0.3] = 0.0    # zero-motion pixels
         assert np.array_equal(motion_boundary(flow), _rolled_motion_boundary(flow))
 
@@ -196,6 +207,43 @@ def test_inside_outside_parity_oracle():
                     runs += 1
                 prev = cur
             assert (runs % 2 == 1) == bool(inside[y, x])
+
+
+def _ray_cast_inside(crossing):
+    """Reference: walk each pixel's 8 rays to the frame edge, counting run
+    starts (a boundary pixel after a non-boundary one, the pixel itself
+    included); inside when at least 5 rays count an odd number."""
+    h, w = crossing.shape
+    inside = np.zeros((h, w), dtype=bool)
+    for y in range(h):
+        for x in range(w):
+            odd_rays = 0
+            for dy in (-1, 0, 1):
+                for dx in (-1, 0, 1):
+                    if dy == dx == 0:
+                        continue
+                    runs, prev = 0, crossing[y, x]
+                    yy, xx = y + dy, x + dx
+                    while 0 <= yy < h and 0 <= xx < w:
+                        runs += bool(crossing[yy, xx] and not prev)
+                        prev = crossing[yy, xx]
+                        yy, xx = yy + dy, xx + dx
+                    odd_rays += runs % 2
+            inside[y, x] = odd_rays >= 5
+    return inside
+
+
+def test_inside_outside_matches_ray_casting():
+    rng = np.random.default_rng(12)
+    masks = [np.ones((1, 9)), np.ones((9, 1)), np.ones((6, 7)),
+             np.zeros((1, 1)), np.ones((1, 1))]
+    for _ in range(120):
+        h, w = rng.integers(1, 16, size=2)
+        masks.append(rng.random((h, w)) < rng.choice([0.1, 0.3, 0.6]))
+    masks.append(_square_contour(20, 4, 15))
+    for m in masks:
+        m = np.asarray(m, dtype=np.float32)
+        assert np.array_equal(inside_outside_map(m, 0.5), _ray_cast_inside(m >= 0.5))
 
 
 def test_accumulate_identical_masks():
@@ -285,25 +333,59 @@ def _stacked_argmin_flow(f1, f2, search_radius, block):
     return np.asarray(candidates, dtype=np.float32)[np.argmin(costs, axis=0)]
 
 
-def test_block_matching_matches_stacked_argmin_on_ties():
-    rng = np.random.default_rng(3)
-    f1 = np.full((40, 52), 120, dtype=np.uint8)
-    f1[5:18, 6:20] = 200                        # flat patches: many tied costs
-    f1[24:36, 30:46] = 40
-    f1[:, 48:] = rng.integers(0, 4, size=(40, 4)) * 60   # coarse, repeating texture
-    f2 = np.roll(f1, shift=(1, 2), axis=(0, 1))
-    for radius, block in ((2, 3), (4, 5)):
-        flow = block_matching_flow(f1, f2, search_radius=radius, block=block)
-        ref = _stacked_argmin_flow(f1, f2, radius, block)
-        assert flow.dtype == np.float32
-        assert np.array_equal(flow, ref)
-    # non-square frames, and frames smaller than the search window, where
-    # whole candidates read only the 1e6 sentinel beyond the frame
-    for (h, w), radius, block in (((23, 9), 3, 5), ((3, 5), 4, 3), ((3, 5), 4, 5),
-                                  ((5, 3), 4, 5), ((1, 6), 2, 3), ((2, 2), 3, 5)):
-        g1 = rng.integers(0, 3, size=(h, w)).astype(np.uint8) * 90
-        g2 = np.roll(g1, shift=(1, -1), axis=(0, 1))
-        g2[0] = 255
-        flow = block_matching_flow(g1, g2, search_radius=radius, block=block)
-        assert flow.shape == (h, w, 2)
-        assert np.array_equal(flow, _stacked_argmin_flow(g1, g2, radius, block))
+def test_block_matching_matches_stacked_argmin_on_ties(monkeypatch):
+    # the candidate scan split into 1, 2, 3, ... slices merges to one scan's
+    # flow; 81 and 200 workers give one candidate per slice
+    for workers in (1, 2, 3, 81, 200):
+        monkeypatch.setattr(motion, "_flow_workers", lambda: workers)
+        rng = np.random.default_rng(3)
+        f1 = np.full((40, 52), 120, dtype=np.uint8)
+        f1[5:18, 6:20] = 200                        # flat patches: many tied costs
+        f1[24:36, 30:46] = 40
+        f1[:, 48:] = rng.integers(0, 4, size=(40, 4)) * 60   # coarse, repeating texture
+        f2 = np.roll(f1, shift=(1, 2), axis=(0, 1))
+        for radius, block in ((2, 3), (4, 5)):
+            flow = block_matching_flow(f1, f2, search_radius=radius, block=block)
+            ref = _stacked_argmin_flow(f1, f2, radius, block)
+            assert flow.dtype == np.float32
+            assert np.array_equal(flow, ref)
+        # non-square frames, and frames smaller than the search window, where
+        # whole candidates read only the 1e6 sentinel beyond the frame
+        for (h, w), radius, block in (((23, 9), 3, 5), ((3, 5), 4, 3), ((3, 5), 4, 5),
+                                      ((5, 3), 4, 5), ((1, 6), 2, 3), ((2, 2), 3, 5)):
+            g1 = rng.integers(0, 3, size=(h, w)).astype(np.uint8) * 90
+            g2 = np.roll(g1, shift=(1, -1), axis=(0, 1))
+            g2[0] = 255
+            flow = block_matching_flow(g1, g2, search_radius=radius, block=block)
+            assert flow.shape == (h, w, 2)
+            assert np.array_equal(flow, _stacked_argmin_flow(g1, g2, radius, block))
+
+
+def _peak_fields(fn, *args) -> float:
+    """tracemalloc peak of one call, in float64 fields of 500x500 pixels."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return (tracemalloc.get_traced_memory()[1] - base) / (500 * 500 * 8)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_motion_memory_peak_on_500px_frames(monkeypatch):
+    rng = np.random.default_rng(8)
+    f1 = rng.integers(0, 255, size=(500, 500, 3), dtype=np.uint8)
+    f2 = np.roll(f1, shift=(2, -3), axis=(0, 1))
+    # per slice: cost and best cost (2 fields), index and mask (1/4); beside
+    # them the float64 frames (2) and their float32 grays (1); one scan with
+    # an intp index and a separate difference buffer peaked at 8.7 fields
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(motion, "_flow_workers", lambda: workers)
+        assert _peak_fields(block_matching_flow, f1, f2) <= 3.75 + 2.25 * workers
+    # five float64 fields, two bool masks and the float32 result; the
+    # expression-by-expression version peaked at 14.3 fields
+    flow = np.round(rng.normal(0.0, 2.0, size=(500, 500, 2))).astype(np.float32)
+    assert _peak_fields(motion_boundary, flow) <= 6.0

@@ -357,6 +357,31 @@ def test_command_classifier_close_closes_both_pipes():
     assert proc.returncode == 0
 
 
+def test_command_classifier_reads_a_buffered_reply_without_waiting(monkeypatch):
+    import sys
+    import streamdet.propagation as propagation
+    monkeypatch.setattr(propagation, "REPLY_TIMEOUT_S", 0.2)
+    monkeypatch.setattr(propagation, "CLOSE_TIMEOUT_S", 0.2)
+    # answers the first request with two replies in one write, then stalls
+    stub = ("import json, sys, time\n"
+            "n = len(json.loads(sys.stdin.readline())['boxes'])\n"
+            "reply = json.dumps({'scores': [[0.7, 0.1, 0.1, 0.1]] * n})\n"
+            "sys.stdout.write(reply + '\\n' + reply + '\\n')\n"
+            "sys.stdout.flush()\n"
+            "time.sleep(30)\n")
+    clf, _ = make_classifier(f"cmd:exec {sys.executable} -c \"{stub}\"")
+    frame = np.zeros((8, 8, 3), dtype=np.uint8)
+    boxes = [Box(0, 0, 4, 4)]
+    try:
+        assert clf.classify(frame, boxes).shape == (1, 4)
+        assert clf.classify(frame, boxes).shape == (1, 4)   # the buffered line
+        with pytest.raises(propagation.ClassifierProtocolError, match="no reply"):
+            clf.classify(frame, boxes)
+    finally:
+        clf.close()
+    assert clf._proc.returncode is not None
+
+
 def test_subsequences_with_at_most_one_window(monkeypatch):
     import streamdet.propagation as propagation
     from streamdet.proposals import Proposal
