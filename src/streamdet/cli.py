@@ -203,7 +203,8 @@ def cmd_eval(args) -> int:
     elif args.mode == "consistency":
         metrics = {"consistency": temporal_consistency(preds, gts)}
     else:
-        metrics = {"detection": detection_pr(preds, gts, gt_doc["classes"])}
+        classes = sorted(set(gt_doc["classes"]) | {p["class"] for p in preds})
+        metrics = {"detection": detection_pr(preds, gts, classes)}
     text = json.dumps(metrics, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

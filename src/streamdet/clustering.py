@@ -258,11 +258,12 @@ class RegistryEntry:
     label: str | None = None
     confidence: float = 0.0
     offset: np.ndarray | None = None   # localization offset d (4-vector)
-    last_seen: int = -1
 
 
 class ClusterRegistry:
-    """Streaming registry of global cluster identities; ids are never reused."""
+    """The clusters of the latest associated sub-sequence, by global id: the
+    only ones the next sub-sequence's clusters can inherit from. Ids are
+    never reused."""
 
     def __init__(self):
         self.entries: dict[int, RegistryEntry] = {}
@@ -272,9 +273,6 @@ class ClusterRegistry:
         gid = self._next_id
         self._next_id += 1
         return gid
-
-    def seen_in(self, subseq_index: int) -> list[int]:
-        return [gid for gid, e in self.entries.items() if e.last_seen == subseq_index]
 
     def __getitem__(self, gid: int) -> RegistryEntry:
         return self.entries[gid]
@@ -286,40 +284,39 @@ class ClusterRegistry:
 def associate_clusters(descriptors: list[ClusterDescriptor],
                        registry: ClusterRegistry, tau_kl: float,
                        subseq_index: int) -> tuple[list[int], set[int]]:
-    """Match current clusters to the previous sub-sequence's clusters.
+    """Match current clusters to the registry's, those of the previous
+    sub-sequence, then make the registry hold exactly the current ones.
 
     Greedy one-to-one matching in ascending KL order; a match below tau_kl
-    inherits the global id, everything else gets a fresh id. Ties break on
-    the lower global id. Returns (global id per cluster, set of new ids).
+    inherits the global id together with its entry (label, confidence and
+    offset), everything else gets a fresh id. Ties break on the lower global
+    id. Previous clusters left unmatched are dropped. Returns (global id per
+    cluster, set of new ids).
+
+    ``subseq_index`` is not read; it stays the fourth positional parameter
+    because ``perfbench/tracing.py`` records it from there.
     """
-    prev_ids = registry.seen_in(subseq_index - 1)
     candidates = []
     for ci, desc in enumerate(descriptors):
-        for gid in prev_ids:
-            kl = kl_divergence(desc, registry[gid].descriptor)
+        for gid, entry in registry.entries.items():
+            kl = kl_divergence(desc, entry.descriptor)
             if kl < tau_kl:
                 candidates.append((kl, gid, ci))
     candidates.sort(key=lambda t: (t[0], t[1], t[2]))
 
-    assigned: dict[int, int] = {}
-    used_gids: set[int] = set()
+    previous, registry.entries = registry.entries, {}
+    matched: dict[int, tuple[int, RegistryEntry]] = {}
     for kl, gid, ci in candidates:
-        if ci in assigned or gid in used_gids:
-            continue
-        assigned[ci] = gid
-        used_gids.add(gid)
+        if ci not in matched and gid in previous:
+            matched[ci] = (gid, previous.pop(gid))
 
-    result: list[int] = []
     new_ids: set[int] = set()
     for ci, desc in enumerate(descriptors):
-        if ci in assigned:
-            gid = assigned[ci]
-            entry = registry[gid]
+        if ci in matched:
+            gid, entry = matched[ci]
             entry.descriptor = desc
-            entry.last_seen = subseq_index
         else:
-            gid = registry.new_id()
-            registry.entries[gid] = RegistryEntry(desc, last_seen=subseq_index)
+            gid, entry = registry.new_id(), RegistryEntry(desc)
             new_ids.add(gid)
-        result.append(gid)
-    return result, new_ids
+        registry.entries[gid] = entry
+    return list(registry.entries), new_ids

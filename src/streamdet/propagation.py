@@ -12,7 +12,7 @@ import select
 import signal
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
@@ -105,8 +105,6 @@ def frame_location(proposals: list[Proposal]) -> np.ndarray:
 def record_offset(registry: ClusterRegistry, global_id: int, detected_box: Box,
                   mean: np.ndarray) -> np.ndarray:
     """Store d = detected quadruple - cluster location mean for a cluster."""
-    if global_id not in registry.entries:
-        raise KeyError(f"unknown global cluster id {global_id}")
     d = box_to_quadruple(detected_box) - mean
     registry[global_id].offset = d
     return d
@@ -290,13 +288,14 @@ def make_classifier(spec: str, classes=("red", "green", "blue")):
 
 @dataclass
 class StreamStats:
+    """What one stream did, in counts (``stats.json``)."""
+
     total_windows: int = 0
     classified_windows: int = 0
     clusters_created: int = 0
     subsequences: int = 0
     frames: int = 0
-    classifier_calls: list = field(default_factory=list)
-    classified_ids: set = field(default_factory=set, repr=False)
+    classifier_calls: int = 0
 
     def to_record(self) -> dict:
         frac = (self.classified_windows / self.total_windows
@@ -307,7 +306,7 @@ class StreamStats:
                 "clusters_created": self.clusters_created,
                 "subsequences": self.subsequences,
                 "frames": self.frames,
-                "classifier_calls": len(self.classifier_calls)}
+                "classifier_calls": self.classifier_calls}
 
 
 def resolve_flow_source(frames, flow_source):
@@ -331,7 +330,6 @@ def resolve_flow_source(frames, flow_source):
 class SubsequenceRecord:
     """Everything one sub-sequence contributes to the stream."""
 
-    index: int
     frame_ids: list[int]
     proposals: list[Proposal]
     window_ids: list[tuple[int, int]]    # (frame, slot) per proposal
@@ -414,7 +412,7 @@ def stream_cluster(frames, flow_source, config: PipelineConfig,
         gids, new_ids = associate_clusters(descriptors, registry,
                                            config.tau_kl, t)
         global_ids = {lab: gid for lab, gid in zip(local_labels, gids)}
-        yield SubsequenceRecord(t, frame_ids, proposals, window_ids,
+        yield SubsequenceRecord(frame_ids, proposals, window_ids,
                                 labels, cluster_members, global_ids, new_ids,
                                 emit_frames)
 
@@ -442,20 +440,25 @@ def detect_stream(frames, flow_source, config: PipelineConfig, classifier,
     ``frame_location``) plus the stored offset d. A cluster is labelled when
     its best pooled class score reaches CONFIDENCE_THRESHOLD, and each
     sub-sequence's detections are suppressed per frame and class at
-    DET_NMS_BETA.
+    DET_NMS_BETA; the detections come out in (frame, -confidence, box) order.
+    The returned registry holds the last sub-sequence's clusters.
 
     The stats count each record on arrival, before any classifier call (one
     sub-sequence, its emitted frames' proposals as windows, its new ids as
     created clusters), so a ClassifierProtocolError's partial stats include
-    the sub-sequence that failed.
+    the sub-sequence that failed. A window of the frame two sub-sequences
+    share counts as classified once.
     """
     registry = ClusterRegistry()
     stats = StreamStats(frames=len(frames))
     detections: list[Detection] = []
     height, width = np.asarray(frames[0]).shape[:2]
+    # classified (frame, slot) windows of the one frame a record shares
+    done_windows: set[tuple[int, int]] = set()
 
     try:
         for rec in stream_cluster(frames, flow_source, config, registry, edge_maps):
+            done_windows = {w for w in done_windows if w[0] == rec.frame_ids[0]}
             stats.subsequences += 1
             stats.total_windows += sum(p.frame_index in rec.emit_frames
                                        for p in rec.proposals)
@@ -476,12 +479,10 @@ def detect_stream(frames, flow_source, config: PipelineConfig, classifier,
                         path = frame_paths[fi] if frame_paths is not None else None
                         frame_scores[fi] = classifier.classify(
                             frames[fi], [p.box for p in props], frame_path=path)
-                        stats.classifier_calls.append(
-                            {"subseq": rec.index, "global_id": gid, "frame": fi,
-                             "new_cluster": gid in rec.new_ids,
-                             "n_boxes": len(props)})
-                    stats.classified_ids.update(rec.window_ids[m] for m in members)
-                    stats.classified_windows = len(stats.classified_ids)
+                        stats.classifier_calls += 1
+                    windows = {rec.window_ids[m] for m in members} - done_windows
+                    stats.classified_windows += len(windows)
+                    done_windows |= windows
                     member_scores = np.vstack(list(frame_scores.values()))
                     pooled = member_scores.max(axis=0)
                     best_c = int(np.argmax(pooled[:-1]))
@@ -494,7 +495,7 @@ def detect_stream(frames, flow_source, config: PipelineConfig, classifier,
                         record_offset(registry, gid, best.box,
                                       frame_location(frame_props[best.frame_index]))
 
-                if entry.label is None or entry.offset is None:
+                if entry.label is None:
                     continue
                 for fi in rec.emit_frames:
                     if fi not in frame_props:
@@ -512,5 +513,4 @@ def detect_stream(frames, flow_source, config: PipelineConfig, classifier,
     except ClassifierProtocolError as exc:
         exc.partial = (detections, stats)
         raise
-    detections.sort(key=lambda d: (d.frame, -d.confidence, d.box.as_tuple()))
     return detections, stats, registry

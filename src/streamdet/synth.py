@@ -84,12 +84,23 @@ def _object_patch(obj: ObjectSpec, rng: np.random.Generator) -> np.ndarray:
     return patch.astype(np.uint8)
 
 
+def _visible(box: Box | None, width: int, height: int) -> Box | None:
+    """The part of a box inside a width x height frame, or None."""
+    if box is None:
+        return None
+    x, y = max(box.x, 0), max(box.y, 0)
+    x2, y2 = min(box.x2, width), min(box.y2, height)
+    return Box(x, y, x2 - x, y2 - y) if x2 > x and y2 > y else None
+
+
 def render(spec: SyntheticSpec) -> SyntheticVideo:
     """Render frames, exact per-frame ground truth and exact flow fields.
 
     Each object carries a fixed texture that translates rigidly with it, so
     the emitted flow (object velocity inside the box, zero elsewhere) is the
-    true pixel motion.
+    true pixel motion. An object crossing a frame edge is drawn, recorded
+    and given flow only over its visible part; one wholly outside the frame
+    has none of them.
     """
     rng = np.random.default_rng(spec.seed)
     background = _background(spec, rng)
@@ -102,16 +113,16 @@ def render(spec: SyntheticSpec) -> SyntheticVideo:
         records = []
         for oid, obj in enumerate(spec.objects):
             box = obj.box_at(t)
-            if box is None:
+            seen = _visible(box, spec.width, spec.height)
+            if seen is None:
                 continue
-            clipped = box.clamped(spec.width, spec.height)
-            px0 = clipped.x - box.x
-            py0 = clipped.y - box.y
-            frame[clipped.y:clipped.y2, clipped.x:clipped.x2] = \
-                patches[oid][py0:py0 + clipped.h, px0:px0 + clipped.w]
+            px0 = seen.x - box.x
+            py0 = seen.y - box.y
+            frame[seen.y:seen.y2, seen.x:seen.x2] = \
+                patches[oid][py0:py0 + seen.h, px0:px0 + seen.w]
             records.append({"id": oid, "class": obj.color,
-                            "x": clipped.x, "y": clipped.y,
-                            "w": clipped.w, "h": clipped.h})
+                            "x": seen.x, "y": seen.y,
+                            "w": seen.w, "h": seen.h})
         frames.append(frame)
         gt.append(records)
 
@@ -119,12 +130,10 @@ def render(spec: SyntheticSpec) -> SyntheticVideo:
     for t in range(spec.n_frames - 1):
         flow = np.zeros((spec.height, spec.width, 2), dtype=np.float32)
         for obj in spec.objects:
-            box = obj.box_at(t)
-            if box is None or obj.box_at(t + 1) is None:
+            seen = _visible(obj.box_at(t), spec.width, spec.height)
+            if seen is None or obj.box_at(t + 1) is None:
                 continue
-            clipped = box.clamped(spec.width, spec.height)
-            flow[clipped.y:clipped.y2, clipped.x:clipped.x2, 0] = obj.velocity[0]
-            flow[clipped.y:clipped.y2, clipped.x:clipped.x2, 1] = obj.velocity[1]
+            flow[seen.y:seen.y2, seen.x:seen.x2] = obj.velocity
         flows.append(flow)
     return SyntheticVideo(frames, flows, gt, spec)
 

@@ -131,3 +131,49 @@ def test_every_workload_sets_up(tmp_path, monkeypatch):
             assert scene.n_subsequences > 0
         finally:
             scene.close()
+
+
+def test_traced_stream_satisfies_the_tracers_argument_contract(monkeypatch):
+    # the tracer's counters read stage arguments by position (the
+    # associate_clusters span takes "subseq" from args[3]); a traced run
+    # must raise nothing in them and record what they promise
+    from streamdet import propagation
+    from streamdet.config import PipelineConfig
+    from streamdet.synth import ObjectSpec, SyntheticSpec, render
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    video = render(SyntheticSpec(
+        n_frames=7, width=64, height=48, seed=2, noise=8.0,
+        objects=[ObjectSpec("red", (20, 16), (8, 16), velocity=(2, 0))]))
+    config = PipelineConfig(subseq_len=3, max_proposals=20, min_box_area=150.0,
+                            lam=0.5, self_tune=True, resize=None)
+    tracer = tracing.Tracer()
+    with tracing.instruments(tracing.StreamLog(), tracer,
+                             propagation.OracleColorClassifier):
+        propagation.detect_stream(video.frames, video.flows, config,
+                                  propagation.OracleColorClassifier())
+    spans = tracer.spans
+    assert [s for s in spans if "error" in s] == []
+    assoc = [s for s in spans if s["name"] == "associate_clusters"]
+    assert [s["subseq"] for s in assoc] == [0, 1, 2]
+    assert all(s["registry"] == s["clusters"] for s in assoc)
+    spectral = [s for s in spans if s["name"].startswith("spectral_cluster_")]
+    classify = [s for s in spans if s["name"] == "classify"]
+    assert spectral and all("k" in s for s in spectral)
+    assert classify and all("boxes" in s for s in classify)
+
+
+def test_bench_scene_objects_stay_inside_the_frame(monkeypatch):
+    # synth crops an object at a frame edge; the benchmark's scenes keep
+    # theirs whole, so that cropping can never change the bench's inputs
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    scenes = importlib.import_module("scenes")
+    for name, make in scenes.SPECS.items():
+        spec = make(1)
+        for obj in spec.objects:
+            for t in range(spec.n_frames):
+                box = obj.box_at(t)
+                if box is not None:
+                    assert 0 <= box.x and box.x2 <= spec.width, (name, obj, t)
+                    assert 0 <= box.y and box.y2 <= spec.height, (name, obj, t)

@@ -181,6 +181,44 @@ def test_eval_at_takes_only_positive_integers(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"recall@10": 1.0, "recall@50": 1.0}
 
 
+def test_eval_detection_scores_classes_only_predictions_have(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "n_frames": 3, "width": 64, "height": 48, "seed": 1,
+        "objects": [{"color": "red", "size": [16, 12], "start": [8, 8],
+                     "velocity": [2, 0]}]}))
+    video = tmp_path / "video"
+    assert main(["synth", "--spec", str(spec), "--out", str(video)]) == 0
+    gts = gt_index(json.loads((video / "gt.json").read_text()))
+    red = [dict(g, frame=frame, confidence=0.9)
+           for frame, objects in gts.items() for g in objects]
+    blue = [dict(r, x=40, y=30, **{"class": "blue"}) for r in red]
+    preds = tmp_path / "preds.jsonl"
+    write_jsonl(preds, red + blue)
+    capsys.readouterr()
+    assert main(["eval", "--pred", str(preds), "--gt", str(video / "gt.json"),
+                 "--mode", "detection"]) == 0
+    scores = json.loads(capsys.readouterr().out)["detection"]
+    assert list(scores) == ["blue", "red"]
+    assert scores["red"]["precision"] == 1.0 and scores["red"]["tp"] == 3
+    assert scores["blue"] == {"precision": 0.0, "recall": 0.0, "tp": 0,
+                              "predictions": 3, "ground_truth": 0}
+
+
+def test_synth_renders_objects_crossing_the_frame_edges(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "n_frames": 6, "width": 40, "height": 30, "objects": [
+            {"color": "red", "size": [10, 10], "start": [28, 5], "velocity": [1, 0]},
+            {"color": "blue", "size": [10, 10], "start": [2, 18],
+             "velocity": [-1, 1]}]}))
+    video = tmp_path / "video"
+    assert main(["synth", "--spec", str(spec), "--out", str(video)]) == 0
+    last = json.loads((video / "gt.json").read_text())["frames"][5]["objects"]
+    assert [(o["x"], o["y"], o["w"], o["h"]) for o in last] == [
+        (33, 5, 7, 10), (0, 23, 7, 7)]
+
+
 def test_truncated_ppm_exits_3(tmp_path, capsys):
     video = _synth(tmp_path)
     frames = video / "frames"

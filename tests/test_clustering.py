@@ -265,8 +265,9 @@ def test_associate_exit_and_enter():
     assert gids1[0] == gids0[0]          # surviving object keeps its id
     assert gids1[1] not in gids0         # newcomer gets a fresh id
     assert len(new1) == 1
-    # the leaver's id is retired: not seen in sub-sequence 1
-    assert reg[gids0[1]].last_seen == 0
+    # the leaver's id is retired: the registry keeps only the current clusters
+    assert gids0[1] not in reg.entries
+    assert list(reg.entries) == gids1
 
 
 def test_associate_one_to_one():

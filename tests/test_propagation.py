@@ -1,3 +1,5 @@
+from itertools import groupby
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from streamdet.propagation import (Detection, OracleColorClassifier,
                                    _detection_nms, box_to_quadruple,
                                    detect_stream, fit_location_gaussian,
                                    make_classifier, propagate_localization,
-                                   quadruple_to_box, record_offset)
+                                   quadruple_to_box, record_offset,
+                                   stream_cluster)
 from streamdet.synth import ObjectSpec, SyntheticSpec, render
 
 
@@ -51,7 +54,7 @@ def test_gaussian_translation_equivariance():
 def _registry_with_cluster():
     reg = ClusterRegistry()
     gid = reg.new_id()
-    reg.entries[gid] = RegistryEntry(_descriptor_stub(), last_seen=0)
+    reg.entries[gid] = RegistryEntry(_descriptor_stub())
     return reg, gid
 
 
@@ -159,15 +162,41 @@ def _single_mover(n_frames=9):
     return render(spec)
 
 
+class _RecordingClassifier(OracleColorClassifier):
+    """Oracle that logs each call as (frame index, boxes)."""
+
+    def __init__(self, frames):
+        super().__init__()
+        self._index = {id(frame): i for i, frame in enumerate(frames)}
+        self.calls = []
+
+    def classify(self, frame, boxes, frame_path=None):
+        self.calls.append((self._index[id(frame)], list(boxes)))
+        return super().classify(frame, boxes, frame_path)
+
+
+def _expected_calls(video, config):
+    """(frame, boxes) of each call the stream should make, in its order: one
+    per frame of every cluster new in its sub-sequence."""
+    calls = []
+    for rec in stream_cluster(video.frames, video.flows, config):
+        for lab in sorted(rec.cluster_members):
+            if rec.global_ids[lab] in rec.new_ids:
+                props = [rec.proposals[m] for m in rec.cluster_members[lab]]
+                calls += [(fi, [p.box for p in run]) for fi, run in
+                          groupby(props, key=lambda p: p.frame_index)]
+    return calls
+
+
 def test_detect_stream_single_object_economy():
     video = _single_mover()
     config = _scene_config()
-    clf = OracleColorClassifier()
+    clf = _RecordingClassifier(video.frames)
     detections, stats, registry = detect_stream(video.frames, video.flows,
                                                 config, clf)
     assert stats.classified_windows / stats.total_windows <= 1 / 3
     # no classifier call ever happens for an inherited (non-new) cluster id
-    assert all(call["new_cluster"] for call in stats.classifier_calls)
+    assert clf.calls == _expected_calls(video, config)
     assert detections
     labels = {d.label for d in detections}
     assert labels == {"red"}
@@ -219,24 +248,29 @@ def test_detect_stream_deterministic():
     assert a[1].to_record() == b[1].to_record()
 
 
-def test_new_object_triggers_classification_burst():
+def _new_object(red_exit=None):
     spec = SyntheticSpec(
         n_frames=12, width=110, height=80, seed=5, noise=8.0,
-        objects=[ObjectSpec("red", (24, 20), (6, 12), velocity=(2, 0)),
+        objects=[ObjectSpec("red", (24, 20), (6, 12), velocity=(2, 0),
+                            exit=red_exit),
                  ObjectSpec("blue", (22, 22), (70, 46), velocity=(-2, 0),
                             enter=6)])
-    video = render(spec)
+    return render(spec)
+
+
+def test_new_object_triggers_classification_burst():
+    video = _new_object()
     config = _scene_config()
-    detections, stats, _ = detect_stream(video.frames, video.flows, config,
-                                         OracleColorClassifier())
+    clf = _RecordingClassifier(video.frames)
+    detections, stats, _ = detect_stream(video.frames, video.flows, config, clf)
     labels = {d.label for d in detections}
     assert labels == {"red", "blue"}
     # the blue entry at frame 6 causes new-cluster calls in the sub-sequence
-    # containing frame 6 (frames 6-8 -> sub-sequence index 3)
-    call_subseqs = {c["subseq"] for c in stats.classifier_calls}
-    assert 0 in call_subseqs
-    late = [s for s in call_subseqs if s > 0]
-    assert late, "expected a classification burst for the entering object"
+    # containing frame 6 (frames 6-8 -> sub-sequence index 3); frames 0-2
+    # are the first sub-sequence's, frames from 3 on only later ones'
+    call_frames = {fi for fi, _ in clf.calls}
+    assert min(call_frames) <= 2
+    assert max(call_frames) >= 6, "expected a classification burst for the entering object"
 
 
 def test_frame_location_fits_top_scoring_windows():
@@ -399,7 +433,7 @@ def test_subsequences_with_at_most_one_window(monkeypatch):
     detections, stats, _ = detect_stream(video.frames, video.flows, config,
                                          OracleColorClassifier())
     assert detections == [] and stats.total_windows == 0
-    assert stats.classifier_calls == []
+    assert stats.classifier_calls == 0
 
     def one_window(edges, groups, config, frame_index=0):
         return [Proposal(window, 1.0, frame_index)] if frame_index == 0 else []
@@ -407,7 +441,37 @@ def test_subsequences_with_at_most_one_window(monkeypatch):
     detections, stats, registry = detect_stream(video.frames, video.flows, config,
                                                 OracleColorClassifier())
     assert stats.total_windows == 1 and stats.clusters_created == 1
-    assert len(registry.entries) == 1
-    assert len(stats.classifier_calls) == 1 and stats.classified_windows == 1
+    # the cluster is dropped once a sub-sequence has no windows
+    assert len(registry.entries) == 0
+    assert stats.classifier_calls == 1 and stats.classified_windows == 1
     assert [(d.frame, d.box, d.label, d.provenance) for d in detections] == [
         (0, window, "red", "classified")]
+
+
+def test_registry_holds_exactly_the_latest_records_clusters():
+    video = _new_object(red_exit=5)
+    registry = ClusterRegistry()
+    seen = set()
+    for rec in stream_cluster(video.frames, video.flows, _scene_config(), registry):
+        assert set(registry.entries) == set(rec.global_ids.values())
+        seen |= set(rec.global_ids.values())
+    assert len(registry) < len(seen)
+
+
+@pytest.mark.parametrize("always", [False, True], ids=["new-only", "always"])
+@pytest.mark.parametrize("scene", [_single_mover, _new_object])
+def test_stats_count_classified_windows_and_calls(scene, always):
+    video = scene()
+    config = _scene_config(classify_always=always)
+    # every window of a classified cluster, over the whole stream; a window of
+    # a shared frame is the same (frame, slot) in both of its records
+    windows, calls = set(), 0
+    for rec in stream_cluster(video.frames, video.flows, config):
+        for lab, members in rec.cluster_members.items():
+            if always or rec.global_ids[lab] in rec.new_ids:
+                windows.update(rec.window_ids[m] for m in members)
+                calls += len({rec.proposals[m].frame_index for m in members})
+    _, stats, _ = detect_stream(video.frames, video.flows, config,
+                                OracleColorClassifier())
+    assert stats.classified_windows == len(windows) > 0
+    assert stats.classifier_calls == calls
