@@ -10,8 +10,7 @@ from .config import ConfigError, PipelineConfig
 from .core import Box, IntegralImage, iou
 from .edges import EdgeGroup, combine_edges, edge_groups, spatial_edge
 from .motion import (accumulate_prior, block_matching_flow, inside_outside_map,
-                     load_flow, motion_boundary, read_flow, temporal_edge,
-                     write_flow)
+                     motion_boundary, read_flow, temporal_edge, write_flow)
 from .propagation import (Detection, OracleColorClassifier, detect_stream,
                           fit_location_gaussian, propagate_localization,
                           record_offset, stream_cluster)

@@ -12,9 +12,9 @@ import numpy as np
 from .config import ConfigError, PipelineConfig
 from .evaluate import (cluster_purity, detection_pr, gt_index, recall_at_n,
                        temporal_consistency)
-from .imio import (list_frames, load_edge_map, read_jsonl, read_ppm,
-                   resize_nearest, write_jsonl)
-from .motion import load_flow
+from .imio import (check_objects, list_frames, load_edge_map, read_json,
+                   read_jsonl, read_ppm, resize_nearest, write_jsonl)
+from .motion import read_flow
 from .propagation import (ClassifierProtocolError, detect_stream, make_classifier,
                           stream_cluster)
 from .synth import render, spec_from_dict, write_video
@@ -23,6 +23,13 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_CLASSIFIER = 4
+
+_BOX = ("x", "y", "w", "h")
+# per eval mode, the keys it reads of a prediction and of a ground-truth object
+_EVAL_KEYS = {"recall": (("frame",) + _BOX, _BOX),
+              "purity": (("frame", "global_id") + _BOX, ("id",) + _BOX),
+              "consistency": (("frame", "global_id") + _BOX, ("id",) + _BOX),
+              "detection": (("frame", "class") + _BOX, ("id", "class") + _BOX)}
 
 
 def _add_stream_args(parser: argparse.ArgumentParser):
@@ -109,15 +116,17 @@ def _inputs(args):
         return lambda i: load(files[i])
 
     flows = file_source(args.flow_dir, ".flo", "flow files", len(frames) - 1,
-                        lambda path: load_flow(path, frame_shape=shape))
+                        lambda path: read_flow(path, frame_shape=shape))
     edge_maps = file_source(config.edges_dir, ".pgm", "edge maps", len(frames),
                             load_edge_map)
     return config, frames, paths, flows, edge_maps
 
 
 def cmd_synth(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = spec_from_dict(json.load(fh))
+    doc = read_json(args.spec, ("n_frames", "width", "height"))
+    check_objects(doc.get("objects", []), ("color", "size", "start"),
+                  f"{args.spec}: objects")
+    spec = spec_from_dict(doc)
     video = render(spec)
     os.makedirs(args.out, exist_ok=True)
     write_video(video, args.out)
@@ -126,34 +135,32 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def cmd_propose(args) -> int:
+def _write_windows(args, name: str, what: str, fields) -> int:
+    """Write ``name`` under ``--out``: one record per emitted window, its frame
+    and box, then ``fields(proposal, local cluster label, record)``."""
     config, frames, _, flows, edge_maps = _inputs(args)
     records = []
     for rec in stream_cluster(frames, flows, config, edge_maps=edge_maps):
         records += [{"frame": p.frame_index, "x": p.box.x, "y": p.box.y,
-                     "w": p.box.w, "h": p.box.h, "score": round(p.score, 6)}
-                    for p in rec.proposals if p.frame_index in rec.emit_frames]
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "proposals.jsonl")
-    write_jsonl(out_path, records)
-    print(f"wrote {len(records)} proposals to {out_path}")
-    return EXIT_OK
-
-
-def cmd_cluster(args) -> int:
-    config, frames, _, flows, edge_maps = _inputs(args)
-    records = []
-    for rec in stream_cluster(frames, flows, config, edge_maps=edge_maps):
-        records += [{"frame": p.frame_index, "x": p.box.x, "y": p.box.y,
-                     "w": p.box.w, "h": p.box.h, "local_cluster": lab,
-                     "global_id": rec.global_ids[lab]}
+                     "w": p.box.w, "h": p.box.h, **fields(p, lab, rec)}
                     for p, lab in zip(rec.proposals, rec.labels.tolist())
                     if p.frame_index in rec.emit_frames]
     os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "clusters.jsonl")
+    out_path = os.path.join(args.out, name)
     write_jsonl(out_path, records)
-    print(f"wrote {len(records)} cluster assignments to {out_path}")
+    print(f"wrote {len(records)} {what} to {out_path}")
     return EXIT_OK
+
+
+def cmd_propose(args) -> int:
+    return _write_windows(args, "proposals.jsonl", "proposals",
+                          lambda p, lab, rec: {"score": round(p.score, 6)})
+
+
+def cmd_cluster(args) -> int:
+    return _write_windows(
+        args, "clusters.jsonl", "cluster assignments",
+        lambda p, lab, rec: {"local_cluster": lab, "global_id": rec.global_ids[lab]})
 
 
 def cmd_detect(args) -> int:
@@ -189,10 +196,14 @@ def cmd_detect(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    with open(args.gt, "r", encoding="utf-8") as fh:
-        gt_doc = json.load(fh)
+    pred_keys, gt_keys = _EVAL_KEYS[args.mode]
+    gt_doc = read_json(args.gt, ("frames", "classes")
+                       if args.mode == "detection" else ("frames",))
+    frames = check_objects(gt_doc["frames"], ("index", "objects"), f"{args.gt}: frames")
+    for n, frame in enumerate(frames):
+        check_objects(frame["objects"], gt_keys, f"{args.gt}: frames[{n}].objects")
     gts = gt_index(gt_doc)
-    preds = read_jsonl(args.pred)
+    preds = read_jsonl(args.pred, pred_keys)
     if args.mode == "recall":
         by_frame: dict = {}
         for rec in preds:

@@ -1,4 +1,5 @@
-"""Frame and mask I/O: binary PPM/PGM, nearest-neighbor resize, JSON-lines."""
+"""Frame and mask I/O: binary PPM/PGM, nearest-neighbor resize, and JSON and
+JSON-lines files whose records are checked to be objects with given keys."""
 
 from __future__ import annotations
 
@@ -119,11 +120,53 @@ def write_jsonl(path, records) -> None:
             fh.write(json.dumps(rec, separators=(", ", ": ")) + "\n")
 
 
-def read_jsonl(path) -> list[dict]:
+def _check_object(data, keys, where: str) -> dict:
+    """``data`` if it is a JSON object holding every key in ``keys``; else a
+    ValueError naming ``where``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where}: expected a JSON object, got "
+                         f"{json.dumps(data)[:40]}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{where}: no {key!r} key")
+    return data
+
+
+def check_objects(items, keys, where: str) -> list[dict]:
+    """``items`` if it is a JSON array of objects that each hold every key in
+    ``keys``; else a ValueError naming ``where`` and the item's index."""
+    if not isinstance(items, list):
+        raise ValueError(f"{where}: expected a JSON array, got "
+                         f"{json.dumps(items)[:40]}")
+    for n, item in enumerate(items):
+        _check_object(item, keys, f"{where}[{n}]")
+    return items
+
+
+def read_json(path, keys) -> dict:
+    """A JSON document that must be an object holding every key in ``keys``;
+    anything else raises a ValueError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    return _check_object(data, keys, str(path))
+
+
+def read_jsonl(path, keys=()) -> list[dict]:
+    """The records of a JSON-lines file, one per non-blank line; a line that
+    is not a JSON object holding every key in ``keys`` raises a ValueError
+    naming the file and the line."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                records.append(json.loads(line))
+                where = f"{path}, line {n}"
+                try:
+                    data = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{where}: not valid JSON ({exc})") from None
+                records.append(_check_object(data, keys, where))
     return records

@@ -19,9 +19,10 @@ ALPHA_DIR = 0.5   # and of the largest direction change, in radians
 MAX_FLOW_WORKERS = 4   # most threads for block matching's candidate scan
 
 
-def read_flow(path) -> np.ndarray:
+def read_flow(path, frame_shape=None) -> np.ndarray:
     """Read a binary flow file: magic float, int32 width/height, interleaved
-    float32 (u_x, u_y) pairs, little-endian. Returns an (h, w, 2) array."""
+    float32 (u_x, u_y) pairs, little-endian. Returns an (h, w, 2) array; with
+    ``frame_shape``, a ValueError unless its first two entries are (h, w)."""
     with open(path, "rb") as fh:
         head = fh.read(12)
         if len(head) < 12:
@@ -35,6 +36,9 @@ def read_flow(path) -> np.ndarray:
     if len(data) != 8 * width * height:
         raise ValueError(f"{path}: truncated flow payload "
                          f"({len(data)} of {8 * width * height} bytes)")
+    if frame_shape is not None and (height, width) != tuple(frame_shape[:2]):
+        raise ValueError(f"{path}: flow is {(height, width)} but frame is "
+                         f"{tuple(frame_shape[:2])}")
     flow = np.frombuffer(data, dtype="<f4").reshape(height, width, 2)
     return flow.astype(np.float32)
 
@@ -47,15 +51,6 @@ def write_flow(path, flow) -> None:
     with open(path, "wb") as fh:
         fh.write(struct.pack("<fii", FLOW_MAGIC, w, h))
         fh.write(np.ascontiguousarray(flow).astype("<f4").tobytes())
-
-
-def load_flow(path, frame_shape=None) -> np.ndarray:
-    """Read a flow file and optionally check it against the frame dimensions."""
-    flow = read_flow(path)
-    if frame_shape is not None and flow.shape[:2] != tuple(frame_shape[:2]):
-        raise ValueError(f"{path}: flow is {flow.shape[:2]} but frame is "
-                         f"{tuple(frame_shape[:2])}")
-    return flow
 
 
 def _flow_workers() -> int:

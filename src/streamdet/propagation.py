@@ -22,7 +22,7 @@ from .affinity import (FEATURE_DIM, DensityError, affinity_matrix,
 from .clustering import (ClusterRegistry, associate_clusters,
                          cluster_descriptor, make_subsequences,
                          spectral_cluster_fixed, spectral_cluster_selftune)
-from .config import PipelineConfig
+from .config import ConfigError, PipelineConfig
 from .core import Box, greedy_keep
 from .edges import combine_edges, combined_orientation, edge_groups, \
     orientation_of, spatial_edge
@@ -122,11 +122,16 @@ def propagate_localization(mean: np.ndarray, d: np.ndarray,
 class OracleColorClassifier:
     """Rule-based stand-in classifier: scores each class by the fraction of
     the box's mean color carried by the matching channel; background gets the
-    complement of the best class."""
+    complement of the best class. A class other than red, green and blue
+    raises ConfigError."""
 
     def __init__(self, classes=("red", "green", "blue")):
         self.classes = tuple(classes)
         self._channel = {"red": 0, "green": 1, "blue": 2}
+        for name in self.classes:
+            if name not in self._channel:
+                raise ConfigError(f"the oracle classifier cannot score class "
+                                  f"{name!r}; it scores {', '.join(self._channel)}")
 
     def classify(self, frame, boxes, frame_path=None) -> np.ndarray:
         arr = np.asarray(frame, dtype=np.float64)
@@ -146,7 +151,8 @@ class CommandClassifier:
     """External classifier over a JSON-lines pipe.
 
     The command runs under /bin/sh in a session (and process group) of its
-    own, started on the first request and kept for the rest of the stream.
+    own, started on the first request and kept for the rest of the stream;
+    it is never restarted, so once it has exited every request fails.
     Each request is one line on its stdin,
     {"frame_path": PATH, "boxes": [[x, y, w, h], ...]}: PATH is a PPM file of
     the frame (a temporary file when the caller passes none, as
@@ -159,8 +165,9 @@ class CommandClassifier:
     classify raises ClassifierProtocolError, on which ``streamdet detect``
     exits 4, when writing the request or reading the reply fails, when no
     complete reply line arrives within REPLY_TIMEOUT_S of the request, when
-    the process closes its stdout without replying (it exited, or the command
-    could not be started), when the reply is not JSON or not a JSON object,
+    the process closes its stdout without replying (it exited, now or at an
+    earlier request, or the command could not be started), when the reply is
+    not JSON or not a JSON object,
     or when its "scores" are not numbers, not of shape
     (len(boxes), len(classes) + 1) or not all finite.
     """
@@ -172,12 +179,10 @@ class CommandClassifier:
         self._pending = b""   # bytes read past the last reply line
 
     def _ensure(self):
-        if self._proc is None or self._proc.poll() is not None:
-            self.close()
+        if self._proc is None:
             self._proc = subprocess.Popen(
                 self.command, shell=True, start_new_session=True,
                 stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-            self._pending = b""
         return self._proc
 
     def _read_reply(self, proc) -> str:

@@ -111,8 +111,8 @@ def score_boxes(boxes: np.ndarray, ctx: ScoreContext) -> np.ndarray:
     x, y, w, h = boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3]
     ix0, iy0 = x + 1, y + 1
     ix1, iy1 = x + w - 1, y + h - 1
-    contained = ctx.contained(ix0, iy0, ix1, iy1)
-    numer = np.where((ix1 > ix0) & (iy1 > iy0), contained @ ctx.group_mass, 0.0)
+    # group boxes have positive extent: an empty interior contains none
+    numer = ctx.contained(ix0, iy0, ix1, iy1) @ ctx.group_mass
     mx, my = w // 4, h // 4
     center = ctx.integral.rect_sums(x + mx, y + my, x + w - mx, y + h - my)
     denom = (2.0 * (w + h)) ** KAPPA
@@ -208,9 +208,8 @@ def _difference_cells(layout: WindowLayout, ctx: ScoreContext) -> np.ndarray:
 
 
 def score_grid(layout, ctx: ScoreContext) -> np.ndarray:
-    """Scores of every window of ``layout`` (a ``WindowLayout`` of the
-    frame's size, or a list of (w, h, xs, ys) grids with xs and ys sorted and
-    distinct), as one flat vector: shape by shape, each row-major over
+    """Scores of every window of ``layout``, a ``WindowLayout`` of the
+    frame's size, as one flat vector: shape by shape, each row-major over
     (ys, xs). Equal to score_boxes up to the summation order of the numerator.
 
     A group lies in the interior of the w x h box at (a, b) exactly when
@@ -223,8 +222,6 @@ def score_grid(layout, ctx: ScoreContext) -> np.ndarray:
     terms in the order a per-shape difference array would (corner kind, then
     group), so the scores are bitwise those of scoring each shape on its own.
     """
-    if not isinstance(layout, WindowLayout):
-        layout = WindowLayout(layout, ctx.width, ctx.height)
     cells = _difference_cells(layout, ctx)
     scores = np.empty(layout.window_start[-1])
     for s, (w, h, xs, ys) in enumerate(layout.grids):
@@ -324,7 +321,9 @@ def generate_proposals(edge_map, groups: list[EdgeGroup], config: PipelineConfig
 
     The windows of a frame size come from ``_window_layout``, which builds
     them at the first frame of that size and keeps the last few sizes; only
-    the pool's windows are decoded to boxes.
+    the pool's windows are decoded to boxes. Refinement can move several
+    windows onto one box; ``nms`` keeps the best-scoring of them, since
+    coincident boxes overlap at IoU 1 > PRE_NMS_BETA.
     """
     ctx = ScoreContext(edge_map, groups)
     layout = _window_layout(ctx.width, ctx.height, config.min_box_area)
@@ -338,14 +337,7 @@ def generate_proposals(edge_map, groups: list[EdgeGroup], config: PipelineConfig
     b = layout.boxes(top)
     order = np.lexsort((b[:, 3], b[:, 2], b[:, 1], b[:, 0], -scores[top]))[:pool]
     boxes, scores = _refine(b[order], scores[top[order]], ctx)
-
-    # dedupe identical refined boxes, keep the best score for each
-    uniq: dict[tuple, float] = {}
-    for b, s in zip(boxes.tolist(), scores.tolist()):
-        key = tuple(b)
-        if key not in uniq or s > uniq[key]:
-            uniq[key] = s
-    proposals = [Proposal(Box(*key), sc, frame_index) for key, sc in uniq.items()
-                 if sc > MIN_SCORE]
+    proposals = [Proposal(Box(*b), s, frame_index)
+                 for b, s in zip(boxes.tolist(), scores.tolist()) if s > MIN_SCORE]
     # nms returns its kept proposals ranked by (-score, x, y, w, h)
     return nms(proposals, PRE_NMS_BETA)[:config.max_proposals]

@@ -156,6 +156,50 @@ def test_edges_dir_without_maps_exits_3(tmp_path, capsys):
     assert str(edges) in err and "found 0 edge maps for 7 frames" in err
 
 
+def test_class_the_oracle_cannot_score_exits_2_before_any_output(tmp_path, capsys):
+    video = _synth(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"classes": ["red", "yellow"]}))
+    out = tmp_path / "det"
+    assert main(["detect", str(video / "frames"), "--out", str(out),
+                 "--config", str(config)]) == 2
+    assert "class 'yellow'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# each reader checks that a document or record is a JSON object holding the
+# keys it reads, and names the file (and, for JSON lines, the line)
+@pytest.mark.parametrize("case", ["spec-array", "gt-array", "pred-line-array",
+                                  "pred-without-class"])
+def test_malformed_json_input_exits_3_naming_the_file(tmp_path, capsys, case):
+    video = _synth(tmp_path)
+    capsys.readouterr()
+    array = tmp_path / "array.json"
+    array.write_text("[1, 2]\n")
+    pred = tmp_path / "pred.jsonl"
+    record = {"frame": 0, "x": 8, "y": 24, "w": 26, "h": 22, "class": "red"}
+    write_jsonl(pred, [record])
+    gt = video / "gt.json"
+    if case == "spec-array":
+        argv, message = ["synth", "--spec", str(array), "--out", str(tmp_path / "v")], \
+            f"{array}: expected a JSON object"
+    elif case == "gt-array":
+        argv, message = ["eval", "--pred", str(pred), "--gt", str(array)], \
+            f"{array}: expected a JSON object"
+    elif case == "pred-line-array":
+        pred.write_text(json.dumps(record) + "\n\n[1, 2]\n")
+        argv, message = ["eval", "--pred", str(pred), "--gt", str(gt)], \
+            f"{pred}, line 3: expected a JSON object"
+    else:
+        write_jsonl(pred, [{k: v for k, v in record.items() if k != "class"}])
+        argv, message = ["eval", "--pred", str(pred), "--gt", str(gt)], \
+            f"{pred}, line 1: no 'class' key"
+    if argv[0] == "eval":
+        argv += ["--mode", "detection"]
+    assert main(argv) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_frame_directory_without_frames_exits_3(tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     code = main(["detect", str(tmp_path / "empty"), "--out", str(tmp_path / "det")])

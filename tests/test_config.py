@@ -1,3 +1,4 @@
+import ast
 import json
 import re
 from dataclasses import fields
@@ -97,3 +98,25 @@ def test_every_field_is_read_outside_config_py():
             read |= set(re.findall(r"\bconfig\.(\w+)", path.read_text(encoding="utf-8")))
     unread = [f.name for f in fields(PipelineConfig) if f.name not in read]
     assert unread == []
+
+
+def test_every_private_helper_has_a_caller():
+    # a private module-level function or class that nothing outside its own
+    # definition names is dead code
+    package = Path(streamdet.__file__).parent
+    definitions, names_in = [], []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = {n.id if isinstance(n, ast.Name) else
+                     n.attr if isinstance(n, ast.Attribute) else n.name
+                     for n in ast.walk(node)
+                     if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+            names_in.append((node, names))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and node.name.startswith("_"):
+                definitions.append((path.name, node))
+    orphans = [(module, node.name) for module, node in definitions
+               if not any(node.name in names
+                          for other, names in names_in if other is not node)]
+    assert definitions
+    assert orphans == []

@@ -5,8 +5,8 @@ import pytest
 
 from streamdet import motion
 from streamdet.motion import (accumulate_prior, block_matching_flow,
-                              inside_outside_map, load_flow, motion_boundary,
-                              read_flow, temporal_edge, write_flow)
+                              inside_outside_map, motion_boundary, read_flow,
+                              temporal_edge, write_flow)
 
 
 def _textured(rng, h=48, w=48):
@@ -48,7 +48,7 @@ def test_flow_dimension_mismatch(tmp_path):
     path = tmp_path / "dim.flo"
     write_flow(path, np.zeros((5, 6, 2), dtype=np.float32))
     with pytest.raises(ValueError, match="frame"):
-        load_flow(path, frame_shape=(7, 6))
+        read_flow(path, frame_shape=(7, 6))
 
 
 def test_flow_from_external_writer_translation(tmp_path):

@@ -416,6 +416,29 @@ def test_command_classifier_reads_a_buffered_reply_without_waiting(monkeypatch):
     assert clf._proc.returncode is not None
 
 
+def test_command_classifier_that_exited_fails_the_next_request():
+    import sys
+    import streamdet.propagation as propagation
+    # replies to one request, then exits
+    once = ("import json, sys\n"
+            "n = len(json.loads(sys.stdin.readline())['boxes'])\n"
+            "print(json.dumps({'scores': [[0.7, 0.1, 0.1, 0.1]] * n}), flush=True)\n")
+    clf, _ = make_classifier(f"cmd:exec {sys.executable} -c \"{once}\"")
+    frame = np.zeros((8, 8, 3), dtype=np.uint8)
+    boxes = [Box(0, 0, 4, 4)]
+    try:
+        assert clf.classify(frame, boxes).shape == (1, 4)
+        proc = clf._proc
+        proc.wait(timeout=10)
+        # however long after the exit it comes, the request is not answered
+        # by a restarted classifier
+        with pytest.raises(propagation.ClassifierProtocolError):
+            clf.classify(frame, boxes)
+        assert clf._proc is proc
+    finally:
+        clf.close()
+
+
 def test_subsequences_with_at_most_one_window(monkeypatch):
     import streamdet.propagation as propagation
     from streamdet.proposals import Proposal

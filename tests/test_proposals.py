@@ -9,10 +9,11 @@ import streamdet.propagation
 from streamdet.config import PipelineConfig
 from streamdet.core import Box, iou
 from streamdet.edges import EdgeGroup, edge_groups
-from streamdet.proposals import (KAPPA, MAX_ASPECT, STEP_IOU, Proposal,
-                                 ScoreContext, WindowLayout, _window_grids,
-                                 _window_layout, generate_proposals, nms,
-                                 score_box_bruteforce, score_boxes, score_grid)
+from streamdet.proposals import (KAPPA, MAX_ASPECT, MIN_SCORE, PRE_NMS_BETA,
+                                 STEP_IOU, Proposal, ScoreContext, WindowLayout,
+                                 _refine, _window_grids, _window_layout,
+                                 generate_proposals, nms, score_box_bruteforce,
+                                 score_boxes, score_grid)
 from streamdet.synth import render
 
 SCENES = Path(__file__).resolve().parents[1] / "perfbench" / "scenes.py"
@@ -246,7 +247,8 @@ def test_score_grid_is_exactly_zero_where_no_group_lies():
     ctx = ScoreContext(np.zeros((12, 40), dtype=np.float32),
                        [group(2, 0.1), group(5, 0.2)], 0.1)
     xs, ys = np.arange(31), np.arange(3)
-    grid = score_grid([(10, 10, xs, ys)], ctx).reshape(len(ys), len(xs))
+    layout = WindowLayout([(10, 10, xs, ys)], 40, 12)
+    grid = score_grid(layout, ctx).reshape(len(ys), len(xs))
     boxes = [(x, y, 10, 10) for y in ys.tolist() for x in xs.tolist()]
     assert grid.ravel() == pytest.approx(score_boxes(boxes, ctx), rel=1e-12)
     assert (grid[:, 5:] == 0.0).all() and (grid[:, :5] > 0.0).all()
@@ -300,11 +302,17 @@ def test_table_containment_equals_broadcast_compare():
         assert np.array_equal(ctx.contained(x0, y0, x1, y1), expected)
 
 
-def _large_cli_first_frame():
-    """The first generate_proposals call of the large-cli bench workload
-    (500x500, scene seed 1), stopped before it runs."""
+# the bench workloads' proposal budgets
+BENCH_MAX_PROPOSALS = {"mover-dense": 40, "churn-cmd": 20, "large-cli": 15}
+
+
+def _bench_first_frame(name):
+    """The first generate_proposals call of a bench workload at scene seed 1,
+    stopped before it runs; large-cli computes its flow, as in the bench."""
     scenes = runpy.run_path(str(SCENES))
-    video = render(scenes["SPECS"]["large-cli"](1))
+    video = render(scenes["SPECS"][name](1))
+    flows = None if name == "large-cli" else video.flows
+    config = scenes["_config"](max_proposals=BENCH_MAX_PROPOSALS[name])
 
     class Captured(Exception):
         pass
@@ -315,8 +323,7 @@ def _large_cli_first_frame():
     real = streamdet.propagation.generate_proposals
     streamdet.propagation.generate_proposals = capture
     try:
-        next(streamdet.propagation.stream_cluster(
-            video.frames, None, scenes["_config"](max_proposals=15)))
+        next(streamdet.propagation.stream_cluster(video.frames, flows, config))
     except Captured as got:
         return got.args
     finally:
@@ -326,7 +333,7 @@ def _large_cli_first_frame():
 
 def test_proposal_memory_peak_on_a_500px_frame():
     # the window layout is built inside the measured call
-    args, kwargs = _large_cli_first_frame()
+    args, kwargs = _bench_first_frame("large-cli")
     assert len(args[1]) > 500            # groups
     _window_layout.cache_clear()
     tracing = tracemalloc.is_tracing()
@@ -340,6 +347,39 @@ def test_proposal_memory_peak_on_a_500px_frame():
         if not tracing:
             tracemalloc.stop()
     assert peak_mb < PEAK_BOUND_MB
+
+
+def _dedupe_then_nms(edge_map, groups, config, frame_index=0):
+    """generate_proposals with a dict that keeps each refined box once, at
+    its best score, before nms: the reference that nms alone must equal.
+    Also returns how many refined boxes the dict dropped."""
+    ctx = ScoreContext(edge_map, groups)
+    layout = _window_layout(ctx.width, ctx.height, config.min_box_area)
+    scores = score_grid(layout, ctx)
+    pool = min(len(scores), 4 * config.max_proposals)
+    top = np.flatnonzero(scores >= -np.partition(-scores, pool - 1)[pool - 1])
+    b = layout.boxes(top)
+    order = np.lexsort((b[:, 3], b[:, 2], b[:, 1], b[:, 0], -scores[top]))[:pool]
+    boxes, scores = _refine(b[order], scores[top[order]], ctx)
+    best: dict[tuple, float] = {}
+    for box, score in zip(map(tuple, boxes.tolist()), scores.tolist()):
+        best[box] = max(score, best.get(box, score))
+    kept = [Proposal(Box(*box), score, frame_index) for box, score in best.items()
+            if score > MIN_SCORE]
+    return nms(kept, PRE_NMS_BETA)[:config.max_proposals], len(boxes) - len(best)
+
+
+def test_nms_alone_drops_coincident_refined_boxes():
+    dropped = 0
+    for name in BENCH_MAX_PROPOSALS:
+        args, kwargs = _bench_first_frame(name)
+        proposals = generate_proposals(*args, **kwargs)
+        boxes = [p.box.as_tuple() for p in proposals]
+        assert len(set(boxes)) == len(boxes), name
+        reference, coincident = _dedupe_then_nms(*args, **kwargs)
+        assert proposals == reference, name
+        dropped += coincident
+    assert dropped > 0     # refinement does move windows onto one box
 
 
 def _loop_candidates(width, height, min_area, step_iou, max_aspect):
