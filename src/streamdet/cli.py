@@ -24,32 +24,44 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_CLASSIFIER = 4
 
-_BOX = ("x", "y", "w", "h")
+# the keys each JSON input must hold, and their value types (see
+# imio._check_object: float takes any number; None takes any value)
+_SPEC_KEYS = {"n_frames": int, "width": int, "height": int}
+_SPEC_OBJECT_KEYS = {"color": str, "size": (int, int), "start": (int, int)}
+_BOX = {"x": float, "y": float, "w": float, "h": float}
+_TRACK = {"frame": int, "global_id": int, **_BOX}
+_GT = {"id": None, **_BOX}
 # per eval mode, the keys it reads of a prediction and of a ground-truth object
-_EVAL_KEYS = {"recall": (("frame",) + _BOX, _BOX),
-              "purity": (("frame", "global_id") + _BOX, ("id",) + _BOX),
-              "consistency": (("frame", "global_id") + _BOX, ("id",) + _BOX),
-              "detection": (("frame", "class") + _BOX, ("id", "class") + _BOX)}
+_EVAL_KEYS = {"recall": ({"frame": int, **_BOX}, _BOX),
+              "purity": (_TRACK, _GT),
+              "consistency": (_TRACK, _GT),
+              "detection": ({"frame": int, "class": str, **_BOX}, {**_GT, "class": str})}
 
 
 def _add_stream_args(parser: argparse.ArgumentParser):
     """Inputs, output and config flags of propose, cluster and detect."""
-    parser.add_argument("frames_dir")
+    parser.add_argument("frames_dir", help="directory of .ppm frames, ordered by "
+                                           "the numbers in their names")
     parser.add_argument("--flow-dir", help="directory of .flo files (frame t -> t+1)")
-    parser.add_argument("--out", required=True)
+    parser.add_argument("--out", required=True, metavar="DIR",
+                        help="output directory, created if missing")
     parser.add_argument("--config", metavar="PATH",
                         help="JSON config file; its keys, types and ranges are "
                              "listed in the docstring of "
                              "streamdet.config.PipelineConfig")
     parser.add_argument("--lambda", dest="lam", type=float, metavar="F",
                         help="temporal edge weight in [0, 1]")
-    parser.add_argument("--subseq-len", type=int, metavar="N")
+    parser.add_argument("--subseq-len", type=int, metavar="N",
+                        help="frames per sub-sequence in [3, 5]; consecutive "
+                             "ones share one frame")
     parser.add_argument("--k", metavar="N|auto",
                         help="cluster count, or 'auto' for self-tuning")
-    parser.add_argument("--rho", type=float, metavar="F")
-    parser.add_argument("--tau-kl", type=float, metavar="F")
-    parser.add_argument("--max-proposals", type=int, metavar="N")
-    parser.add_argument("--seed", type=int, metavar="N")
+    parser.add_argument("--rho", type=float, metavar="F", help="PMI exponent, > 0")
+    parser.add_argument("--tau-kl", type=float, metavar="F",
+                        help="KL threshold for inheriting a cluster's label, > 0")
+    parser.add_argument("--max-proposals", type=int, metavar="N",
+                        help="proposals per frame, >= 1")
+    parser.add_argument("--seed", type=int, metavar="N", help="clustering seed, >= 0")
     parser.add_argument("--resize", type=int, metavar="N",
                         help="square resize target; 0, or no flag, keeps the "
                              "native size. --flow-dir files and edges_dir maps "
@@ -123,9 +135,8 @@ def _inputs(args):
 
 
 def cmd_synth(args) -> int:
-    doc = read_json(args.spec, ("n_frames", "width", "height"))
-    check_objects(doc.get("objects", []), ("color", "size", "start"),
-                  f"{args.spec}: objects")
+    doc = read_json(args.spec, _SPEC_KEYS)
+    check_objects(doc.get("objects", []), _SPEC_OBJECT_KEYS, f"{args.spec}: objects")
     spec = spec_from_dict(doc)
     video = render(spec)
     os.makedirs(args.out, exist_ok=True)
@@ -197,9 +208,10 @@ def cmd_detect(args) -> int:
 
 def cmd_eval(args) -> int:
     pred_keys, gt_keys = _EVAL_KEYS[args.mode]
-    gt_doc = read_json(args.gt, ("frames", "classes")
-                       if args.mode == "detection" else ("frames",))
-    frames = check_objects(gt_doc["frames"], ("index", "objects"), f"{args.gt}: frames")
+    gt_doc = read_json(args.gt, {"frames": None, "classes": list}
+                       if args.mode == "detection" else {"frames": None})
+    frames = check_objects(gt_doc["frames"], {"index": int, "objects": None},
+                           f"{args.gt}: frames")
     for n, frame in enumerate(frames):
         check_objects(frame["objects"], gt_keys, f"{args.gt}: frames[{n}].objects")
     gts = gt_index(gt_doc)
@@ -256,7 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
         _add_stream_args(p)
         p.set_defaults(func=func)
         if func is cmd_detect:
-            p.add_argument("--classifier", metavar="oracle|always|cmd:COMMAND")
+            p.add_argument("--classifier", metavar="oracle|always|cmd:COMMAND",
+                           help="the colour oracle; the oracle on every cluster, "
+                                "with no label propagation; or a command "
+                                "speaking the JSON-lines protocol of "
+                                "streamdet.propagation.CommandClassifier")
 
     p = sub.add_parser("eval", help="score predictions against ground truth")
     p.add_argument("--pred", required=True, help="JSON-lines predictions")

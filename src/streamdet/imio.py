@@ -1,5 +1,6 @@
 """Frame and mask I/O: binary PPM/PGM, nearest-neighbor resize, and JSON and
-JSON-lines files whose records are checked to be objects with given keys."""
+JSON-lines files whose records are checked to be objects with given keys and
+value types."""
 
 from __future__ import annotations
 
@@ -120,21 +121,42 @@ def write_jsonl(path, records) -> None:
             fh.write(json.dumps(rec, separators=(", ", ": ")) + "\n")
 
 
-def _check_object(data, keys, where: str) -> dict:
-    """``data`` if it is a JSON object holding every key in ``keys``; else a
-    ValueError naming ``where``."""
+# wording of each expected value type; float stands for any number
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
+               list: "an array", (int, int): "two integers"}
+
+
+def _has_type(value, kind) -> bool:
+    """Whether a JSON value is of ``kind``: a type (float takes any number,
+    and bool counts as none of them) or a tuple of kinds, one per item of an
+    array that long."""
+    if isinstance(kind, tuple):
+        return (isinstance(value, list) and len(value) == len(kind)
+                and all(map(_has_type, value, kind)))
+    return (isinstance(value, (int, float) if kind is float else kind)
+            and not isinstance(value, bool))
+
+
+def _check_object(data, keys: dict, where: str) -> dict:
+    """``data`` if it is a JSON object holding every key in ``keys`` with a
+    value of the type it maps to (None: any value); else a ValueError naming
+    ``where``."""
     if not isinstance(data, dict):
         raise ValueError(f"{where}: expected a JSON object, got "
                          f"{json.dumps(data)[:40]}")
-    for key in keys:
+    for key, kind in keys.items():
         if key not in data:
             raise ValueError(f"{where}: no {key!r} key")
+        if kind is not None and not _has_type(data[key], kind):
+            raise ValueError(f"{where}: {key!r} must be {_TYPE_NAMES[kind]}, "
+                             f"got {json.dumps(data[key])[:40]}")
     return data
 
 
-def check_objects(items, keys, where: str) -> list[dict]:
+def check_objects(items, keys: dict, where: str) -> list[dict]:
     """``items`` if it is a JSON array of objects that each hold every key in
-    ``keys``; else a ValueError naming ``where`` and the item's index."""
+    ``keys`` with a value of its type (see ``_check_object``); else a
+    ValueError naming ``where`` and the item's index."""
     if not isinstance(items, list):
         raise ValueError(f"{where}: expected a JSON array, got "
                          f"{json.dumps(items)[:40]}")
@@ -143,9 +165,10 @@ def check_objects(items, keys, where: str) -> list[dict]:
     return items
 
 
-def read_json(path, keys) -> dict:
-    """A JSON document that must be an object holding every key in ``keys``;
-    anything else raises a ValueError naming the file."""
+def read_json(path, keys: dict) -> dict:
+    """A JSON document that must be an object holding every key in ``keys``
+    with a value of its type (see ``_check_object``); anything else raises a
+    ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -154,10 +177,11 @@ def read_json(path, keys) -> dict:
     return _check_object(data, keys, str(path))
 
 
-def read_jsonl(path, keys=()) -> list[dict]:
+def read_jsonl(path, keys: dict | None = None) -> list[dict]:
     """The records of a JSON-lines file, one per non-blank line; a line that
-    is not a JSON object holding every key in ``keys`` raises a ValueError
-    naming the file and the line."""
+    is not a JSON object holding every key in ``keys`` with a value of its
+    type (see ``_check_object``) raises a ValueError naming the file and the
+    line."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for n, line in enumerate(fh, 1):
@@ -168,5 +192,5 @@ def read_jsonl(path, keys=()) -> list[dict]:
                     data = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise ValueError(f"{where}: not valid JSON ({exc})") from None
-                records.append(_check_object(data, keys, where))
+                records.append(_check_object(data, keys or {}, where))
     return records

@@ -132,6 +132,7 @@ class OracleColorClassifier:
             if name not in self._channel:
                 raise ConfigError(f"the oracle classifier cannot score class "
                                   f"{name!r}; it scores {', '.join(self._channel)}")
+        self._columns = [self._channel[name] for name in self.classes]
 
     def classify(self, frame, boxes, frame_path=None) -> np.ndarray:
         arr = np.asarray(frame, dtype=np.float64)
@@ -139,11 +140,8 @@ class OracleColorClassifier:
         for bi, box in enumerate(boxes):
             patch = arr[box.y:box.y2, box.x:box.x2]
             mean = patch.reshape(-1, 3).mean(axis=0)
-            total = max(mean.sum(), 1e-9)
-            frac = mean / total
-            for ci, name in enumerate(self.classes):
-                out[bi, ci] = frac[self._channel[name]]
-            out[bi, -1] = 1.0 - out[bi, :-1].max()
+            out[bi, :-1] = (mean / max(mean.sum(), 1e-9))[self._columns]
+        out[:, -1] = 1.0 - out[:, :-1].max(axis=1)
         return out
 
 
@@ -160,7 +158,10 @@ class CommandClassifier:
     pixel coordinates. Each reply is one line on its stdout,
     {"scores": [[...], ...]}: one row per box, in request order, holding one
     score per class in ``classes`` order (the config's ``classes``) and then
-    the background score.
+    the background score. ``detect_stream`` sends at most one request per
+    frame of each sub-sequence and never sends a window twice in a stream;
+    when a request fails, the stats it leaves count the windows of every
+    reply received before it.
 
     classify raises ClassifierProtocolError, on which ``streamdet detect``
     exits 4, when writing the request or reading the reply fails, when no
@@ -448,72 +449,82 @@ def detect_stream(frames, flow_source, config: PipelineConfig, classifier,
     DET_NMS_BETA; the detections come out in (frame, -confidence, box) order.
     The returned registry holds the last sub-sequence's clusters.
 
+    Each sub-sequence makes at most one classifier request per frame, holding
+    the windows of its classified clusters that have no score yet, and a
+    window keeps its score for the next sub-sequence when it lies in the frame
+    the two share, so each window is scored once per stream.
+
     The stats count each record on arrival, before any classifier call (one
     sub-sequence, its emitted frames' proposals as windows, its new ids as
-    created clusters), so a ClassifierProtocolError's partial stats include
-    the sub-sequence that failed. A window of the frame two sub-sequences
-    share counts as classified once.
+    created clusters), and each reply's rows as classified windows as it
+    arrives, so a ClassifierProtocolError's partial stats include the
+    sub-sequence that failed and the windows of every reply received.
     """
     registry = ClusterRegistry()
     stats = StreamStats(frames=len(frames))
     detections: list[Detection] = []
     height, width = np.asarray(frames[0]).shape[:2]
-    # classified (frame, slot) windows of the one frame a record shares
-    done_windows: set[tuple[int, int]] = set()
+    # classifier score row per (frame, slot) window; a record keeps only
+    # those of the frame it shares with the record before
+    scores: dict[tuple[int, int], np.ndarray] = {}
 
     try:
         for rec in stream_cluster(frames, flow_source, config, registry, edge_maps):
-            done_windows = {w for w in done_windows if w[0] == rec.frame_ids[0]}
+            scores = {w: row for w, row in scores.items() if w[0] == rec.frame_ids[0]}
             stats.subsequences += 1
             stats.total_windows += sum(p.frame_index in rec.emit_frames
                                        for p in rec.proposals)
             stats.clusters_created += len(rec.new_ids)
+            classified = {lab for lab, gid in rec.global_ids.items()
+                          if gid in rec.new_ids or config.classify_always}
+            # proposals are in (frame, slot) order, so each frame is one run
+            unscored = sorted(m for lab in classified for m in rec.cluster_members[lab]
+                              if rec.window_ids[m] not in scores)
+            for fi, run in groupby(unscored, key=lambda m: rec.window_ids[m][0]):
+                run = list(run)
+                path = frame_paths[fi] if frame_paths is not None else None
+                rows = classifier.classify(
+                    frames[fi], [rec.proposals[m].box for m in run], frame_path=path)
+                stats.classifier_calls += 1
+                stats.classified_windows += len(run)
+                scores.update(zip((rec.window_ids[m] for m in run), rows))
             sub_dets: list[Detection] = []
             for lab in sorted(rec.cluster_members):
                 members = rec.cluster_members[lab]
                 gid = rec.global_ids[lab]
                 entry = registry[gid]
-                # proposals are in frame order, so each frame's members are one run
-                frame_props = {fi: list(run) for fi, run in groupby(
-                    (rec.proposals[m] for m in members), key=lambda p: p.frame_index)}
-                classified = gid in rec.new_ids or config.classify_always
+                frame_members = {fi: list(run) for fi, run in groupby(
+                    members, key=lambda m: rec.window_ids[m][0])}
 
-                if classified:
-                    frame_scores = {}
-                    for fi, props in frame_props.items():
-                        path = frame_paths[fi] if frame_paths is not None else None
-                        frame_scores[fi] = classifier.classify(
-                            frames[fi], [p.box for p in props], frame_path=path)
-                        stats.classifier_calls += 1
-                    windows = {rec.window_ids[m] for m in members} - done_windows
-                    stats.classified_windows += len(windows)
-                    done_windows |= windows
-                    member_scores = np.vstack(list(frame_scores.values()))
+                if lab in classified:
+                    member_scores = np.array([scores[rec.window_ids[m]] for m in members])
                     pooled = member_scores.max(axis=0)
                     best_c = int(np.argmax(pooled[:-1]))
                     entry.confidence = float(pooled[best_c])
                     entry.label = None
                     if entry.confidence >= CONFIDENCE_THRESHOLD:
                         entry.label = classifier.classes[best_c]
-                        top = int(np.argmax(member_scores[:, best_c]))
-                        best = rec.proposals[members[top]]
-                        record_offset(registry, gid, best.box,
-                                      frame_location(frame_props[best.frame_index]))
+                        best = members[int(np.argmax(member_scores[:, best_c]))]
+                        best_frame = frame_members[rec.window_ids[best][0]]
+                        record_offset(registry, gid, rec.proposals[best].box,
+                                      frame_location([rec.proposals[m] for m in best_frame]))
 
                 if entry.label is None:
                     continue
                 for fi in rec.emit_frames:
-                    if fi not in frame_props:
+                    if fi not in frame_members:
                         continue
-                    if classified:
-                        top = int(np.argmax(frame_scores[fi][:, best_c]))
-                        box = frame_props[fi][top].box
+                    if lab in classified:
+                        top = max(frame_members[fi],
+                                  key=lambda m: scores[rec.window_ids[m]][best_c])
+                        box = rec.proposals[top].box
                     else:
-                        box = propagate_localization(frame_location(frame_props[fi]),
-                                                     entry.offset, (width, height))
+                        box = propagate_localization(
+                            frame_location([rec.proposals[m] for m in frame_members[fi]]),
+                            entry.offset, (width, height))
                     sub_dets.append(Detection(
                         fi, box, entry.label, entry.confidence,
-                        "classified" if classified else "propagated", gid))
+                        "classified" if lab in classified else "propagated", gid))
             detections.extend(_detection_nms(sub_dets, DET_NMS_BETA))
     except ClassifierProtocolError as exc:
         exc.partial = (detections, stats)

@@ -57,6 +57,16 @@ def test_flags_a_command_does_not_read_are_rejected(argv, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["propose", "cluster", "detect"])
+def test_every_stream_option_has_help(command):
+    import argparse
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    actions = sub.choices[command]._actions
+    assert len(actions) > 10
+    assert [a.dest for a in actions if not (a.help or "").strip()] == []
+
+
 def _synth(tmp_path):
     spec = {"n_frames": 7, "width": 96, "height": 72, "seed": 2, "noise": 8.0,
             "objects": [{"color": "red", "size": [26, 22], "start": [8, 24],
@@ -196,6 +206,37 @@ def test_malformed_json_input_exits_3_naming_the_file(tmp_path, capsys, case):
             f"{pred}, line 1: no 'class' key"
     if argv[0] == "eval":
         argv += ["--mode", "detection"]
+    assert main(argv) == 3
+    assert message in capsys.readouterr().err
+
+
+# a value of the wrong type exits 3 too, naming the file, the line or item
+# and the key
+@pytest.mark.parametrize("case", ["spec-width-string", "recall-x-string",
+                                  "recall-frame-array", "consistency-id-string"])
+def test_json_value_of_the_wrong_type_exits_3_naming_the_file(tmp_path, capsys, case):
+    video = _synth(tmp_path)
+    capsys.readouterr()
+    record = {"frame": 0, "x": 8, "y": 24, "w": 26, "h": 22, "global_id": 1}
+    pred = tmp_path / "pred.jsonl"
+    eval_argv = ["eval", "--pred", str(pred), "--gt", str(video / "gt.json"), "--mode"]
+    if case == "spec-width-string":
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_frames": 3, "width": "64", "height": 48}))
+        argv = ["synth", "--spec", str(spec), "--out", str(tmp_path / "v")]
+        message = f"{spec}: 'width' must be an integer, got \"64\""
+    elif case == "recall-x-string":
+        write_jsonl(pred, [record, dict(record, x="a")])
+        argv = eval_argv + ["recall"]
+        message = f"{pred}, line 2: 'x' must be a number, got \"a\""
+    elif case == "recall-frame-array":
+        write_jsonl(pred, [dict(record, frame=[0])])
+        argv = eval_argv + ["recall"]
+        message = f"{pred}, line 1: 'frame' must be an integer, got [0]"
+    else:
+        write_jsonl(pred, [dict(record, global_id="a")])
+        argv = eval_argv + ["consistency"]
+        message = f"{pred}, line 1: 'global_id' must be an integer, got \"a\""
     assert main(argv) == 3
     assert message in capsys.readouterr().err
 

@@ -3,8 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from streamdet.imio import (list_frames, read_pgm, read_ppm, resize_nearest,
-                            write_pgm, write_ppm)
+from streamdet.imio import (check_objects, list_frames, read_pgm, read_ppm,
+                            resize_nearest, write_pgm, write_ppm)
 
 
 def test_header_comments_are_skipped(tmp_path):
@@ -60,3 +60,19 @@ def test_resize_nearest():
     # target row i reads source row i * 3 // 6, target column j reads j * 4 // 2
     assert resize_nearest(img, (2, 6)).tolist() == [
         [0, 2], [0, 2], [4, 6], [4, 6], [8, 10], [8, 10]]
+
+
+def test_check_objects_checks_each_value_type():
+    keys = {"size": (int, int), "x": float, "name": str, "any": None}
+    good = {"size": [2, 3], "x": 1.5, "name": "a", "any": [None]}
+    items = [good, dict(good, x=2, any="b")]
+    assert check_objects(items, keys, "doc") is items
+    # bool is a JSON true/false, not a number
+    for bad, message in [(dict(good, size=[2]), "'size' must be two integers, got [2]"),
+                         (dict(good, size=[2, True]), "'size' must be two integers"),
+                         (dict(good, size=[2, 3.0]), "'size' must be two integers"),
+                         (dict(good, x=True), "'x' must be a number, got true"),
+                         (dict(good, name=1), "'name' must be a string, got 1")]:
+        with pytest.raises(ValueError) as exc:
+            check_objects([good, bad], keys, "doc")
+        assert str(exc.value).startswith("doc[1]: ") and message in str(exc.value)

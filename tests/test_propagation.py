@@ -177,14 +177,16 @@ class _RecordingClassifier(OracleColorClassifier):
 
 def _expected_calls(video, config):
     """(frame, boxes) of each call the stream should make, in its order: one
-    per frame of every cluster new in its sub-sequence."""
-    calls = []
+    per frame of each sub-sequence, holding in slot order the windows of the
+    clusters new in it that no earlier call scored."""
+    calls, scored = [], set()
     for rec in stream_cluster(video.frames, video.flows, config):
-        for lab in sorted(rec.cluster_members):
-            if rec.global_ids[lab] in rec.new_ids:
-                props = [rec.proposals[m] for m in rec.cluster_members[lab]]
-                calls += [(fi, [p.box for p in run]) for fi, run in
-                          groupby(props, key=lambda p: p.frame_index)]
+        new = sorted(m for lab, members in rec.cluster_members.items()
+                     if rec.global_ids[lab] in rec.new_ids for m in members
+                     if rec.window_ids[m] not in scored)
+        scored.update(rec.window_ids[m] for m in new)
+        calls += [(fi, [rec.proposals[m].box for m in run]) for fi, run in
+                  groupby(new, key=lambda m: rec.window_ids[m][0])]
     return calls
 
 
@@ -487,14 +489,57 @@ def test_stats_count_classified_windows_and_calls(scene, always):
     video = scene()
     config = _scene_config(classify_always=always)
     # every window of a classified cluster, over the whole stream; a window of
-    # a shared frame is the same (frame, slot) in both of its records
+    # a shared frame is the same (frame, slot) in both of its records. Each
+    # record makes one call per frame holding windows no earlier call scored
     windows, calls = set(), 0
     for rec in stream_cluster(video.frames, video.flows, config):
-        for lab, members in rec.cluster_members.items():
-            if always or rec.global_ids[lab] in rec.new_ids:
-                windows.update(rec.window_ids[m] for m in members)
-                calls += len({rec.proposals[m].frame_index for m in members})
+        unscored = {rec.window_ids[m] for lab, members in rec.cluster_members.items()
+                    if always or rec.global_ids[lab] in rec.new_ids
+                    for m in members} - windows
+        windows |= unscored
+        calls += len({fi for fi, _ in unscored})
     _, stats, _ = detect_stream(video.frames, video.flows, config,
                                 OracleColorClassifier())
     assert stats.classified_windows == len(windows) > 0
     assert stats.classifier_calls == calls
+
+
+@pytest.mark.parametrize("always", [False, True], ids=["new-only", "always"])
+@pytest.mark.parametrize("scene", [_single_mover, _new_object])
+def test_each_window_is_scored_once_in_one_request_per_frame(monkeypatch, scene, always):
+    import streamdet.propagation as propagation
+    video = scene()
+    clf = _RecordingClassifier(video.frames)
+    record_starts = []          # clf.calls' length as each record arrives
+
+    def marking(*args, **kwargs):
+        for rec in stream_cluster(*args, **kwargs):
+            record_starts.append(len(clf.calls))
+            yield rec
+    monkeypatch.setattr(propagation, "stream_cluster", marking)
+    _, stats, _ = detect_stream(video.frames, video.flows,
+                                _scene_config(classify_always=always), clf)
+    received = [(fi, box) for fi, boxes in clf.calls for box in boxes]
+    assert len(set(received)) == len(received) == stats.classified_windows > 0
+    assert len(clf.calls) == stats.classifier_calls
+    bounds = record_starts + [len(clf.calls)]
+    for start, end in zip(bounds, bounds[1:]):
+        call_frames = [fi for fi, _ in clf.calls[start:end]]
+        assert call_frames == sorted(set(call_frames))
+
+
+def test_partial_stats_count_the_windows_of_every_reply_received():
+    from streamdet.propagation import ClassifierProtocolError
+    video = _new_object()
+
+    class FailsThirdRequest(_RecordingClassifier):
+        def classify(self, frame, boxes, frame_path=None):
+            if len(self.calls) == 2:
+                raise ClassifierProtocolError("no reply")
+            return super().classify(frame, boxes, frame_path)
+    clf = FailsThirdRequest(video.frames)
+    with pytest.raises(ClassifierProtocolError) as exc:
+        detect_stream(video.frames, video.flows, _scene_config(), clf)
+    _, stats = exc.value.partial
+    assert stats.classifier_calls == 2
+    assert stats.classified_windows == sum(len(boxes) for _, boxes in clf.calls) > 0
