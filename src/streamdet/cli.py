@@ -24,10 +24,13 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_CLASSIFIER = 4
 
-# the keys each JSON input must hold, and their value types (see
-# imio._check_object: float takes any number; None takes any value)
+# the keys each JSON input must hold, those it may hold (_OPTIONAL), and
+# their value types (see imio._check_object: float takes any number; None
+# takes any value)
 _SPEC_KEYS = {"n_frames": int, "width": int, "height": int}
+_SPEC_OPTIONAL = {"seed": int, "noise": float, "background_level": float}
 _SPEC_OBJECT_KEYS = {"color": str, "size": (int, int), "start": (int, int)}
+_SPEC_OBJECT_OPTIONAL = {"velocity": (int, int), "enter": int, "exit": int | None}
 _BOX = {"x": float, "y": float, "w": float, "h": float}
 _TRACK = {"frame": int, "global_id": int, **_BOX}
 _GT = {"id": None, **_BOX}
@@ -36,6 +39,8 @@ _EVAL_KEYS = {"recall": ({"frame": int, **_BOX}, _BOX),
               "purity": (_TRACK, _GT),
               "consistency": (_TRACK, _GT),
               "detection": ({"frame": int, "class": str, **_BOX}, {**_GT, "class": str})}
+# per eval mode, the optional keys of a prediction it reads
+_EVAL_OPTIONAL = {"recall": {"score": float}, "detection": {"confidence": float}}
 
 
 def _add_stream_args(parser: argparse.ArgumentParser):
@@ -135,8 +140,9 @@ def _inputs(args):
 
 
 def cmd_synth(args) -> int:
-    doc = read_json(args.spec, _SPEC_KEYS)
-    check_objects(doc.get("objects", []), _SPEC_OBJECT_KEYS, f"{args.spec}: objects")
+    doc = read_json(args.spec, _SPEC_KEYS, _SPEC_OPTIONAL)
+    check_objects(doc.get("objects", []), _SPEC_OBJECT_KEYS, f"{args.spec}: objects",
+                  _SPEC_OBJECT_OPTIONAL)
     spec = spec_from_dict(doc)
     video = render(spec)
     os.makedirs(args.out, exist_ok=True)
@@ -215,7 +221,7 @@ def cmd_eval(args) -> int:
     for n, frame in enumerate(frames):
         check_objects(frame["objects"], gt_keys, f"{args.gt}: frames[{n}].objects")
     gts = gt_index(gt_doc)
-    preds = read_jsonl(args.pred, pred_keys)
+    preds = read_jsonl(args.pred, pred_keys, _EVAL_OPTIONAL.get(args.mode))
     if args.mode == "recall":
         by_frame: dict = {}
         for rec in preds:

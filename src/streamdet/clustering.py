@@ -10,6 +10,7 @@ import numpy as np
 
 from .affinity import (HIST_BINS, N_HIST, ProductKDE, _fit_pca, _loo_correct,
                        silverman_bandwidths)
+from .core import Box
 
 KL_EPS = 1e-12
 LOCAL_SCALE_KNN = 7      # self-tuning's local scale: the 7th neighbor's distance
@@ -254,9 +255,16 @@ def kl_divergence(p: ClusterDescriptor, q: ClusterDescriptor) -> float:
 
 @dataclass
 class RegistryEntry:
+    """A cluster's state between sub-sequences. ``box`` is a labelled
+    cluster's last box and ``box_frame`` the frame it belongs to. ``offset``
+    has no reader in the pipeline; it stays while ``record_offset``, which
+    writes it, is traced by name by the benchmark."""
+
     descriptor: ClusterDescriptor
     label: str | None = None
     confidence: float = 0.0
+    box: Box | None = None
+    box_frame: int | None = None
     offset: np.ndarray | None = None   # localization offset d (4-vector)
 
 
@@ -288,10 +296,10 @@ def associate_clusters(descriptors: list[ClusterDescriptor],
     sub-sequence, then make the registry hold exactly the current ones.
 
     Greedy one-to-one matching in ascending KL order; a match below tau_kl
-    inherits the global id together with its entry (label, confidence and
-    offset), everything else gets a fresh id. Ties break on the lower global
-    id. Previous clusters left unmatched are dropped. Returns (global id per
-    cluster, set of new ids).
+    inherits the global id together with its entry (label, confidence, and
+    last box with its frame), everything else gets a fresh id. Ties break on
+    the lower global id. Previous clusters left unmatched are dropped.
+    Returns (global id per cluster, set of new ids).
 
     ``subseq_index`` is not read; it stays the fourth positional parameter
     because ``perfbench/tracing.py`` records it from there.

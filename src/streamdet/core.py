@@ -98,15 +98,18 @@ def as_field(data, dtype=np.float32) -> np.ndarray:
 class IntegralImage:
     """Zero-padded cumulative-sum table over a 2-D field.
 
-    Sums accumulate in float64 regardless of the source dtype; any rectangle
-    sum is four table lookups.
+    Sums accumulate in ``dtype`` (float64 by default; an integer type counts
+    a mask exactly in less memory) regardless of the source dtype; any
+    rectangle sum is four table lookups.
     """
 
-    def __init__(self, field):
-        field = as_field(field, dtype=np.float64)
+    def __init__(self, field, dtype=np.float64):
+        field = as_field(field, dtype=None)
         self.height, self.width = field.shape
-        table = np.zeros((self.height + 1, self.width + 1), dtype=np.float64)
-        table[1:, 1:] = field.cumsum(axis=0).cumsum(axis=1)
+        table = np.zeros((self.height + 1, self.width + 1), dtype=dtype)
+        inner = table[1:, 1:]
+        np.cumsum(field, axis=0, dtype=dtype, out=inner)
+        np.cumsum(inner, axis=1, dtype=dtype, out=inner)
         self.table = table
 
     def rect_sums(self, x0, y0, x1, y1) -> np.ndarray:

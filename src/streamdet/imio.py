@@ -123,13 +123,14 @@ def write_jsonl(path, records) -> None:
 
 # wording of each expected value type; float stands for any number
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
-               list: "an array", (int, int): "two integers"}
+               list: "an array", (int, int): "two integers",
+               int | None: "an integer or null"}
 
 
 def _has_type(value, kind) -> bool:
-    """Whether a JSON value is of ``kind``: a type (float takes any number,
-    and bool counts as none of them) or a tuple of kinds, one per item of an
-    array that long."""
+    """Whether a JSON value is of ``kind``: a type or a union of types (float
+    takes any number, and bool counts as none of them) or a tuple of kinds,
+    one per item of an array that long."""
     if isinstance(kind, tuple):
         return (isinstance(value, list) and len(value) == len(kind)
                 and all(map(_has_type, value, kind)))
@@ -137,51 +138,57 @@ def _has_type(value, kind) -> bool:
             and not isinstance(value, bool))
 
 
-def _check_object(data, keys: dict, where: str) -> dict:
-    """``data`` if it is a JSON object holding every key in ``keys`` with a
-    value of the type it maps to (None: any value); else a ValueError naming
+def _check_object(data, keys: dict, where: str, optional: dict | None = None) -> dict:
+    """``data`` if it is a JSON object holding every key in ``keys``, and
+    each key in ``keys`` or ``optional`` that it holds with a value of the
+    type the key maps to (None: any value); else a ValueError naming
     ``where``."""
     if not isinstance(data, dict):
         raise ValueError(f"{where}: expected a JSON object, got "
                          f"{json.dumps(data)[:40]}")
-    for key, kind in keys.items():
+    for key, kind in (keys | (optional or {})).items():
         if key not in data:
-            raise ValueError(f"{where}: no {key!r} key")
-        if kind is not None and not _has_type(data[key], kind):
+            if key in keys:
+                raise ValueError(f"{where}: no {key!r} key")
+        elif kind is not None and not _has_type(data[key], kind):
             raise ValueError(f"{where}: {key!r} must be {_TYPE_NAMES[kind]}, "
                              f"got {json.dumps(data[key])[:40]}")
     return data
 
 
-def check_objects(items, keys: dict, where: str) -> list[dict]:
+def check_objects(items, keys: dict, where: str,
+                  optional: dict | None = None) -> list[dict]:
     """``items`` if it is a JSON array of objects that each hold every key in
-    ``keys`` with a value of its type (see ``_check_object``); else a
-    ValueError naming ``where`` and the item's index."""
+    ``keys``, with a value of its type, and any key of ``optional`` with a
+    value of its type (see ``_check_object``); else a ValueError naming
+    ``where`` and the item's index."""
     if not isinstance(items, list):
         raise ValueError(f"{where}: expected a JSON array, got "
                          f"{json.dumps(items)[:40]}")
     for n, item in enumerate(items):
-        _check_object(item, keys, f"{where}[{n}]")
+        _check_object(item, keys, f"{where}[{n}]", optional)
     return items
 
 
-def read_json(path, keys: dict) -> dict:
+def read_json(path, keys: dict, optional: dict | None = None) -> dict:
     """A JSON document that must be an object holding every key in ``keys``
-    with a value of its type (see ``_check_object``); anything else raises a
-    ValueError naming the file."""
+    with a value of its type, and any key of ``optional`` with a value of its
+    type (see ``_check_object``); anything else raises a ValueError naming
+    the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from None
-    return _check_object(data, keys, str(path))
+    return _check_object(data, keys, str(path), optional)
 
 
-def read_jsonl(path, keys: dict | None = None) -> list[dict]:
+def read_jsonl(path, keys: dict | None = None,
+               optional: dict | None = None) -> list[dict]:
     """The records of a JSON-lines file, one per non-blank line; a line that
     is not a JSON object holding every key in ``keys`` with a value of its
-    type (see ``_check_object``) raises a ValueError naming the file and the
-    line."""
+    type, and any key of ``optional`` with a value of its type (see
+    ``_check_object``), raises a ValueError naming the file and the line."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for n, line in enumerate(fh, 1):
@@ -192,5 +199,5 @@ def read_jsonl(path, keys: dict | None = None) -> list[dict]:
                     data = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise ValueError(f"{where}: not valid JSON ({exc})") from None
-                records.append(_check_object(data, keys or {}, where))
+                records.append(_check_object(data, keys or {}, where, optional))
     return records

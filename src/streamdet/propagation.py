@@ -1,8 +1,8 @@
 """The streaming detection loop: cluster proposals across sub-sequences,
-classify only windows of newly appearing clusters, propagate class labels and
-localize propagated objects at the mean (center_x, center_y, h, w) of those of
-a cluster's windows in a frame that score at least LOCATION_SCORE_FRACTION of
-the best of them, plus a stored offset."""
+classify a newly appearing cluster's windows in one frame only, propagate its
+class label to every later sub-sequence that inherits the cluster, and carry
+its box from frame to frame by the median optical flow inside it (the
+median-flow step of Kalal, Mikolajczyk & Matas, ICPR 2010)."""
 
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from .clustering import (ClusterRegistry, associate_clusters,
                          cluster_descriptor, make_subsequences,
                          spectral_cluster_fixed, spectral_cluster_selftune)
 from .config import ConfigError, PipelineConfig
-from .core import Box, greedy_keep
+from .core import Box, IntegralImage, greedy_keep
 from .edges import combine_edges, combined_orientation, edge_groups, \
     orientation_of, spatial_edge
 from .motion import (accumulate_prior, block_matching_flow, inside_outside_map,
@@ -78,33 +78,21 @@ def quadruple_to_box(quad, frame_size: tuple[int, int] | None = None) -> Box:
 
 def fit_location_gaussian(boxes: list[Box]) -> np.ndarray:
     """Mean (center_x, center_y, h, w) quadruple of the boxes, shape (4,).
-    It keeps its old name because ``perfbench/tracing.py`` traces it."""
+
+    Nothing in the pipeline calls it: it stays, under its old name, while
+    ``perfbench/tracing.py`` traces it by name."""
     if not boxes:
         raise ValueError("need at least one box")
     return np.stack([box_to_quadruple(b) for b in boxes]).mean(axis=0)
 
 
-# windows of a cluster that localize it in a frame: those scoring at least
-# this fraction of the frame's best window
-LOCATION_SCORE_FRACTION = 0.75
-
-
-def frame_location(proposals: list[Proposal]) -> np.ndarray:
-    """Location of one frame's windows of a cluster: the mean quadruple of
-    those scoring at least LOCATION_SCORE_FRACTION of the best of them.
-
-    A cluster also holds background windows that stay put while the object
-    moves; a mean over all of them lags the object, and so does every box
-    propagated from it with a fixed offset.
-    """
-    top = max(p.score for p in proposals)
-    return fit_location_gaussian([p.box for p in proposals
-                                  if p.score >= LOCATION_SCORE_FRACTION * top])
-
-
 def record_offset(registry: ClusterRegistry, global_id: int, detected_box: Box,
                   mean: np.ndarray) -> np.ndarray:
-    """Store d = detected quadruple - cluster location mean for a cluster."""
+    """Store d = detected quadruple - cluster location mean for a cluster.
+
+    Nothing in the pipeline calls it: it stays, with
+    ``RegistryEntry.offset``, while ``perfbench/tracing.py`` traces it by
+    name."""
     d = box_to_quadruple(detected_box) - mean
     registry[global_id].offset = d
     return d
@@ -112,18 +100,45 @@ def record_offset(registry: ClusterRegistry, global_id: int, detected_box: Box,
 
 def propagate_localization(mean: np.ndarray, d: np.ndarray,
                            frame_size: tuple[int, int] | None = None) -> Box:
-    """Box at (cluster mean + d), clamped into the frame with >= 1 px extent."""
+    """Box at (quadruple mean + d), clamped into the frame with >= 1 px extent."""
     return quadruple_to_box(mean + np.asarray(d, dtype=np.float64), frame_size)
+
+
+MOVING_FLOW = 0.5   # flow magnitude above which a pixel counts as moving
+
+
+def carry_box(box: Box, flow: np.ndarray, frame_size: tuple[int, int]) -> Box:
+    """The box one frame later: moved by the rounded median of ``flow``
+    ((h, w, 2), as (dx, dy)) over its pixels whose flow is longer than
+    MOVING_FLOW, or over all of its pixels when none is, and clamped into the
+    (width, height) frame. The step goes through ``propagate_localization``."""
+    patch = flow[box.y:box.y2, box.x:box.x2].reshape(-1, 2)
+    moving = patch[np.hypot(patch[:, 0], patch[:, 1]) > MOVING_FLOW]
+    dx, dy = np.rint(np.median(moving if len(moving) else patch, axis=0))
+    return propagate_localization(box_to_quadruple(box), (dx, dy, 0.0, 0.0),
+                                  frame_size)
 
 
 # ---------------------------------------------------------------------------
 # classifiers
 
+VIVID_MARGIN = 40   # channel spread above which a pixel shows its colour
+
+
 class OracleColorClassifier:
-    """Rule-based stand-in classifier: scores each class by the fraction of
-    the box's mean color carried by the matching channel; background gets the
-    complement of the best class. A class other than red, green and blue
-    raises ConfigError."""
+    """Rule-based stand-in classifier: scores each class by purity x coverage;
+    background gets the complement of the best class. A class other than red,
+    green and blue raises ConfigError.
+
+    Purity is the fraction of the box's mean colour carried by the class's
+    channel. A pixel shows a class when its largest channel exceeds its
+    smallest by more than VIVID_MARGIN and the class's channel is the
+    largest; coverage is the count of such pixels inside the box over their
+    count inside the box grown by half its size on each side (clipped to the
+    frame), 0 when there are none. So a box fitting an object outscores a
+    strip inside it. Counts come from one integral table per class, built
+    once per request.
+    """
 
     def __init__(self, classes=("red", "green", "blue")):
         self.classes = tuple(classes)
@@ -135,12 +150,25 @@ class OracleColorClassifier:
         self._columns = [self._channel[name] for name in self.classes]
 
     def classify(self, frame, boxes, frame_path=None) -> np.ndarray:
-        arr = np.asarray(frame, dtype=np.float64)
+        arr = np.asarray(frame)
+        height, width = arr.shape[:2]
+        x, y, w, h = np.array([b.as_tuple() for b in boxes],
+                              dtype=np.int64).reshape(-1, 4).T
+        grown = (np.maximum(x - w // 2, 0), np.maximum(y - h // 2, 0),
+                 np.minimum(x + w + w // 2, width), np.minimum(y + h + h // 2, height))
+        # channel-wise maxima: a reduction over the last axis is ~10x slower
+        red, green, blue = arr[..., 0], arr[..., 1], arr[..., 2]
+        top = np.maximum(np.maximum(red, green), blue)
+        vivid = top - np.minimum(np.minimum(red, green), blue) > VIVID_MARGIN
         out = np.zeros((len(boxes), len(self.classes) + 1), dtype=np.float64)
+        for ci, channel in enumerate(self._columns):
+            counts = IntegralImage(vivid & (arr[..., channel] == top), dtype=np.int32)
+            around = counts.rect_sums(*grown)
+            np.divide(counts.rect_sums(x, y, x + w, y + h), around,
+                      out=out[:, ci], where=around > 0)
         for bi, box in enumerate(boxes):
-            patch = arr[box.y:box.y2, box.x:box.x2]
-            mean = patch.reshape(-1, 3).mean(axis=0)
-            out[bi, :-1] = (mean / max(mean.sum(), 1e-9))[self._columns]
+            mean = arr[box.y:box.y2, box.x:box.x2].reshape(-1, 3).mean(axis=0)
+            out[bi, :-1] *= (mean / max(mean.sum(), 1e-9))[self._columns]
         out[:, -1] = 1.0 - out[:, :-1].max(axis=1)
         return out
 
@@ -344,6 +372,7 @@ class SubsequenceRecord:
     global_ids: dict[int, int]           # local label -> global id
     new_ids: set[int]
     emit_frames: list[int]
+    flows: list[np.ndarray]              # flow from each of frame_ids[:-1] to the next
 
 
 def stream_cluster(frames, flow_source, config: PipelineConfig,
@@ -420,7 +449,7 @@ def stream_cluster(frames, flow_source, config: PipelineConfig,
         global_ids = {lab: gid for lab, gid in zip(local_labels, gids)}
         yield SubsequenceRecord(frame_ids, proposals, window_ids,
                                 labels, cluster_members, global_ids, new_ids,
-                                emit_frames)
+                                emit_frames, flows)
 
 
 def _detection_nms(dets: list[Detection], beta: float) -> list[Detection]:
@@ -439,20 +468,26 @@ def detect_stream(frames, flow_source, config: PipelineConfig, classifier,
                   frame_paths=None, edge_maps=None):
     """Run the full streaming loop and return (detections, stats, registry).
 
-    The classifier runs only on proposals of clusters whose global id is new
-    in the current sub-sequence (or on every cluster in classify-always
-    mode); associated clusters inherit their label and are localized in each
-    frame they have windows in at that frame's location mean (see
-    ``frame_location``) plus the stored offset d. A cluster is labelled when
-    its best pooled class score reaches CONFIDENCE_THRESHOLD, and each
-    sub-sequence's detections are suppressed per frame and class at
-    DET_NMS_BETA; the detections come out in (frame, -confidence, box) order.
-    The returned registry holds the last sub-sequence's clusters.
+    A cluster whose global id is new in a sub-sequence is classified on its
+    windows in its earliest frame of the sub-sequence only (which may be the
+    frame shared with the sub-sequence before); it is labelled when its best
+    pooled class score there reaches CONFIDENCE_THRESHOLD, and its box is the
+    top-scoring window for that class there. An associated cluster inherits
+    label, confidence and box. In every later frame the box is carried one
+    frame at a time by ``carry_box`` over the sub-sequence's own flows, up to
+    the sub-sequence's last frame, where the next sub-sequence picks it up.
+    In classify-always mode every window of every cluster is scored, the
+    label is pooled over all of them, and each frame the cluster has windows
+    in takes its top-scoring window. A labelled cluster is detected in each
+    emitted frame it has windows in; each sub-sequence's detections are
+    suppressed per frame and class at DET_NMS_BETA and come out in (frame,
+    -confidence, box) order. The returned registry holds the last
+    sub-sequence's clusters.
 
     Each sub-sequence makes at most one classifier request per frame, holding
-    the windows of its classified clusters that have no score yet, and a
-    window keeps its score for the next sub-sequence when it lies in the frame
-    the two share, so each window is scored once per stream.
+    the windows it scores that have no score yet, and a window keeps its
+    score for the next sub-sequence when it lies in the frame the two share,
+    so each window is scored once per stream.
 
     The stats count each record on arrival, before any classifier call (one
     sub-sequence, its emitted frames' proposals as windows, its new ids as
@@ -475,11 +510,17 @@ def detect_stream(frames, flow_source, config: PipelineConfig, classifier,
             stats.total_windows += sum(p.frame_index in rec.emit_frames
                                        for p in rec.proposals)
             stats.clusters_created += len(rec.new_ids)
-            classified = {lab for lab, gid in rec.global_ids.items()
-                          if gid in rec.new_ids or config.classify_always}
-            # proposals are in (frame, slot) order, so each frame is one run
-            unscored = sorted(m for lab in classified for m in rec.cluster_members[lab]
-                              if rec.window_ids[m] not in scores)
+            # each cluster's members by frame, earliest frame first (proposals
+            # are in (frame, slot) order); of a classified cluster, those
+            # whose scores label it
+            by_frame = {lab: {fi: list(run) for fi, run in groupby(
+                            members, key=lambda m: rec.window_ids[m][0])}
+                        for lab, members in rec.cluster_members.items()}
+            scored = {lab: runs if config.classify_always else dict(list(runs.items())[:1])
+                      for lab, runs in by_frame.items()
+                      if config.classify_always or rec.global_ids[lab] in rec.new_ids}
+            unscored = sorted(m for runs in scored.values() for run in runs.values()
+                              for m in run if rec.window_ids[m] not in scores)
             for fi, run in groupby(unscored, key=lambda m: rec.window_ids[m][0]):
                 run = list(run)
                 path = frame_paths[fi] if frame_paths is not None else None
@@ -490,41 +531,34 @@ def detect_stream(frames, flow_source, config: PipelineConfig, classifier,
                 scores.update(zip((rec.window_ids[m] for m in run), rows))
             sub_dets: list[Detection] = []
             for lab in sorted(rec.cluster_members):
-                members = rec.cluster_members[lab]
                 gid = rec.global_ids[lab]
                 entry = registry[gid]
-                frame_members = {fi: list(run) for fi, run in groupby(
-                    members, key=lambda m: rec.window_ids[m][0])}
-
-                if lab in classified:
-                    member_scores = np.array([scores[rec.window_ids[m]] for m in members])
-                    pooled = member_scores.max(axis=0)
+                own = scored.get(lab, {})
+                if own:
+                    pool = [m for run in own.values() for m in run]
+                    pooled = np.array([scores[rec.window_ids[m]] for m in pool]).max(axis=0)
                     best_c = int(np.argmax(pooled[:-1]))
                     entry.confidence = float(pooled[best_c])
-                    entry.label = None
-                    if entry.confidence >= CONFIDENCE_THRESHOLD:
-                        entry.label = classifier.classes[best_c]
-                        best = members[int(np.argmax(member_scores[:, best_c]))]
-                        best_frame = frame_members[rec.window_ids[best][0]]
-                        record_offset(registry, gid, rec.proposals[best].box,
-                                      frame_location([rec.proposals[m] for m in best_frame]))
-
+                    entry.label = (classifier.classes[best_c]
+                                   if entry.confidence >= CONFIDENCE_THRESHOLD else None)
                 if entry.label is None:
                     continue
-                for fi in rec.emit_frames:
-                    if fi not in frame_members:
+                # a classified cluster takes its box from its own scores
+                box, at = (None, None) if own else (entry.box, entry.box_frame)
+                for j, fi in enumerate(rec.frame_ids):
+                    if fi in own:
+                        top = max(own[fi], key=lambda m: scores[rec.window_ids[m]][best_c])
+                        box, provenance = rec.proposals[top].box, "classified"
+                    elif box is None or fi <= at:
                         continue
-                    if lab in classified:
-                        top = max(frame_members[fi],
-                                  key=lambda m: scores[rec.window_ids[m]][best_c])
-                        box = rec.proposals[top].box
                     else:
-                        box = propagate_localization(
-                            frame_location([rec.proposals[m] for m in frame_members[fi]]),
-                            entry.offset, (width, height))
-                    sub_dets.append(Detection(
-                        fi, box, entry.label, entry.confidence,
-                        "classified" if lab in classified else "propagated", gid))
+                        box = carry_box(box, rec.flows[j - 1], (width, height))
+                        provenance = "propagated"
+                    at = fi
+                    if fi in rec.emit_frames and fi in by_frame[lab]:
+                        sub_dets.append(Detection(fi, box, entry.label,
+                                                  entry.confidence, provenance, gid))
+                entry.box, entry.box_frame = box, at
             detections.extend(_detection_nms(sub_dets, DET_NMS_BETA))
     except ClassifierProtocolError as exc:
         exc.partial = (detections, stats)

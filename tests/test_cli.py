@@ -241,6 +241,54 @@ def test_json_value_of_the_wrong_type_exits_3_naming_the_file(tmp_path, capsys, 
     assert message in capsys.readouterr().err
 
 
+_SPEC = {"n_frames": 3, "width": 64, "height": 48,
+         "objects": [{"color": "red", "size": [12, 10], "start": [5, 5]}]}
+
+
+# an optional key is checked whenever it is there
+@pytest.mark.parametrize("case, key, value, wording", [
+    ("spec-seed", "seed", "a", "an integer"),
+    ("object-velocity", "velocity", "ab", "two integers"),
+    ("object-enter", "enter", [1], "an integer"),
+    ("object-exit", "exit", 2.5, "an integer or null"),
+    ("prediction-confidence", "confidence", "a", "a number"),
+])
+def test_optional_json_value_of_the_wrong_type_exits_3_naming_the_file(
+        tmp_path, capsys, case, key, value, wording):
+    if case.startswith("prediction"):
+        video = _synth(tmp_path)
+        path = tmp_path / "pred.jsonl"
+        write_jsonl(path, [{"frame": 0, "x": 8, "y": 24, "w": 26, "h": 22,
+                            "class": "red", key: value}])
+        argv = ["eval", "--pred", str(path), "--gt", str(video / "gt.json"),
+                "--mode", "detection"]
+        where = f"{path}, line 1"
+    else:
+        doc = json.loads(json.dumps(_SPEC))
+        if case.startswith("spec"):
+            doc[key], where = value, None
+        else:
+            doc["objects"][0][key], where = value, "objects[0]"
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        argv = ["synth", "--spec", str(path), "--out", str(tmp_path / "v")]
+        where = f"{path}: {where}" if where else str(path)
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert f"{where}: {key!r} must be {wording}, got {json.dumps(value)}" \
+        in capsys.readouterr().err
+
+
+def test_optional_json_keys_may_be_left_out_or_hold_their_type(tmp_path):
+    doc = json.loads(json.dumps(_SPEC))
+    doc["objects"][0].update(velocity=[2, 1], enter=0, exit=None)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(dict(doc, seed=4, noise=6.5)))
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "a")]) == 0
+    spec.write_text(json.dumps({k: v for k, v in _SPEC.items() if k != "objects"}))
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "b")]) == 0
+
+
 def test_frame_directory_without_frames_exits_3(tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     code = main(["detect", str(tmp_path / "empty"), "--out", str(tmp_path / "det")])

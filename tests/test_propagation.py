@@ -7,7 +7,7 @@ from streamdet.clustering import ClusterRegistry, RegistryEntry, cluster_descrip
 from streamdet.config import PipelineConfig
 from streamdet.core import Box, iou
 from streamdet.propagation import (Detection, OracleColorClassifier,
-                                   _detection_nms, box_to_quadruple,
+                                   _detection_nms, box_to_quadruple, carry_box,
                                    detect_stream, fit_location_gaussian,
                                    make_classifier, propagate_localization,
                                    quadruple_to_box, record_offset,
@@ -139,6 +139,66 @@ def test_oracle_classifier_scores():
     assert np.argmax(scores[1]) == 3  # background wins on gray
 
 
+def test_oracle_scores_a_box_fitting_the_object_above_a_strip_inside_it():
+    frame = np.full((60, 80, 3), 110, dtype=np.uint8)
+    frame[20:40, 20:50] = (40, 200, 50)     # green object
+    fitting, strip = Box(20, 20, 30, 20), Box(20, 26, 30, 6)
+    scores = OracleColorClassifier().classify(frame, [fitting, strip])
+    # both are equally pure green; only the fitting box covers the object
+    assert np.argmax(scores[0]) == 1 and scores[0, 1] > 0.5
+    assert scores[1, 1] < scores[0, 1]
+
+
+def test_oracle_matches_a_per_box_count_reference():
+    rng = np.random.default_rng(11)
+    frame = rng.integers(0, 256, size=(50, 70, 3), dtype=np.uint8)
+    frame[10:30, 15:40] = (200, 30, 60)
+    boxes = [Box(int(rng.integers(0, 60)), int(rng.integers(0, 40)),
+                 int(rng.integers(1, 11)), int(rng.integers(1, 11)))
+             for _ in range(40)] + [Box(15, 10, 25, 20), Box(0, 0, 70, 50)]
+    pixels = frame.astype(np.int64)
+    top = pixels.max(axis=2)
+    vivid = top - pixels.min(axis=2) > 40
+    expected = np.zeros((len(boxes), 4))
+    for bi, b in enumerate(boxes):
+        gx, gy = max(b.x - b.w // 2, 0), max(b.y - b.h // 2, 0)
+        gx2, gy2 = min(b.x2 + b.w // 2, 70), min(b.y2 + b.h // 2, 50)
+        mean = pixels[b.y:b.y2, b.x:b.x2].reshape(-1, 3).mean(axis=0)
+        for c in range(3):
+            shows = vivid & (pixels[..., c] == top)
+            around = shows[gy:gy2, gx:gx2].sum()
+            coverage = shows[b.y:b.y2, b.x:b.x2].sum() / around if around else 0.0
+            expected[bi, c] = mean[c] / max(mean.sum(), 1e-9) * coverage
+    expected[:, 3] = 1.0 - expected[:, :3].max(axis=1)
+    assert np.allclose(OracleColorClassifier().classify(frame, boxes), expected,
+                       rtol=0, atol=1e-12)
+
+
+def test_carry_box_moves_by_the_rounded_median_of_the_moving_pixels():
+    flow = np.full((40, 60, 2), 20.0, dtype=np.float32)   # outside the box
+    box = Box(10, 10, 10, 10)
+
+    def carry(inside):
+        flow[10:20, 10:20] = np.reshape(inside, (10, 10, 2))
+        return carry_box(box, flow, (60, 40))
+    inside = np.full((100, 2), (0.3, -0.3))  # 69 pixels too slow to count
+    inside[:20] = (2.6, -1.4)
+    inside[20:31] = (9.0, 9.0)
+    assert carry(inside) == Box(13, 9, 10, 10)
+    # no pixel of the box moves: the median over all of them stays put
+    assert carry(np.full((100, 2), (0.3, -0.3))) == box
+    # the median rounds to the nearest pixel
+    assert carry(np.full((100, 2), (1.6, -2.4))) == Box(12, 8, 10, 10)
+
+
+def test_carry_box_clamps_to_the_frame_edge():
+    flow = np.zeros((40, 60, 2), dtype=np.float32)
+    flow[..., 0] = 8.0
+    flow[..., 1] = -8.0
+    box = Box(45, 4, 12, 10)
+    assert carry_box(box, flow, (60, 40)) == Box(48, 0, 12, 10)
+
+
 def test_make_classifier_specs():
     clf, always = make_classifier("oracle")
     assert isinstance(clf, OracleColorClassifier) and not always
@@ -175,15 +235,29 @@ class _RecordingClassifier(OracleColorClassifier):
         return super().classify(frame, boxes, frame_path)
 
 
+def _scored_members(rec, always):
+    """The members of a record the stream scores, in slot order: every window
+    in classify-always mode, else the windows each cluster new in the record
+    has in its earliest frame of the record."""
+    members = []
+    for lab, run in rec.cluster_members.items():
+        if always:
+            members += run
+        elif rec.global_ids[lab] in rec.new_ids:
+            first = min(rec.window_ids[m][0] for m in run)
+            members += [m for m in run if rec.window_ids[m][0] == first]
+    return sorted(members)
+
+
 def _expected_calls(video, config):
     """(frame, boxes) of each call the stream should make, in its order: one
     per frame of each sub-sequence, holding in slot order the windows of the
-    clusters new in it that no earlier call scored."""
+    clusters new in it, in each one's earliest frame of the sub-sequence,
+    that no earlier call scored."""
     calls, scored = [], set()
     for rec in stream_cluster(video.frames, video.flows, config):
-        new = sorted(m for lab, members in rec.cluster_members.items()
-                     if rec.global_ids[lab] in rec.new_ids for m in members
-                     if rec.window_ids[m] not in scored)
+        new = [m for m in _scored_members(rec, False)
+               if rec.window_ids[m] not in scored]
         scored.update(rec.window_ids[m] for m in new)
         calls += [(fi, [rec.proposals[m].box for m in run]) for fi, run in
                   groupby(new, key=lambda m: rec.window_ids[m][0])]
@@ -221,11 +295,12 @@ def test_detect_stream_propagated_provenance():
     config = _scene_config()
     detections, stats, _ = detect_stream(video.frames, video.flows, config,
                                          OracleColorClassifier())
-    # classified exactly where the cluster id was new
-    new_by_frame = {}
+    # a cluster is classified in one frame only: its first while its id is new
+    classified_frames = {}
     for d in detections:
         if d.provenance == "classified":
-            assert d.frame <= 2 or d.global_id not in new_by_frame.get(d.frame - 1, set())
+            classified_frames.setdefault(d.global_id, set()).add(d.frame)
+    assert all(len(frames) == 1 for frames in classified_frames.values())
     provs = {d.provenance for d in detections}
     assert "classified" in provs
     assert "propagated" in provs
@@ -275,21 +350,6 @@ def test_new_object_triggers_classification_burst():
     assert max(call_frames) >= 6, "expected a classification burst for the entering object"
 
 
-def test_frame_location_fits_top_scoring_windows():
-    from streamdet.proposals import Proposal
-    from streamdet.propagation import frame_location
-
-    obj = [Proposal(Box(40, 20, 20, 16), 0.9), Proposal(Box(42, 22, 20, 16), 0.8)]
-    background = [Proposal(Box(0, 0, 30, 30), 0.6), Proposal(Box(5, 40, 30, 20), 0.1)]
-    mean = frame_location(background[:1] + obj + background[1:])
-    assert np.allclose(mean, fit_location_gaussian([p.box for p in obj]))
-    # the best window always takes part
-    only = frame_location([Proposal(Box(3, 4, 10, 12), 0.0)])
-    assert np.allclose(only, box_to_quadruple(Box(3, 4, 10, 12)))
-    with pytest.raises(ValueError):
-        frame_location([])
-
-
 def test_detect_stream_economy_steady_across_renderings():
     # the scene seed only changes render noise and textures; which windows
     # get classified must not depend on it
@@ -300,7 +360,7 @@ def test_detect_stream_economy_steady_across_renderings():
         _, stats, _ = detect_stream(video.frames, video.flows, _scene_config(),
                                     OracleColorClassifier())
         assert stats.clusters_created == 1
-        assert stats.classified_windows / stats.total_windows == pytest.approx(1 / 3)
+        assert stats.classified_windows / stats.total_windows == pytest.approx(1 / 9)
 
 
 def test_detection_nms_matches_greedy_iou_loop_with_tied_confidences():
@@ -488,14 +548,13 @@ def test_registry_holds_exactly_the_latest_records_clusters():
 def test_stats_count_classified_windows_and_calls(scene, always):
     video = scene()
     config = _scene_config(classify_always=always)
-    # every window of a classified cluster, over the whole stream; a window of
-    # a shared frame is the same (frame, slot) in both of its records. Each
-    # record makes one call per frame holding windows no earlier call scored
+    # every window the stream scores (see _scored_members), over the whole
+    # stream; a window of a shared frame is the same (frame, slot) in both of
+    # its records. Each record makes one call per frame holding windows no
+    # earlier call scored
     windows, calls = set(), 0
     for rec in stream_cluster(video.frames, video.flows, config):
-        unscored = {rec.window_ids[m] for lab, members in rec.cluster_members.items()
-                    if always or rec.global_ids[lab] in rec.new_ids
-                    for m in members} - windows
+        unscored = {rec.window_ids[m] for m in _scored_members(rec, always)} - windows
         windows |= unscored
         calls += len({fi for fi, _ in unscored})
     _, stats, _ = detect_stream(video.frames, video.flows, config,
@@ -543,3 +602,52 @@ def test_partial_stats_count_the_windows_of_every_reply_received():
     _, stats = exc.value.partial
     assert stats.classifier_calls == 2
     assert stats.classified_windows == sum(len(boxes) for _, boxes in clf.calls) > 0
+
+
+@pytest.mark.parametrize("always", [False, True], ids=["new-only", "always"])
+@pytest.mark.parametrize("scene", [_single_mover, _new_object])
+def test_each_new_cluster_is_scored_in_one_frame_per_record(monkeypatch, scene, always):
+    import streamdet.propagation as propagation
+    video = scene()
+    clf = _RecordingClassifier(video.frames)
+    records, starts = [], []
+
+    def marking(*args, **kwargs):
+        for rec in stream_cluster(*args, **kwargs):
+            records.append(rec)
+            starts.append(len(clf.calls))
+            yield rec
+    monkeypatch.setattr(propagation, "stream_cluster", marking)
+    detect_stream(video.frames, video.flows, _scene_config(classify_always=always), clf)
+    bounds = starts + [len(clf.calls)]
+    received = [{(fi, box) for fi, boxes in clf.calls[a:b] for box in boxes}
+                for a, b in zip(bounds, bounds[1:])]
+    assert any(rec.new_ids for rec in records)
+    for t, rec in enumerate(records):
+        # what the record scores, with the scores of its shared frame that
+        # the record before made
+        kept = {(fi, box) for fi, box in received[t - 1]
+                if fi == rec.frame_ids[0]} if t else set()
+        scored = received[t] | kept
+        for lab, members in rec.cluster_members.items():
+            windows = {(p.frame_index, p.box) for p in map(rec.proposals.__getitem__, members)}
+            if always:
+                assert windows <= scored
+            elif rec.global_ids[lab] in rec.new_ids:
+                first = min(fi for fi, _ in windows)
+                assert windows & scored == {w for w in windows if w[0] == first}
+
+
+def test_carried_box_pushed_past_the_frame_edge_stays_inside():
+    video = _single_mover()
+    height, width = video.frames[0].shape[:2]
+    # a flow far faster than the object pushes every carried box to the edge
+    push = np.zeros((height, width, 2), dtype=np.float32)
+    push[..., 0] = 40.0
+    detections, _, _ = detect_stream(video.frames, [push] * (len(video.frames) - 1),
+                                     _scene_config(), OracleColorClassifier())
+    carried = [d.box for d in detections if d.provenance == "propagated"]
+    assert carried and any(b.x2 == width for b in carried)
+    for d in detections:
+        assert 0 <= d.box.x and d.box.x2 <= width
+        assert 0 <= d.box.y and d.box.y2 <= height
