@@ -8,7 +8,8 @@ from .clustering import (ClusterDescriptor, ClusterRegistry, associate_clusters,
                          spectral_cluster_fixed, spectral_cluster_selftune)
 from .config import ConfigError, PipelineConfig
 from .core import Box, IntegralImage, iou
-from .edges import EdgeGroup, combine_edges, edge_groups, spatial_edge
+from .edges import (EdgeGroup, combine_edges, edge_groups, spatial_edge,
+                    thin_edges)
 from .motion import (accumulate_prior, block_matching_flow, inside_outside_map,
                      motion_boundary, read_flow, temporal_edge, write_flow)
 from .propagation import (Detection, OracleColorClassifier, detect_stream,

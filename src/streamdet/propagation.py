@@ -25,7 +25,7 @@ from .clustering import (ClusterRegistry, associate_clusters,
 from .config import ConfigError, PipelineConfig
 from .core import Box, IntegralImage, greedy_keep
 from .edges import combine_edges, combined_orientation, edge_groups, \
-    orientation_of, spatial_edge
+    orientation_of, spatial_edge, thin_edges
 from .motion import (accumulate_prior, block_matching_flow, inside_outside_map,
                      motion_boundary, temporal_edge)
 from .proposals import Proposal, generate_proposals
@@ -380,10 +380,13 @@ def stream_cluster(frames, flow_source, config: PipelineConfig,
     """Generator over sub-sequences: proposals, affinities, spectral labels
     and globally associated cluster ids.
 
-    Proposals for the one-frame overlap are computed once and re-clustered in
-    the following sub-sequence; detections and cluster output for the shared
-    frame are emitted only by the earlier one. It counts nothing: a consumer
-    reads the counts off the records (see ``detect_stream``).
+    Each emitted frame's combined edge map is thinned across the edge
+    (``thin_edges``) once; its groups and proposals both come from the
+    thinned map. Proposals for the one-frame overlap are computed once and
+    re-clustered in the following sub-sequence; detections and cluster
+    output for the shared frame are emitted only by the earlier one. It
+    counts nothing: a consumer reads the counts off the records (see
+    ``detect_stream``).
     """
     n_frames = len(frames)
     registry = registry if registry is not None else ClusterRegistry()
@@ -411,8 +414,9 @@ def stream_cluster(frames, flow_source, config: PipelineConfig,
                 es, orient_s = spatial_edge(frames[i])
             combined = combine_edges(es, et, config.lam)
             orient = combined_orientation(es, et, orient_s, orient_t, config.lam)
-            groups = edge_groups(combined, orient)
-            props = generate_proposals(combined, groups, config, frame_index=i)
+            thinned = thin_edges(combined, orient)
+            groups = edge_groups(thinned, orient)
+            props = generate_proposals(thinned, groups, config, frame_index=i)
             feats = extract_features(frames[i], [p.box for p in props])
             proposals += props
             rows.append(feats)

@@ -2,10 +2,13 @@
 
 A box scores like an EdgeBoxes window (Zitnick & Dollar, ECCV 2014): the mass
 of the edge groups wholly inside its interior, less the edge mass of its
-central half, over its perimeter to the power KAPPA. Every window of a frame
-is scored in one pass over a ``WindowLayout``, cached per frame size; the
-best pool is refined by a local search whose box scores test containment by
-table lookup (``ScoreContext``).
+central half, over its perimeter to the power KAPPA. The stream scores on
+the thinned combined map (``edges.thin_edges``): a group's mass is that of its
+one-pixel ridge, so a box that fits an object's boundary need not take in the
+band that smoothing spreads around it. Every window of a frame is scored in
+one pass over a ``WindowLayout``, cached per frame size; the best pool is
+refined by a local search whose box scores test containment by table lookup
+(``ScoreContext``).
 """
 
 from __future__ import annotations

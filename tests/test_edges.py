@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from streamdet.edges import (combine_edges, combined_orientation, edge_groups,
-                             spatial_edge)
+                             spatial_edge, thin_edges)
 
 
 def test_spatial_edge_constant_frame():
@@ -66,6 +66,119 @@ def test_combined_orientation_winner():
     out = combined_orientation(es, et, os_, ot, 0.5)
     assert out[0, 0] == pytest.approx(0.3)
     assert out[0, 1] == pytest.approx(1.2)
+
+
+# (dy, dx) of one step along each quantised normal: 0, pi/4, pi/2, 3pi/4
+_NORMALS = [(0, 1), (1, 1), (1, 0), (1, -1)]
+
+
+@pytest.mark.parametrize("d", range(4))
+def test_thin_edges_blurred_step_thins_to_a_one_pixel_ridge(d):
+    dy, dx = _NORMALS[d]
+    yy, xx = np.mgrid[0:30, 0:34]
+    s = yy * dy + xx * dx          # position along the normal, in grid steps
+    centre = float(np.median(s)) + 0.3
+    # gradient magnitude of a Gaussian-blurred step across the normal
+    E = np.exp(-(s - centre) ** 2 / (2 * 1.5 ** 2)).astype(np.float32)
+    O = np.full(E.shape, d * np.pi / 4, dtype=np.float32)
+    out = thin_edges(E, O)
+    # one pixel survives on each line along the normal: the nearest to the
+    # centre among the positions the line visits (it steps by |dy| + |dx|)
+    ridge = np.abs(s - centre) < (abs(dy) + abs(dx)) / 2
+    inner = (slice(1, -1), slice(1, -1))
+    assert np.array_equal(out[inner] > 0, ridge[inner])
+    for y, x in zip(*np.nonzero(ridge[inner])):
+        y, x = y + 1, x + 1
+        for sy, sx in ((dy, dx), (-dy, -dx)):
+            assert E[y + sy, x + sx] > 0 and out[y + sy, x + sx] == 0
+
+
+@pytest.mark.parametrize("d", range(4))
+def test_spatial_edge_orientation_points_along_the_normal_step(d):
+    # the steps above follow spatial_edge's convention: a step across the
+    # normal (dy, dx) has an orientation near d * pi / 4
+    dy, dx = _NORMALS[d]
+    yy, xx = np.mgrid[0:30, 0:34]
+    frame = np.where(yy * dy + xx * dx > np.median(yy * dy + xx * dx), 200, 0)
+    mag, orient = spatial_edge(frame.astype(np.uint8))
+    strong = mag[4:-4, 4:-4] > 0.5
+    quantised = np.rint(orient[4:-4, 4:-4][strong] / (np.pi / 4)).astype(int) % 4
+    assert strong.any() and np.all(quantised == d)
+
+
+def test_thin_edges_keeps_a_plateau_pixel_equal_to_both_neighbours():
+    E = np.zeros((5, 5), dtype=np.float32)
+    E[2, 1:4] = 0.5
+    out = thin_edges(E, np.zeros_like(E))
+    assert out[2, 2] == 0.5
+
+
+@pytest.mark.parametrize("angle", [0.0, np.pi / 2])
+def test_thin_edges_compares_a_border_pixel_against_zero(angle):
+    # the pixel's neighbour across the frame is larger, so a map that wraps
+    # around, instead of padding with 0, would drop it
+    E = np.zeros((6, 7), dtype=np.float32)
+    if angle == 0.0:
+        E[2, 0], E[2, -1] = 0.3, 0.9
+        border = (2, 0)
+    else:
+        E[0, 3], E[-1, 3] = 0.3, 0.9
+        border = (0, 3)
+    out = thin_edges(E, np.full(E.shape, angle, dtype=np.float32))
+    assert out[border] == np.float32(0.3)
+    # a border pixel below its neighbour inside the frame is dropped
+    inside = (border[0] + (angle != 0.0), border[1] + (angle == 0.0))
+    E[inside] = 0.4
+    assert thin_edges(E, np.full(E.shape, angle, dtype=np.float32))[border] == 0
+
+
+def test_thin_edges_angle_just_below_pi_uses_the_zero_direction():
+    E = np.full((3, 3), 0.9, dtype=np.float32)
+    E[1] = (0.4, 0.5, 0.4)
+    near_pi = np.full(E.shape, np.pi - 1e-3, dtype=np.float32)
+    assert thin_edges(E, near_pi)[1, 1] == np.float32(0.5)
+    E[1, 0] = 0.6
+    assert thin_edges(E, near_pi)[1, 1] == 0
+    E[1, 0] = 0.4
+    # the same pixel along any other normal is dropped
+    for d in (1, 2, 3):
+        assert thin_edges(E, np.full(E.shape, d * np.pi / 4,
+                                     dtype=np.float32))[1, 1] == 0
+
+
+def _reference_thin(E, O):
+    h, w = E.shape
+    out = np.zeros_like(E)
+    for y in range(h):
+        for x in range(w):
+            dy, dx = _NORMALS[int(np.floor(O[y, x] / (np.pi / 4) + 0.5)) % 4]
+            nbrs = [E[y + sy, x + sx] if 0 <= y + sy < h and 0 <= x + sx < w else 0.0
+                    for sy, sx in ((dy, dx), (-dy, -dx))]
+            if E[y, x] >= max(nbrs):
+                out[y, x] = E[y, x]
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_thin_edges_keeps_input_bits_and_matches_a_per_pixel_reference(seed):
+    rng = np.random.default_rng(seed)
+    E = rng.random((17, 23)).astype(np.float32)
+    E[rng.random(E.shape) < 0.3] = 0.0
+    # angles kept off the quantisation boundaries, which rounding could tip
+    O = np.mod(rng.integers(0, 4, E.shape) * np.pi / 4
+               + rng.uniform(-0.35, 0.35, E.shape), np.pi).astype(np.float32)
+    out = thin_edges(E, O)
+    assert out.dtype == np.float32 and out.shape == E.shape
+    kept = out != 0
+    assert kept.any() and (~kept & (E > 0)).any()
+    assert np.array_equal(out[kept].view(np.uint32), E[kept].view(np.uint32))
+    assert np.array_equal(out, _reference_thin(E, O))
+
+
+def test_thin_edges_all_zero_map_stays_zero():
+    E = np.zeros((8, 9), dtype=np.float32)
+    out = thin_edges(E, np.zeros_like(E))
+    assert out.dtype == np.float32 and not out.any()
 
 
 def test_edge_groups_empty_map():

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import groupby
 
 import numpy as np
@@ -591,16 +592,17 @@ def test_partial_stats_count_the_windows_of_every_reply_received():
     from streamdet.propagation import ClassifierProtocolError
     video = _new_object()
 
-    class FailsThirdRequest(_RecordingClassifier):
+    # the scene makes two requests: frame 0 (red) and frame 6 (blue enters)
+    class FailsSecondRequest(_RecordingClassifier):
         def classify(self, frame, boxes, frame_path=None):
-            if len(self.calls) == 2:
+            if len(self.calls) == 1:
                 raise ClassifierProtocolError("no reply")
             return super().classify(frame, boxes, frame_path)
-    clf = FailsThirdRequest(video.frames)
+    clf = FailsSecondRequest(video.frames)
     with pytest.raises(ClassifierProtocolError) as exc:
         detect_stream(video.frames, video.flows, _scene_config(), clf)
     _, stats = exc.value.partial
-    assert stats.classifier_calls == 2
+    assert stats.classifier_calls == 1
     assert stats.classified_windows == sum(len(boxes) for _, boxes in clf.calls) > 0
 
 
@@ -651,3 +653,55 @@ def test_carried_box_pushed_past_the_frame_edge_stays_inside():
     for d in detections:
         assert 0 <= d.box.x and d.box.x2 <= width
         assert 0 <= d.box.y and d.box.y2 <= height
+
+
+def _static_and_mover(seed):
+    """A mover and a static object: the temporal edge sees only the mover, so
+    the static object rests on the spatial edge (alone at lam 0)."""
+    return render(SyntheticSpec(n_frames=17, width=128, height=96, seed=seed, objects=[
+        ObjectSpec("red", (24, 20), (6, 10), velocity=(3, 0)),
+        ObjectSpec("blue", (22, 22), (90, 60))]))
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.0])
+@pytest.mark.parametrize("seed", [4, 5])
+def test_detect_stream_finds_a_static_object_beside_a_mover(seed, lam):
+    video = _static_and_mover(seed)
+    config = _scene_config(lam=lam)
+    detections, _, _ = detect_stream(video.frames, video.flows, config,
+                                     OracleColorClassifier())
+    seen, hits = Counter(), Counter()
+    for t, objs in enumerate(video.gt):
+        for g in objs:
+            gbox = Box(g["x"], g["y"], g["w"], g["h"])
+            seen[g["class"]] += 1
+            hits[g["class"]] += any(d.frame == t and d.label == g["class"]
+                                    and iou(d.box, gbox) >= 0.5 for d in detections)
+    assert set(seen) == {"red", "blue"}
+    assert all(hits[cls] / seen[cls] >= 0.9 for cls in seen), hits
+
+
+def _five_objects(seed):
+    """Five objects of three classes entering and leaving at staggered frames."""
+    return render(SyntheticSpec(n_frames=40, width=128, height=96, seed=seed, objects=[
+        ObjectSpec("red", (24, 20), (4, 10), velocity=(2, 0), enter=0, exit=18),
+        ObjectSpec("green", (22, 22), (100, 60), velocity=(-2, 0), enter=6, exit=26),
+        ObjectSpec("blue", (20, 24), (80, 4), velocity=(0, 2), enter=12, exit=32),
+        ObjectSpec("red", (26, 18), (10, 70), velocity=(3, 0), enter=20),
+        ObjectSpec("green", (20, 20), (100, 8), velocity=(-1, 0), enter=28),
+    ]))
+
+
+@pytest.mark.parametrize("seed", [1, 5, 6])
+def test_detect_stream_recalls_five_objects_classifying_a_tenth(seed):
+    from streamdet.evaluate import detection_pr
+    video = _five_objects(seed)
+    config = _scene_config(max_proposals=20)
+    detections, stats, _ = detect_stream(video.frames, video.flows, config,
+                                         OracleColorClassifier())
+    per_class = detection_pr([d.to_record() for d in detections],
+                             dict(enumerate(video.gt)), config.classes)
+    tp = sum(c["tp"] for c in per_class.values())
+    n_gt = sum(c["ground_truth"] for c in per_class.values())
+    assert tp / n_gt >= 0.8
+    assert stats.classified_windows / stats.total_windows <= 0.1
