@@ -54,13 +54,11 @@ def collect_pairs(proposals) -> np.ndarray:
     return np.argwhere(np.triu(iou_matrix(rects, rects) > 0.0, 1))
 
 
-def silverman_bandwidths(samples: np.ndarray, dim: int | None = None) -> np.ndarray:
+def silverman_bandwidths(samples: np.ndarray, dim: int) -> np.ndarray:
     """Per-dimension plug-in rule h_d = 2.34 * sigma_d * n^(-1/(4+dim)),
     floored at 1e-6."""
     samples = np.asarray(samples, dtype=np.float64)
-    n, d = samples.shape
-    if dim is None:
-        dim = d
+    n = samples.shape[0]
     sigma = samples.std(axis=0, ddof=0)
     h = 2.34 * sigma * n ** (-1.0 / (4.0 + dim))
     return np.maximum(h, 1e-6)

@@ -182,9 +182,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_detect(args) -> int:
     config, frames, paths, flows, edge_maps = _inputs(args)
-    classifier, always = make_classifier(config.classifier, config.classes)
-    if always:
-        config = config.replace(classify_always=True)
+    classifier, _ = make_classifier(config.classifier, config.classes)
     os.makedirs(args.out, exist_ok=True)
     det_path = os.path.join(args.out, "detections.jsonl")
     stats_path = os.path.join(args.out, "stats.json")
@@ -274,11 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
         _add_stream_args(p)
         p.set_defaults(func=func)
         if func is cmd_detect:
-            p.add_argument("--classifier", metavar="oracle|always|cmd:COMMAND",
-                           help="the colour oracle; the oracle on every cluster, "
-                                "with no label propagation; or a command "
-                                "speaking the JSON-lines protocol of "
-                                "streamdet.propagation.CommandClassifier")
+            p.add_argument("--classifier", metavar="oracle|cmd:COMMAND",
+                           help="the colour oracle, or a command speaking the "
+                                "JSON-lines protocol of streamdet.propagation."
+                                "CommandClassifier; with either, the config "
+                                "key classify_always classifies every window")
 
     p = sub.add_parser("eval", help="score predictions against ground truth")
     p.add_argument("--pred", required=True, help="JSON-lines predictions")

@@ -256,7 +256,7 @@ def kl_divergence(p: ClusterDescriptor, q: ClusterDescriptor) -> float:
 @dataclass
 class RegistryEntry:
     """A cluster's state between sub-sequences. ``box`` is a labelled
-    cluster's last box and ``box_frame`` the frame it belongs to. ``offset``
+    cluster's box in the last frame of its latest sub-sequence. ``offset``
     has no reader in the pipeline; it stays while ``record_offset``, which
     writes it, is traced by name by the benchmark."""
 
@@ -264,7 +264,6 @@ class RegistryEntry:
     label: str | None = None
     confidence: float = 0.0
     box: Box | None = None
-    box_frame: int | None = None
     offset: np.ndarray | None = None   # localization offset d (4-vector)
 
 

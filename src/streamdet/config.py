@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 
+CLASSES = ("red", "green", "blue")   # the default class names, in score order
+
 
 class ConfigError(ValueError):
     """Configuration value of the wrong type or outside its documented range."""
@@ -46,9 +48,10 @@ class PipelineConfig:
                                         cluster's label
     max_proposals        integer        >= 1; proposals per frame
     min_box_area         number         > 0; smallest window, in px
-    classifier           string         oracle | always | cmd:COMMAND
+    classifier           string         oracle | cmd:COMMAND
     classify_always      bool           classify every cluster, not only
-                                        new ones
+                                        new ones, with either classifier:
+                                        the per-frame reference
     classes              list of        class names, in the classifier's
                          strings        score order
     seed                 integer        >= 0; clustering seed
@@ -75,7 +78,7 @@ class PipelineConfig:
     min_box_area: float = 1000.0
     classifier: str = "oracle"
     classify_always: bool = False
-    classes: tuple[str, ...] = ("red", "green", "blue")
+    classes: tuple[str, ...] = CLASSES
     seed: int = 0
     resize: int | None = None
     edges_dir: str | None = None
@@ -104,9 +107,9 @@ class PipelineConfig:
             raise ConfigError(f"tau_kl must be positive, got {self.tau_kl}")
         if self.max_proposals < 1:
             raise ConfigError(f"max_proposals must be >= 1, got {self.max_proposals}")
-        if (self.classifier not in ("oracle", "always")
-                and not self.classifier.startswith("cmd:")):
-            raise ConfigError(f"classifier must be oracle, always or cmd:COMMAND, "
+        if self.classifier != "oracle" and not self.classifier.startswith("cmd:"):
+            raise ConfigError(f"classifier must be oracle or cmd:COMMAND (set "
+                              f"classify_always to classify every window), "
                               f"got {self.classifier!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")

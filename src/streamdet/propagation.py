@@ -22,7 +22,7 @@ from .affinity import (FEATURE_DIM, DensityError, affinity_matrix,
 from .clustering import (ClusterRegistry, associate_clusters,
                          cluster_descriptor, make_subsequences,
                          spectral_cluster_fixed, spectral_cluster_selftune)
-from .config import ConfigError, PipelineConfig
+from .config import CLASSES, ConfigError, PipelineConfig
 from .core import Box, IntegralImage, greedy_keep
 from .edges import combine_edges, combined_orientation, edge_groups, \
     orientation_of, spatial_edge, thin_edges
@@ -140,7 +140,7 @@ class OracleColorClassifier:
     once per request.
     """
 
-    def __init__(self, classes=("red", "green", "blue")):
+    def __init__(self, classes=CLASSES):
         self.classes = tuple(classes)
         self._channel = {"red": 0, "green": 1, "blue": 2}
         for name in self.classes:
@@ -201,7 +201,7 @@ class CommandClassifier:
     (len(boxes), len(classes) + 1) or not all finite.
     """
 
-    def __init__(self, command: str, classes=("red", "green", "blue")):
+    def __init__(self, command: str, classes=CLASSES):
         self.command = command
         self.classes = tuple(classes)
         self._proc = None
@@ -305,13 +305,13 @@ class CommandClassifier:
             self._proc.stdout.close()
 
 
-def make_classifier(spec: str, classes=("red", "green", "blue")):
-    """Resolve a classifier spec: 'oracle', 'cmd:COMMAND', or 'always' (oracle
-    with label propagation disabled; the caller reads the second element)."""
+def make_classifier(spec: str, classes=CLASSES):
+    """Resolve a classifier spec, 'oracle' or 'cmd:COMMAND'. The pair's second
+    element is always False: ``classify_always`` is the per-frame switch, and
+    the pair stays while ``perfbench/scenes.py`` and ``perfbench/selftest.py``
+    unpack two values."""
     if spec == "oracle":
         return OracleColorClassifier(classes), False
-    if spec == "always":
-        return OracleColorClassifier(classes), True
     if spec.startswith("cmd:"):
         return CommandClassifier(spec[4:], classes), False
     raise ValueError(f"unknown classifier spec {spec!r}")
@@ -480,13 +480,13 @@ def detect_stream(frames, flow_source, config: PipelineConfig, classifier,
     label, confidence and box. In every later frame the box is carried one
     frame at a time by ``carry_box`` over the sub-sequence's own flows, up to
     the sub-sequence's last frame, where the next sub-sequence picks it up.
-    In classify-always mode every window of every cluster is scored, the
-    label is pooled over all of them, and each frame the cluster has windows
-    in takes its top-scoring window. A labelled cluster is detected in each
-    emitted frame it has windows in; each sub-sequence's detections are
-    suppressed per frame and class at DET_NMS_BETA and come out in (frame,
-    -confidence, box) order. The returned registry holds the last
-    sub-sequence's clusters.
+    With ``config.classify_always`` (the per-frame reference) every window of
+    every cluster is scored, the label is pooled over all of them, and each
+    frame the cluster has windows in takes its top-scoring window. A labelled
+    cluster is detected in each emitted frame it has windows in; each
+    sub-sequence's detections are suppressed per frame and class at
+    DET_NMS_BETA and come out in (frame, -confidence, box) order. The returned
+    registry holds the last sub-sequence's clusters.
 
     Each sub-sequence makes at most one classifier request per frame, holding
     the windows it scores that have no score yet, and a window keeps its
@@ -547,22 +547,22 @@ def detect_stream(frames, flow_source, config: PipelineConfig, classifier,
                                    if entry.confidence >= CONFIDENCE_THRESHOLD else None)
                 if entry.label is None:
                     continue
-                # a classified cluster takes its box from its own scores
-                box, at = (None, None) if own else (entry.box, entry.box_frame)
+                # a classified cluster takes its box from its own scores; an
+                # inherited box was carried to this record's first frame
+                box = None if own else entry.box
                 for j, fi in enumerate(rec.frame_ids):
                     if fi in own:
                         top = max(own[fi], key=lambda m: scores[rec.window_ids[m]][best_c])
                         box, provenance = rec.proposals[top].box, "classified"
-                    elif box is None or fi <= at:
+                    elif box is None or j == 0:
                         continue
                     else:
                         box = carry_box(box, rec.flows[j - 1], (width, height))
                         provenance = "propagated"
-                    at = fi
                     if fi in rec.emit_frames and fi in by_frame[lab]:
                         sub_dets.append(Detection(fi, box, entry.label,
                                                   entry.confidence, provenance, gid))
-                entry.box, entry.box_frame = box, at
+                entry.box = box
             detections.extend(_detection_nms(sub_dets, DET_NMS_BETA))
     except ClassifierProtocolError as exc:
         exc.partial = (detections, stats)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -138,17 +138,16 @@ def render(spec: SyntheticSpec) -> SyntheticVideo:
     return SyntheticVideo(frames, flows, gt, spec)
 
 
+def _given(cls, data: dict) -> dict:
+    """The keys of ``data`` naming fields of dataclass ``cls``, arrays as tuples."""
+    given = {f.name: data[f.name] for f in fields(cls) if f.name in data}
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in given.items()}
+
+
 def spec_from_dict(data: dict) -> SyntheticSpec:
-    objects = [ObjectSpec(color=o["color"], size=tuple(o["size"]),
-                          start=tuple(o["start"]),
-                          velocity=tuple(o.get("velocity", (0, 0))),
-                          enter=o.get("enter", 0), exit=o.get("exit"))
-               for o in data.get("objects", [])]
-    return SyntheticSpec(n_frames=data["n_frames"], width=data["width"],
-                         height=data["height"], seed=data.get("seed", 0),
-                         noise=data.get("noise", 10.0),
-                         background_level=data.get("background_level", 110),
-                         objects=objects)
+    """A SyntheticSpec from a spec document (``streamdet synth --spec``)."""
+    objects = [ObjectSpec(**_given(ObjectSpec, o)) for o in data.get("objects", [])]
+    return SyntheticSpec(**{**_given(SyntheticSpec, data), "objects": objects})
 
 
 def write_video(video: SyntheticVideo, outdir) -> dict:

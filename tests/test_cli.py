@@ -423,6 +423,37 @@ def test_classifier_that_exits_at_once_exits_4_and_writes_stats(tmp_path, capsys
         assert (out / "detections.jsonl").read_text() == ""
 
 
+# classify_always is the one per-frame switch, and the error says so
+def test_classifier_always_exits_2_naming_classify_always(tmp_path, capsys):
+    video = _synth(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"classifier": "always"}))
+    out = tmp_path / "det"
+    for flags in (["--config", str(config)], ["--classifier", "always"]):
+        assert main(["detect", str(video / "frames"), "--out", str(out)] + flags) == 2
+        err = capsys.readouterr().err
+        assert "classify_always" in err and "'always'" in err
+        assert not out.exists()
+
+
+def test_classify_always_through_a_command_classifier_scores_every_window(
+        tmp_path, capsys):
+    video = _synth(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"min_box_area": 250.0, "max_proposals": 10,
+                                  "classify_always": True}))
+    script = _scores_stub("0.1")
+    out = tmp_path / "det"
+    assert main(["detect", str(video / "frames"), "--flow-dir", str(video / "flow"),
+                 "--out", str(out), "--resize", "0", "--config", str(config),
+                 "--classifier", f"cmd:exec {shlex.quote(sys.executable)} "
+                                 f"-c {shlex.quote(script)}"]) == 0
+    stats = json.loads((out / "stats.json").read_text())
+    assert stats["total_windows"] > 0
+    assert stats["classified_windows"] == stats["total_windows"]
+    assert stats["fraction"] == 1.0
+
+
 def test_classifier_that_stalls_exits_4(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(streamdet.propagation, "REPLY_TIMEOUT_S", 0.2)
     monkeypatch.setattr(streamdet.propagation, "CLOSE_TIMEOUT_S", 0.2)

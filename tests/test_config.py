@@ -61,7 +61,7 @@ RANGES = [
     ("tau_kl", [0.0, -2.0, NAN], [1e-6]),
     ("max_proposals", [0, 2.5], [1]),
     ("min_box_area", [0.0, -1.0, NAN], [1e-6, 300]),
-    ("classifier", ["nonsense", "cmd", 5], ["oracle", "always", "cmd:true"]),
+    ("classifier", ["nonsense", "cmd", 5, "always"], ["oracle", "cmd:true"]),
     ("classify_always", ["false", 0], [True, False]),
     ("classes", ["red", ("red", 1)], [("cat",)]),
     ("seed", [-1, 1.5], [0]),

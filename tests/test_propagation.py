@@ -203,8 +203,6 @@ def test_carry_box_clamps_to_the_frame_edge():
 def test_make_classifier_specs():
     clf, always = make_classifier("oracle")
     assert isinstance(clf, OracleColorClassifier) and not always
-    clf, always = make_classifier("always")
-    assert isinstance(clf, OracleColorClassifier) and always
     with pytest.raises(ValueError):
         make_classifier("nonsense")
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from streamdet.synth import ObjectSpec, SyntheticSpec, render
+from streamdet.synth import ObjectSpec, SyntheticSpec, render, spec_from_dict
 
 WIDTH, HEIGHT = 40, 30
 
@@ -53,3 +53,14 @@ def test_object_outside_the_frame_leaves_no_trace():
     assert np.array_equal(video.frames[3], background)
     assert np.count_nonzero(video.flows[1][..., 0]) == 10      # one column
     assert not video.flows[2].any()
+
+
+def test_spec_from_dict_leaves_the_defaults_to_the_dataclasses():
+    doc = {"n_frames": 4, "width": WIDTH, "height": HEIGHT,
+           "objects": [{"color": "red", "size": [10, 8], "start": [2, 3],
+                        "velocity": [1, -1], "enter": 1, "exit": 3},
+                       {"color": "blue", "size": [6, 6], "start": [20, 10]}]}
+    assert spec_from_dict(doc) == SyntheticSpec(
+        n_frames=4, width=WIDTH, height=HEIGHT,
+        objects=[ObjectSpec("red", (10, 8), (2, 3), velocity=(1, -1), enter=1, exit=3),
+                 ObjectSpec("blue", (6, 6), (20, 10))])
