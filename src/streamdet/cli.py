@@ -47,7 +47,10 @@ def _add_stream_args(parser: argparse.ArgumentParser):
     """Inputs, output and config flags of propose, cluster and detect."""
     parser.add_argument("frames_dir", help="directory of .ppm frames, ordered by "
                                            "the numbers in their names")
-    parser.add_argument("--flow-dir", help="directory of .flo files (frame t -> t+1)")
+    parser.add_argument("--flow-dir",
+                        help="directory of .flo files (frame t -> t+1); without "
+                             "it, the flow is computed by block matching, which "
+                             "loads scipy")
     parser.add_argument("--out", required=True, metavar="DIR",
                         help="output directory, created if missing")
     parser.add_argument("--config", metavar="PATH",

@@ -1,6 +1,11 @@
 """Spatial edge detection, spatio-temporal edge combination, edge thinning
 and edge grouping.
 
+Spatial edges are Scharr derivatives of the Gaussian-smoothed luma. Both
+filters are plain numpy that reproduces ``scipy.ndimage``'s
+``gaussian_filter`` and 3x3 ``convolve`` bit for bit (``gaussian_smooth``,
+``_scharr``), so edge detection does not import scipy.
+
 The combined map is thinned across the edge before it is grouped (EdgeBoxes'
 first step, Zitnick & Dollar, ECCV 2014, section 3): groups grow on the
 one-pixel ridges of the thinned map, not on the band that smoothing spreads
@@ -12,40 +17,180 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .core import Box, as_field
 
-# Scharr 3x3 derivative stencil; scale cancels after normalization.
-_SCHARR_X = np.array([[-3, 0, 3], [-10, 0, 10], [-3, 0, 3]], dtype=np.float64) / 32.0
-_SCHARR_Y = _SCHARR_X.T
-
 SMOOTH_SIGMA = 1.5      # Gaussian smoothing before the derivatives
 EDGE_THRESHOLD = 0.1    # least edge magnitude that groups and box scores count
+FILTER_TILE = 32768     # float64 values (256 kB) per row tile of the two filters
 
 
 def to_gray(frame) -> np.ndarray:
-    """Luma in [0, 1] from an RGB or grayscale frame (uint8 or float)."""
+    """Luma in [0, 1] as float32 from an RGB or grayscale frame.
+
+    Integer frames are divided by 255. Float frames are taken as [0, 1]
+    unless a value exceeds 1, in which case they are divided by 255 too.
+    Luma is built one channel at a time in float64.
+    """
     arr = np.asarray(frame)
     if arr.ndim == 3:
-        arr = arr.astype(np.float64)
-        arr = 0.299 * arr[..., 0] + 0.587 * arr[..., 1] + 0.114 * arr[..., 2]
+        gray = np.multiply(arr[..., 0], 0.299, dtype=np.float64)
+        part = np.multiply(arr[..., 1], 0.587, dtype=np.float64)
+        gray += part
+        gray += np.multiply(arr[..., 2], 0.114, out=part, dtype=np.float64)
     else:
-        arr = arr.astype(np.float64)
-    if arr.max() > 1.0:
-        arr = arr / 255.0
-    return arr.astype(np.float32)
+        gray = arr.astype(np.float64)
+    if np.issubdtype(arr.dtype, np.integer) or gray.max() > 1.0:
+        gray /= 255.0
+    return gray.astype(np.float32)
 
 
-def _convolve3(field, kernel):
-    from scipy.ndimage import convolve
-    return convolve(field.astype(np.float64), kernel, mode="nearest")
+def _extended_index(n: int, radius: int, mode: str) -> np.ndarray:
+    """Indices into a line of n samples for the positions -radius .. n +
+    radius - 1, extended as ``scipy.ndimage`` extends lines: "nearest"
+    repeats the end sample; "reflect" mirrors about the outer edge of the end
+    sample, repeating with period 2n on lines shorter than the radius."""
+    pos = np.arange(-radius, n + radius)
+    if mode == "nearest":
+        return np.clip(pos, 0, n - 1)
+    if mode == "reflect":
+        pos = np.mod(pos, 2 * n)
+        return np.where(pos < n, pos, 2 * n - 1 - pos)
+    raise ValueError(f"unknown extension mode {mode!r}")
+
+
+def _extend(field: np.ndarray, radius: int, mode: str) -> np.ndarray:
+    """A float64 copy of a 2-D field with ``radius`` extended rows and
+    columns on each side (``_extended_index``). Copying the field into the
+    middle and indexing only the borders takes about half the time of one
+    fancy index over the whole extended field."""
+    h, w = field.shape
+    r = radius
+    rows = _extended_index(h, r, mode)
+    cols = _extended_index(w, r, mode)
+    out = np.empty((h + 2 * r, w + 2 * r))
+    out[r:r + h, r:r + w] = field
+    out[r:r + h, :r] = out[r:r + h, r + cols[:r]]
+    out[r:r + h, r + w:] = out[r:r + h, r + cols[r + w:]]
+    out[:r] = out[r + rows[:r]]
+    out[r + h:] = out[r + rows[r + h:]]
+    return out
+
+
+def _correlate_symmetric(src, weights, out, tmp) -> None:
+    """One symmetric correlation down axis 0, as ``scipy.ndimage``'s C loop
+    adds it: ``out = src[i]*w[0]``, then ``out += (src[i-j] + src[i+j])*w[j]``
+    for j = r down to 1. ``src`` holds r extra entries at each end."""
+    r = len(weights) - 1
+    n = out.shape[0]
+    np.multiply(src[r:r + n], weights[0], out=out)
+    for j in range(r, 0, -1):
+        np.add(src[r - j:r - j + n], src[r + j:r + j + n], out=tmp)
+        np.multiply(tmp, weights[j], out=tmp)
+        out += tmp
+
+
+def _row_tile(height: int, width: int) -> int:
+    """Rows per tile: about FILTER_TILE values of ``width``, at least one."""
+    return min(height, max(1, FILTER_TILE // width))
+
+
+def gaussian_smooth(field, sigma: float, mode: str) -> np.ndarray:
+    """Gaussian-smoothed float64 copy of a 2-D field.
+
+    Equal, bit for bit, to ``scipy.ndimage.gaussian_filter`` on the field as
+    float64 with mode "nearest" or "reflect" (truncated at 4 sigma): the same
+    kernel, axis 0 before axis 1, and the same operations per output value.
+
+    The field is extended once, then filtered in tiles of rows, about
+    FILTER_TILE values each, so both passes over a tile run in cache. The
+    vertical pass fills a tile's extended columns as well, which lets the
+    horizontal pass run over the tile as one contiguous line: an output
+    value at (i, c) reads the line at i*W + c .. i*W + c + 2r, all inside
+    row i. Contiguous lines run several times faster in numpy than 2-D
+    slices.
+    """
+    radius = int(4.0 * float(sigma) + 0.5)
+    # scipy.ndimage._gaussian_kernel1d(sigma, 0, radius), reversed, from the
+    # centre tap out to offset radius
+    taps = np.arange(-radius, radius + 1)
+    kernel = np.exp(-0.5 / (sigma * sigma) * taps ** 2)
+    weights = (kernel / kernel.sum())[::-1][radius::-1]
+    field = np.asarray(field)
+    h, w = field.shape
+    padded = _extend(field, radius, mode)
+    W = w + 2 * radius
+    tile = _row_tile(h, W)
+    wide = np.empty((tile, W))
+    line = np.empty(tile * W)
+    tmp = np.empty(tile * W)
+    out = np.empty((h, w))
+    for r0 in range(0, h, tile):
+        t = min(tile, h - r0)
+        n = t * W
+        _correlate_symmetric(padded[r0:r0 + t + 2 * radius], weights, wide[:t],
+                             tmp[:n].reshape(t, W))
+        _correlate_symmetric(wide[:t].reshape(-1), weights, line[:n - 2 * radius],
+                             tmp[:n - 2 * radius])
+        out[r0:r0 + t] = line[:n].reshape(t, W)[:, :w]
+    return out
+
+
+def _scharr(smooth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scharr derivatives (gx, gy) of a field, equal bit for bit to
+    ``scipy.ndimage.convolve(smooth, kernel, mode="nearest")`` with the
+    kernel ``[[-3, 0, 3], [-10, 0, 10], [-3, 0, 3]] / 32`` for gx and its
+    transpose for gy. Their scale cancels after normalization.
+
+    Like scipy, each value is +0.0 plus the products of the nonzero taps of
+    the flipped kernel, in raster order, so an all-zero neighbourhood gives
+    +0.0. The taps are +-3/32 and +-10/32, and x*(-c) is -(x*c) exactly, so
+    each tile's values are multiplied by 3/32 and 10/32 once and the signed
+    taps are added or subtracted. As in ``gaussian_smooth``, each tile runs
+    as one contiguous line.
+    """
+    h, w = smooth.shape
+    padded = _extend(smooth, 1, "nearest")
+    W = w + 2
+    tile = _row_tile(h, W)
+    corner = np.empty((tile + 2) * W)
+    side = np.empty((tile + 2) * W)
+    lines = np.empty((2, tile * W))
+    gx = np.empty((h, w))
+    gy = np.empty((h, w))
+    for r0 in range(0, h, tile):
+        t = min(tile, h - r0)
+        src = padded[r0:r0 + t + 2].reshape(-1)
+        np.multiply(src, 3 / 32, out=corner[:src.size])
+        np.multiply(src, 10 / 32, out=side[:src.size])
+        n = t * W - 2
+
+        def tap(values, dy, dx):
+            return values[dy * W + dx:dy * W + dx + n]
+
+        # gx's kernel flipped: [[3, 0, -3], [10, 0, -10], [3, 0, -3]] / 32
+        x = np.add(tap(corner, 0, 0), 0.0, out=lines[0, :n])
+        x -= tap(corner, 0, 2)
+        x += tap(side, 1, 0)
+        x -= tap(side, 1, 2)
+        x += tap(corner, 2, 0)
+        x -= tap(corner, 2, 2)
+        # gy's kernel flipped: [[3, 10, 3], [0, 0, 0], [-3, -10, -3]] / 32
+        y = np.add(tap(corner, 0, 0), 0.0, out=lines[1, :n])
+        y += tap(side, 0, 1)
+        y += tap(corner, 0, 2)
+        y -= tap(corner, 2, 0)
+        y -= tap(side, 2, 1)
+        y -= tap(corner, 2, 2)
+        grads = lines[:, :t * W].reshape(2, t, W)[:, :, :w]
+        gx[r0:r0 + t] = grads[0]
+        gy[r0:r0 + t] = grads[1]
+    return gx, gy
 
 
 def _gradients(field, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """Scharr derivatives (gx, gy) of a field after Gaussian smoothing."""
-    smooth = gaussian_filter(np.asarray(field, dtype=np.float64), sigma, mode="nearest")
-    return _convolve3(smooth, _SCHARR_X), _convolve3(smooth, _SCHARR_Y)
+    return _scharr(gaussian_smooth(field, sigma, "nearest"))
 
 
 def spatial_edge(frame, sigma: float = SMOOTH_SIGMA):

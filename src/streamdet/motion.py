@@ -8,7 +8,6 @@ import struct
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from .core import as_field
 from .edges import to_gray
@@ -74,7 +73,13 @@ def block_matching_flow(f1, f2, search_radius: int = 4, block: int = 5) -> np.nd
     cost is the same ``uniform_filter`` call on the same float64 values, so
     the flow does not depend on the worker count. All slice buffers are
     allocated here, 18 bytes per pixel per slice (4.5 MB at 500x500).
+
+    This is the only function of the package that uses scipy
+    (``scipy.ndimage.uniform_filter``), and it imports it when called: runs
+    with given flows never load scipy.
     """
+    from scipy.ndimage import uniform_filter
+
     g1 = to_gray(f1)
     g2 = to_gray(f2)
     if g1.shape != g2.shape:

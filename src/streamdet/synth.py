@@ -8,9 +8,9 @@ import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .core import Box
+from .edges import gaussian_smooth
 from .imio import write_ppm
 from .motion import write_flow
 
@@ -69,8 +69,12 @@ class SyntheticVideo:
 
 
 def _background(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
+    """Gray uint8 RGB background: Gaussian noise smoothed at sigma 1.5 with
+    mirrored borders (``edges.gaussian_smooth``, the same bits as scipy's
+    ``gaussian_filter`` in its default "reflect" mode), scaled so that its
+    largest deviation is ``spec.noise``, around ``spec.background_level``."""
     base = rng.normal(0.0, 1.0, size=(spec.height, spec.width))
-    base = gaussian_filter(base, 1.5)
+    base = gaussian_smooth(base, 1.5, "reflect")
     base = base / max(np.abs(base).max(), 1e-9) * spec.noise
     gray = np.clip(spec.background_level + base, 0, 255)
     return np.repeat(gray[:, :, None], 3, axis=2).astype(np.uint8)

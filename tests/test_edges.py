@@ -1,8 +1,116 @@
 import numpy as np
 import pytest
+from scipy.ndimage import convolve, gaussian_filter
 
+from streamdet import edges
 from streamdet.edges import (combine_edges, combined_orientation, edge_groups,
-                             spatial_edge, thin_edges)
+                             gaussian_smooth, orientation_of, spatial_edge,
+                             thin_edges, to_gray)
+
+# the shapes the filters are checked on: smaller than the Gaussian's radius
+# (6) in one or both axes, the bench's frame sizes (96x72, 128x96, 500x500),
+# and odd ones between
+FILTER_SHAPES = [(1, 1), (1, 9), (9, 1), (2, 2), (5, 7), (13, 13), (72, 96),
+                 (96, 128), (500, 500)]
+SCHARR_X = np.array([[-3, 0, 3], [-10, 0, 10], [-3, 0, 3]], dtype=np.float64) / 32.0
+
+
+def _signed_fields(shape, seed):
+    """Float64 fields for the filter checks: noise with +0.0 and -0.0
+    sprinkled in, a field of +0.0 and -0.0 only, and a mostly flat field
+    with one step, as the location prior is."""
+    rng = np.random.default_rng(seed)
+    noisy = rng.normal(size=shape)
+    noisy[rng.random(shape) < 0.3] = 0.0
+    noisy[rng.random(shape) < 0.3] = -0.0
+    zeros = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+    step = np.zeros(shape)
+    step[shape[0] // 2:, shape[1] // 2:] = 0.75
+    return [noisy, zeros, step]
+
+
+def _scipy_gradients(field, sigma):
+    """The scipy-based derivatives the edge maps were first computed with."""
+    smooth = gaussian_filter(np.asarray(field, dtype=np.float64), sigma, mode="nearest")
+    return (convolve(smooth, SCHARR_X, mode="nearest"),
+            convolve(smooth, SCHARR_X.T, mode="nearest"))
+
+
+def _scipy_spatial_edge(frame, sigma=edges.SMOOTH_SIGMA):
+    gx, gy = _scipy_gradients(to_gray(frame), sigma)
+    mag = np.hypot(gx, gy)
+    peak = mag.max()
+    if peak > 0:
+        mag = mag / peak
+    orient = np.mod(np.arctan2(gy, gx), np.pi)
+    return mag.astype(np.float32), orient.astype(np.float32)
+
+
+def _scipy_orientation_of(field, sigma=edges.SMOOTH_SIGMA):
+    gx, gy = _scipy_gradients(field, sigma)
+    return np.mod(np.arctan2(gy, gx), np.pi).astype(np.float32)
+
+
+# bytes, not values: arctan2 tells +0.0 from -0.0, so equal values with
+# another sign of zero would change an orientation
+@pytest.mark.parametrize("mode", ["nearest", "reflect"])
+@pytest.mark.parametrize("shape", FILTER_SHAPES)
+def test_gaussian_smooth_has_scipys_bytes(shape, mode):
+    for field in _signed_fields(shape, seed=shape[0] * 1000 + shape[1]):
+        expected = gaussian_filter(field, edges.SMOOTH_SIGMA, mode=mode)
+        assert gaussian_smooth(field, edges.SMOOTH_SIGMA, mode).tobytes() == expected.tobytes()
+        # float32 input is filtered as float64, as _gradients' luma is
+        single = field.astype(np.float32)
+        expected = gaussian_filter(single.astype(np.float64), edges.SMOOTH_SIGMA, mode=mode)
+        assert gaussian_smooth(single, edges.SMOOTH_SIGMA, mode).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("shape", FILTER_SHAPES)
+def test_scharr_has_scipys_bytes(shape):
+    for field in _signed_fields(shape, seed=shape[0] * 1000 + shape[1] + 1):
+        gx, gy = edges._scharr(field)
+        assert gx.tobytes() == convolve(field, SCHARR_X, mode="nearest").tobytes()
+        assert gy.tobytes() == convolve(field, SCHARR_X.T, mode="nearest").tobytes()
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (72, 96), (96, 128), (500, 500)])
+def test_spatial_edge_and_orientation_of_match_the_scipy_reference(shape):
+    rng = np.random.default_rng(shape[1])
+    frame = rng.integers(0, 256, size=(*shape, 3), dtype=np.uint8)
+    frame[: shape[0] // 2] = 90                 # a flat half: zero gradients
+    for got, expected in zip(spatial_edge(frame), _scipy_spatial_edge(frame)):
+        assert got.tobytes() == expected.tobytes()
+    for field in _signed_fields(shape, seed=shape[0]):
+        assert orientation_of(field).tobytes() == _scipy_orientation_of(field).tobytes()
+
+
+def test_gaussian_smooth_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="extension mode"):
+        gaussian_smooth(np.zeros((4, 4)), 1.5, "wrap")
+
+
+@pytest.mark.parametrize("channels", [(), (3,)])
+def test_to_gray_scales_integer_frames_by_255_whatever_they_hold(channels):
+    # a fade-in from black: frames of 1s and of 2s lie on one scale
+    for level in (0, 1, 2, 255):
+        frame = np.full((4, 5, *channels), level, dtype=np.uint8)
+        assert np.allclose(to_gray(frame), level / 255.0, rtol=1e-6, atol=0)
+    assert to_gray(np.full((3, 3), 1, dtype=np.int32)).max() == np.float32(1 / 255)
+
+
+def test_to_gray_keeps_float_frames_in_unit_range_and_scales_larger_ones():
+    unit = np.full((4, 5, 3), 0.5)
+    assert np.all(to_gray(unit) == np.float32(0.5))
+    assert np.all(to_gray(np.full((4, 5), 1.0)) == np.float32(1.0))
+    assert np.allclose(to_gray(np.full((4, 5), 2.0)), 2 / 255, rtol=1e-6, atol=0)
+
+
+def test_to_gray_luma_has_the_bytes_of_the_whole_frame_expression():
+    rng = np.random.default_rng(3)
+    frame = rng.integers(30, 256, size=(50, 60, 3), dtype=np.uint8)
+    arr = frame.astype(np.float64)
+    luma = (0.299 * arr[..., 0] + 0.587 * arr[..., 1] + 0.114 * arr[..., 2]) / 255.0
+    assert to_gray(frame).tobytes() == luma.astype(np.float32).tobytes()
 
 
 def test_spatial_edge_constant_frame():

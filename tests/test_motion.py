@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from streamdet import motion
+from streamdet.edges import to_gray
 from streamdet.motion import (accumulate_prior, block_matching_flow,
                               inside_outside_map, motion_boundary, read_flow,
                               temporal_edge, write_flow)
@@ -389,3 +390,10 @@ def test_motion_memory_peak_on_500px_frames(monkeypatch):
     # expression-by-expression version peaked at 14.3 fields
     flow = np.round(rng.normal(0.0, 2.0, size=(500, 500, 2))).astype(np.float32)
     assert _peak_fields(motion_boundary, flow) <= 6.0
+
+
+def test_to_gray_memory_peak_on_a_500px_frame():
+    # luma and one channel's term in float64 (2 fields) and the float32
+    # result; converting the whole frame to float64 first peaked at 5 fields
+    frame = np.random.default_rng(9).integers(0, 256, size=(500, 500, 3), dtype=np.uint8)
+    assert _peak_fields(to_gray, frame) <= 2.75

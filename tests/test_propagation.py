@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from collections import Counter
 from itertools import groupby
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -703,3 +707,35 @@ def test_detect_stream_recalls_five_objects_classifying_a_tenth(seed):
     n_gt = sum(c["ground_truth"] for c in per_class.values())
     assert tp / n_gt >= 0.8
     assert stats.classified_windows / stats.total_windows <= 0.1
+
+
+# run in a fresh interpreter: the modules the test session imported (scipy
+# among them) would hide an import the package makes
+_SCIPY_ONLY_FOR_FLOW = """
+import sys
+import streamdet, streamdet.cli, streamdet.propagation
+from streamdet.config import PipelineConfig
+from streamdet.propagation import OracleColorClassifier, detect_stream
+from streamdet.synth import ObjectSpec, SyntheticSpec, render
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+video = render(SyntheticSpec(n_frames=5, width=48, height=40, seed=2,
+                             objects=[ObjectSpec("red", (12, 10), (6, 14), velocity=(2, 0))]))
+config = PipelineConfig(max_proposals=10, subseq_len=3, seed=0)
+detect_stream(video.frames, video.flows, config, OracleColorClassifier(config.classes))
+print(scipy_modules())
+streamdet.motion.block_matching_flow(video.frames[0], video.frames[1])
+print("scipy.ndimage" in sys.modules)
+"""
+
+
+def test_scipy_is_loaded_only_to_compute_flow():
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run([sys.executable, "-c", _SCIPY_ONLY_FOR_FLOW], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "True"]

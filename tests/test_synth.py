@@ -1,7 +1,15 @@
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
 
+from streamdet import synth
 from streamdet.synth import ObjectSpec, SyntheticSpec, render, spec_from_dict
+
+BENCH_SPECS = runpy.run_path(
+    str(Path(__file__).resolve().parents[1] / "perfbench" / "scenes.py"))["SPECS"]
 
 WIDTH, HEIGHT = 40, 30
 
@@ -64,3 +72,15 @@ def test_spec_from_dict_leaves_the_defaults_to_the_dataclasses():
         n_frames=4, width=WIDTH, height=HEIGHT,
         objects=[ObjectSpec("red", (10, 8), (2, 3), velocity=(1, -1), enter=1, exit=3),
                  ObjectSpec("blue", (6, 6), (20, 10))])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("workload", sorted(BENCH_SPECS))
+def test_bench_scenes_render_the_frames_of_scipys_smoothing(monkeypatch, workload, seed):
+    frames = render(BENCH_SPECS[workload](seed)).frames
+    # the background was first smoothed by scipy's gaussian_filter, whose
+    # default mode is "reflect"
+    monkeypatch.setattr(synth, "gaussian_smooth",
+                        lambda field, sigma, mode: gaussian_filter(field, sigma, mode=mode))
+    expected = render(BENCH_SPECS[workload](seed)).frames
+    assert [f.tobytes() for f in frames] == [f.tobytes() for f in expected]
