@@ -11,6 +11,7 @@ HIST_BINS = 15
 N_HIST = 3 * HIST_BINS          # 45 color dims
 FEATURE_DIM = N_HIST + 4        # 49 total
 DENSITY_EPS = 1e-12
+RHO = 1.2   # PMI_rho's exponent on the joint density (Isola et al., ECCV 2014)
 
 
 class DensityError(ValueError):
@@ -204,9 +205,9 @@ def _loo_correct(values: np.ndarray, kde: ProductKDE | PairKDE) -> np.ndarray:
     return np.maximum((n * values - kde._norm) / (n - 1), 0.0)
 
 
-def affinity_matrix(features: np.ndarray, joint: PairKDE,
-                    rho: float = 1.2) -> np.ndarray:
-    """Symmetric non-negative W with W_ij = exp(PMI(f_i, f_j)) for the pairs
+def affinity_matrix(features: np.ndarray, joint: PairKDE) -> np.ndarray:
+    """Symmetric non-negative W with W_ij = exp(PMI_rho(f_i, f_j)), the joint
+    density raised to RHO over the product of the marginals, for the pairs
     the joint was fitted on, 0 for every other pair, and the row maximum on
     the diagonal. features must be the rows the joint was fitted on.
 
@@ -225,7 +226,7 @@ def affinity_matrix(features: np.ndarray, joint: PairKDE,
     ii, jj = joint.ii, joint.jj
     pj = np.log(np.maximum(_loo_correct(density[ii, jj], joint), DENSITY_EPS))
     pab = np.log(np.maximum(m[ii] * m[jj], DENSITY_EPS))
-    vals = np.exp(rho * pj - pab)
+    vals = np.exp(RHO * pj - pab)
     W = np.zeros((n, n), dtype=np.float64)
     W[ii, jj] = vals
     W[jj, ii] = vals

@@ -64,9 +64,6 @@ def _add_stream_args(parser: argparse.ArgumentParser):
                              "ones share one frame")
     parser.add_argument("--k", metavar="N|auto",
                         help="cluster count, or 'auto' for self-tuning")
-    parser.add_argument("--rho", type=float, metavar="F", help="PMI exponent, > 0")
-    parser.add_argument("--tau-kl", type=float, metavar="F",
-                        help="KL threshold for inheriting a cluster's label, > 0")
     parser.add_argument("--max-proposals", type=int, metavar="N",
                         help="proposals per frame, >= 1")
     parser.add_argument("--seed", type=int, metavar="N", help="clustering seed, >= 0")
@@ -80,8 +77,7 @@ def _build_config(args) -> PipelineConfig:
     config = (PipelineConfig.from_file(args.config) if args.config
               else PipelineConfig())
     overrides = {}
-    for name in ("lam", "subseq_len", "rho", "tau_kl", "max_proposals",
-                 "classifier", "seed"):
+    for name in ("lam", "subseq_len", "max_proposals", "classifier", "seed"):
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value

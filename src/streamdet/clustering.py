@@ -13,6 +13,7 @@ from .affinity import (HIST_BINS, N_HIST, ProductKDE, _fit_pca, _loo_correct,
 from .core import Box
 
 KL_EPS = 1e-12
+TAU_KL = 2.0             # a cluster inherits a global id below this KL divergence
 LOCAL_SCALE_KNN = 7      # self-tuning's local scale: the 7th neighbor's distance
 DESCRIPTOR_MAX_DIM = 8   # PCA dimensions of a cluster descriptor
 
@@ -295,10 +296,10 @@ def associate_clusters(descriptors: list[ClusterDescriptor],
     sub-sequence, then make the registry hold exactly the current ones.
 
     Greedy one-to-one matching in ascending KL order; a match below tau_kl
-    inherits the global id together with its entry (label, confidence, and
-    last box with its frame), everything else gets a fresh id. Ties break on
-    the lower global id. Previous clusters left unmatched are dropped.
-    Returns (global id per cluster, set of new ids).
+    (the pipeline passes TAU_KL) inherits the global id together with its
+    entry (label, confidence and box), everything else gets a fresh id. Ties
+    break on the lower global id. Previous clusters left unmatched are
+    dropped. Returns (global id per cluster, set of new ids).
 
     ``subseq_index`` is not read; it stays the fourth positional parameter
     because ``perfbench/tracing.py`` records it from there.

@@ -37,23 +37,22 @@ class PipelineConfig:
     ==================== ============== =====================================
     key                  type           range and meaning
     ==================== ============== =====================================
-    lambda (or lam)      number         [0, 1]; temporal edge weight
+    lambda (or lam)      number         [0, 1]; temporal edge weight (one
+                                        spelling per file)
     subseq_len           integer        [3, 5]; frames per sub-sequence
                                         (consecutive ones share one frame)
     k                    integer        >= 1; cluster count, or the largest
                                         one tried when self-tuning
     self_tune            bool           choose k by the eigengap
-    rho                  number         > 0; PMI exponent
-    tau_kl               number         > 0; KL threshold for inheriting a
-                                        cluster's label
     max_proposals        integer        >= 1; proposals per frame
     min_box_area         number         > 0; smallest window, in px
     classifier           string         oracle | cmd:COMMAND
     classify_always      bool           classify every cluster, not only
                                         new ones, with either classifier:
                                         the per-frame reference
-    classes              list of        class names, in the classifier's
-                         strings        score order
+    classes              list of        at least one; distinct class
+                         strings        names, in the classifier's score
+                                        order
     seed                 integer        >= 0; clustering seed
     resize               integer | null >= 16; square frame side, or null
                                         (the default) for the native size
@@ -61,7 +60,9 @@ class PipelineConfig:
                                         (PGM), one per frame
     ==================== ============== =====================================
 
-    Constants, not keys: ``proposals.STEP_IOU`` and ``PRE_NMS_BETA``,
+    Constants, not keys: ``affinity.RHO`` (the PMI exponent),
+    ``clustering.TAU_KL`` (the KL divergence below which a cluster inherits
+    a global id and its label), ``proposals.STEP_IOU`` and ``PRE_NMS_BETA``,
     ``propagation.DET_NMS_BETA`` and ``CONFIDENCE_THRESHOLD``.
 
     Any other key, a value of another type or one outside its range raises
@@ -72,8 +73,6 @@ class PipelineConfig:
     subseq_len: int = 3
     k: int = 5
     self_tune: bool = False
-    rho: float = 1.2
-    tau_kl: float = 2.0
     max_proposals: int = 500
     min_box_area: float = 1000.0
     classifier: str = "oracle"
@@ -101,16 +100,15 @@ class PipelineConfig:
             raise ConfigError(f"subseq_len must lie in [3, 5], got {self.subseq_len}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
-        if not self.rho > 0:
-            raise ConfigError(f"rho must be positive, got {self.rho}")
-        if not self.tau_kl > 0:
-            raise ConfigError(f"tau_kl must be positive, got {self.tau_kl}")
         if self.max_proposals < 1:
             raise ConfigError(f"max_proposals must be >= 1, got {self.max_proposals}")
         if self.classifier != "oracle" and not self.classifier.startswith("cmd:"):
             raise ConfigError(f"classifier must be oracle or cmd:COMMAND (set "
                               f"classify_always to classify every window), "
                               f"got {self.classifier!r}")
+        if not self.classes or len(set(self.classes)) != len(self.classes):
+            raise ConfigError(f"classes must be distinct names, at least one, "
+                              f"got {list(self.classes)}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.resize is not None and self.resize < 16:
@@ -122,6 +120,9 @@ class PipelineConfig:
     def from_dict(cls, data: dict) -> "PipelineConfig":
         known = {f.name for f in fields(cls)}
         aliases = {"lambda": "lam"}
+        if "lambda" in data and "lam" in data:
+            raise ConfigError("config keys 'lambda' and 'lam' name one setting; "
+                              "give one of them")
         kwargs = {}
         for key, value in data.items():
             name = aliases.get(key, key)

@@ -188,18 +188,19 @@ def _scharr(smooth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gx, gy
 
 
-def _gradients(field, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Scharr derivatives (gx, gy) of a field after Gaussian smoothing."""
-    return _scharr(gaussian_smooth(field, sigma, "nearest"))
+def _gradients(field) -> tuple[np.ndarray, np.ndarray]:
+    """Scharr derivatives (gx, gy) of a field after Gaussian smoothing at
+    SMOOTH_SIGMA."""
+    return _scharr(gaussian_smooth(field, SMOOTH_SIGMA, "nearest"))
 
 
-def spatial_edge(frame, sigma: float = SMOOTH_SIGMA):
+def spatial_edge(frame):
     """Gradient-magnitude edge map of a frame plus per-pixel edge orientation.
 
     Returns (magnitude, orientation): magnitude is normalized to [0, 1],
     orientation is the gradient (edge normal) angle in [0, pi).
     """
-    gx, gy = _gradients(to_gray(frame), sigma)
+    gx, gy = _gradients(to_gray(frame))
     mag = np.hypot(gx, gy)
     peak = mag.max()
     if peak > 0:
@@ -208,9 +209,9 @@ def spatial_edge(frame, sigma: float = SMOOTH_SIGMA):
     return mag.astype(np.float32), orient.astype(np.float32)
 
 
-def orientation_of(field, sigma: float = SMOOTH_SIGMA) -> np.ndarray:
+def orientation_of(field) -> np.ndarray:
     """Gradient-direction angles in [0, pi) for an arbitrary scalar field."""
-    gx, gy = _gradients(field, sigma)
+    gx, gy = _gradients(field)
     return np.mod(np.arctan2(gy, gx), np.pi).astype(np.float32)
 
 

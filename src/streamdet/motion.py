@@ -16,6 +16,7 @@ FLOW_MAGIC = 202021.25
 ALPHA_MAG = 1.0   # motion_boundary's weight of the flow Jacobian norm
 ALPHA_DIR = 0.5   # and of the largest direction change, in radians
 MAX_FLOW_WORKERS = 4   # most threads for block matching's candidate scan
+BOUNDARY_THRESHOLD = 0.5   # least motion_boundary value a contour ray crosses
 
 
 def read_flow(path, frame_shape=None) -> np.ndarray:
@@ -223,15 +224,16 @@ def _ray_odd_run_starts(crossing: np.ndarray, dy: int, dx: int) -> np.ndarray:
     return odd
 
 
-def inside_outside_map(boundary, threshold: float = 0.5) -> np.ndarray:
+def inside_outside_map(boundary) -> np.ndarray:
     """Mark pixels lying inside closed motion contours.
 
     Casts 8 rays per pixel (axes and diagonals); a pixel is inside when at
-    least 5 rays cross the thresholded boundary an odd number of times.
+    least 5 rays cross the boundary, thresholded at BOUNDARY_THRESHOLD, an
+    odd number of times.
     A boundary covering the whole frame yields no crossings: all outside.
     """
     b = as_field(boundary)
-    crossing = b >= threshold
+    crossing = b >= BOUNDARY_THRESHOLD
     directions = [(-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1)]
     odd_votes = np.zeros(b.shape, dtype=np.uint8)
     for dy, dx in directions:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .affinity import (FEATURE_DIM, DensityError, affinity_matrix,
                        collect_pairs, extract_features, fit_density)
-from .clustering import (ClusterRegistry, associate_clusters,
+from .clustering import (TAU_KL, ClusterRegistry, associate_clusters,
                          cluster_descriptor, make_subsequences,
                          spectral_cluster_fixed, spectral_cluster_selftune)
 from .config import CLASSES, ConfigError, PipelineConfig
@@ -432,7 +432,7 @@ def stream_cluster(frames, flow_source, config: PipelineConfig,
             pairs = collect_pairs(proposals)
             try:
                 joint = fit_density(pairs, features)
-                W = affinity_matrix(features, joint, config.rho)
+                W = affinity_matrix(features, joint)
             except DensityError:
                 W = np.ones((n, n), dtype=np.float64)
             if config.self_tune:
@@ -448,8 +448,7 @@ def stream_cluster(frames, flow_source, config: PipelineConfig,
         local_labels = sorted(cluster_members)
         descriptors = [cluster_descriptor(features[cluster_members[lab]])
                        for lab in local_labels]
-        gids, new_ids = associate_clusters(descriptors, registry,
-                                           config.tau_kl, t)
+        gids, new_ids = associate_clusters(descriptors, registry, TAU_KL, t)
         global_ids = {lab: gid for lab, gid in zip(local_labels, gids)}
         yield SubsequenceRecord(frame_ids, proposals, window_ids,
                                 labels, cluster_members, global_ids, new_ids,

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from streamdet.affinity import (DENSITY_EPS, DensityError, FeatureProjector,
-                                ProductKDE, affinity_matrix, collect_pairs,
-                                extract_features, fit_density)
+from streamdet.affinity import (DENSITY_EPS, RHO, DensityError,
+                                FeatureProjector, ProductKDE, affinity_matrix,
+                                collect_pairs, extract_features, fit_density)
 from streamdet.core import Box
 from streamdet.proposals import Proposal
 
@@ -162,7 +162,7 @@ def test_fit_density_two_blobs():
     assert joint.evaluate(intra)[0] > joint.evaluate(inter)[0]
 
 
-def _pmi(feats, pairs, a, b, rho=1.2):
+def _pmi(feats, pairs, a, b, rho=RHO):
     """log(P(A,B)^rho / (P(A) P(B))) of feature row pairs (a[k], b[k]) from
     the density fitted on feats and pairs, each floored at DENSITY_EPS."""
     joint, marginal, project = _oracle(feats, pairs)
@@ -202,7 +202,7 @@ def test_affinity_matrix_properties():
     rng = np.random.default_rng(8)
     feats = _overlapping_features(rng, 20, (0.5, 0.5), (8, 8, 8), jitter=0.08)
     pairs = collect_pairs_from_locations(feats)
-    W = affinity_matrix(feats, fit_density(pairs, feats), rho=1.2)
+    W = affinity_matrix(feats, fit_density(pairs, feats))
     assert np.array_equal(W, W.T)
     assert np.all(W >= 0.0)
     assert np.allclose(np.diag(W), W.max(axis=1))
@@ -224,7 +224,7 @@ def test_affinity_color_separated_objects():
     blue = _overlapping_features(rng, 25, (0.63, 0.5), (2, 2, 12), jitter=0.06)
     feats = np.concatenate([red, blue])
     pairs = collect_pairs_from_locations(feats)
-    W = affinity_matrix(feats, fit_density(pairs, feats), rho=1.2)
+    W = affinity_matrix(feats, fit_density(pairs, feats))
     n = 25
     intra = np.concatenate([W[:n, :n][np.triu_indices(n, 1)],
                             W[n:, n:][np.triu_indices(n, 1)]])
@@ -272,8 +272,7 @@ def test_affinity_matrix_matches_per_pair_oracle():
     blue = _overlapping_features(rng, 20, (0.6, 0.5), (2, 2, 12), jitter=0.08)
     feats = np.concatenate([red, blue])
     pairs = collect_pairs_from_locations(feats)
-    rho = 1.2
-    W = affinity_matrix(feats, fit_density(pairs, feats), rho=rho)
+    W = affinity_matrix(feats, fit_density(pairs, feats))
 
     joint, marginal, project = _oracle(feats, pairs)
     proj = project(feats)
@@ -283,7 +282,7 @@ def test_affinity_matrix_matches_per_pair_oracle():
         pj = joint.evaluate(np.concatenate([proj[i], proj[j]])[None, :])[0]
         pj = max((n_s * pj - joint._norm) / (n_s - 1), 0.0)  # leave one out
         pa, pb = marginal.evaluate(proj[[i, j]])
-        val = np.exp(rho * np.log(max(pj, 1e-12)) - np.log(max(pa * pb, 1e-12)))
+        val = np.exp(RHO * np.log(max(pj, 1e-12)) - np.log(max(pa * pb, 1e-12)))
         expected[i, j] = expected[j, i] = val
     np.fill_diagonal(expected, expected.max(axis=1))
     assert np.count_nonzero(expected) > len(feats)

@@ -29,8 +29,8 @@ def test_resize_flag(flags, resize):
     (["--subseq-len", "4"], "subseq_len", 4),
     (["--k", "3"], "k", 3),
     (["--k", "auto"], "self_tune", True),
-    (["--rho", "1.5"], "rho", 1.5),
-    (["--tau-kl", "0.7"], "tau_kl", 0.7),
+    (["--lambda", "0"], "lam", 0.0),   # a zero is a value, not a missing flag
+    (["--k", "auto"], "k", 5),         # self-tuning keeps k as its cap
     (["--max-proposals", "25"], "max_proposals", 25),
     (["--seed", "9"], "seed", 9),
     (["--classifier", "cmd:true"], "classifier", "cmd:true"),
@@ -50,6 +50,10 @@ def test_k_flag_rejects_a_fraction():
 @pytest.mark.parametrize("argv", [
     ["cluster", "frames", "--out", "d", "--classifier", "oracle"],
     ["propose", "frames", "--out", "d", "--classifier", "oracle"],
+    # the PMI exponent and the KL threshold are constants
+    *([command, "frames", "--out", "d", flag, "1.5"]
+      for command in ("propose", "cluster", "detect")
+      for flag in ("--rho", "--tau-kl")),
 ])
 def test_flags_a_command_does_not_read_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -124,10 +128,16 @@ def test_propose_and_cluster_emit_each_window_once(tmp_path, capsys):
 def test_config_with_unknown_key_exits_2(tmp_path, capsys):
     video = _synth(tmp_path)
     config = tmp_path / "config.json"
-    # unknown keys (one a fixed constant), and a known one of the wrong type
+    # unknown keys (three fixed constants), known ones of the wrong type or
+    # outside their range, and both spellings of lambda
     for doc, message in [({"subseq_len": 3, "no_such_key": 1}, "no_such_key"),
                          ({"step_iou": 0.65}, "unknown config key 'step_iou'"),
-                         ({"classes": "red"}, "classes must be a list of strings")]:
+                         ({"classes": "red"}, "classes must be a list of strings"),
+                         ({"rho": 1.2}, "unknown config key 'rho'"),
+                         ({"tau_kl": 2.0}, "unknown config key 'tau_kl'"),
+                         ({"classes": []}, "classes must be distinct names"),
+                         ({"lambda": 0.9, "lam": 0.1}, "'lambda' and 'lam'"),
+                         ({"lam": 0.1, "lambda": 0.9}, "'lambda' and 'lam'")]:
         config.write_text(json.dumps(doc))
         code = main(["detect", str(video / "frames"), "--out", str(tmp_path / "det"),
                      "--config", str(config)])

@@ -19,7 +19,7 @@ def test_unknown_key_is_named():
     for key in ("no_such_key", "kappa", "edge_threshold", "boundary_threshold",
                 "alpha_mag", "alpha_dir", "sigma_smooth", "search_radius",
                 "block_size", "step_iou", "pre_nms_beta", "det_nms_beta",
-                "confidence_threshold"):
+                "confidence_threshold", "rho", "tau_kl"):
         with pytest.raises(ConfigError, match=key):
             PipelineConfig.from_dict({"subseq_len": 4, key: 1})
 
@@ -57,13 +57,11 @@ RANGES = [
     ("subseq_len", [2, 6, "3", 3.0], [3, 5]),
     ("k", [0, -1, 2.5, True], [1]),
     ("self_tune", [1, "true", None], [True, False]),
-    ("rho", [0.0, -1.0, NAN, "x"], [1e-6, 2]),
-    ("tau_kl", [0.0, -2.0, NAN], [1e-6]),
     ("max_proposals", [0, 2.5], [1]),
     ("min_box_area", [0.0, -1.0, NAN], [1e-6, 300]),
     ("classifier", ["nonsense", "cmd", 5, "always"], ["oracle", "cmd:true"]),
     ("classify_always", ["false", 0], [True, False]),
-    ("classes", ["red", ("red", 1)], [("cat",)]),
+    ("classes", ["red", ("red", 1), (), ("red", "red")], [("cat",)]),
     ("seed", [-1, 1.5], [0]),
     ("resize", [15, 0, 32.5, True], [16, None]),
     ("edges_dir", [3, ["maps"]], ["maps", None]),

@@ -173,7 +173,7 @@ def _square_contour(size, lo, hi):
 
 def test_inside_outside_square():
     m = _square_contour(64, 16, 47)
-    inside = inside_outside_map(m, 0.5)
+    inside = inside_outside_map(m)
     interior = np.zeros_like(inside)
     interior[17:47, 17:47] = True
     exterior = np.ones_like(inside)
@@ -194,8 +194,8 @@ def test_inside_outside_full_boundary():
 def test_inside_outside_parity_oracle():
     # compare against a direct horizontal-parity oracle on a synthetic square
     m = _square_contour(48, 10, 37)
-    inside = inside_outside_map(m, 0.5)
-    crossing = m >= 0.5
+    inside = inside_outside_map(m)
+    crossing = m >= motion.BOUNDARY_THRESHOLD
     for y in range(12, 36, 5):
         for x in range(12, 36, 5):
             if crossing[y, x]:
@@ -244,7 +244,8 @@ def test_inside_outside_matches_ray_casting():
     masks.append(_square_contour(20, 4, 15))
     for m in masks:
         m = np.asarray(m, dtype=np.float32)
-        assert np.array_equal(inside_outside_map(m, 0.5), _ray_cast_inside(m >= 0.5))
+        crossing = m >= motion.BOUNDARY_THRESHOLD
+        assert np.array_equal(inside_outside_map(m), _ray_cast_inside(crossing))
 
 
 def test_accumulate_identical_masks():

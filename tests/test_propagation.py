@@ -213,7 +213,7 @@ def test_make_classifier_specs():
 
 def _scene_config(**kw):
     base = dict(lam=0.5, subseq_len=3, self_tune=True, max_proposals=40,
-                min_box_area=250.0, resize=None, seed=7, tau_kl=2.0)
+                min_box_area=250.0, resize=None, seed=7)
     base.update(kw)
     return PipelineConfig(**base)
 
@@ -425,7 +425,7 @@ def test_stream_requests_each_edge_map_once():
 
     def some_maps(i):
         requested.append(i)
-        return spatial_edge(video.frames[i], 1.0)[0] if i % 2 == 0 else None
+        return spatial_edge(video.frames[i])[0] if i % 2 == 0 else None
     records = list(propagation.stream_cluster(video.frames, video.flows, config,
                                               edge_maps=some_maps))
     assert records[-1].frame_ids[-1] == 6
