@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -33,7 +34,7 @@ _SPEC_OBJECT_KEYS = {"color": str, "size": (int, int), "start": (int, int)}
 _SPEC_OBJECT_OPTIONAL = {"velocity": (int, int), "enter": int, "exit": int | None}
 _BOX = {"x": float, "y": float, "w": float, "h": float}
 _TRACK = {"frame": int, "global_id": int, **_BOX}
-_GT = {"id": None, **_BOX}
+_GT = {"id": int | str, **_BOX}
 # per eval mode, the keys it reads of a prediction and of a ground-truth object
 _EVAL_KEYS = {"recall": ({"frame": int, **_BOX}, _BOX),
               "purity": (_TRACK, _GT),
@@ -63,7 +64,8 @@ def _add_stream_args(parser: argparse.ArgumentParser):
                         help="frames per sub-sequence in [3, 5]; consecutive "
                              "ones share one frame")
     parser.add_argument("--k", metavar="N|auto",
-                        help="cluster count, or 'auto' for self-tuning")
+                        help="cluster count, which turns self-tuning off, "
+                             "or 'auto' for self-tuning")
     parser.add_argument("--max-proposals", type=int, metavar="N",
                         help="proposals per frame, >= 1")
     parser.add_argument("--seed", type=int, metavar="N", help="clustering seed, >= 0")
@@ -90,10 +92,11 @@ def _build_config(args) -> PipelineConfig:
                 overrides["k"] = int(k)
             except ValueError:
                 raise ConfigError(f"--k must be an integer or 'auto', got {k!r}")
+            overrides["self_tune"] = False
     resize = getattr(args, "resize", None)
     if resize is not None:
         overrides["resize"] = None if resize == 0 else resize
-    return config.replace(**overrides)
+    return dataclasses.replace(config, **overrides)
 
 
 def _load_frames(frames_dir, config: PipelineConfig):
@@ -211,7 +214,7 @@ def cmd_detect(args) -> int:
 
 def cmd_eval(args) -> int:
     pred_keys, gt_keys = _EVAL_KEYS[args.mode]
-    gt_doc = read_json(args.gt, {"frames": None, "classes": list}
+    gt_doc = read_json(args.gt, {"frames": None, "classes": list[str]}
                        if args.mode == "detection" else {"frames": None})
     frames = check_objects(gt_doc["frames"], {"index": int, "objects": None},
                            f"{args.gt}: frames")

@@ -3,7 +3,6 @@ sub-sequence management and cluster identity association via KL divergence."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,25 +91,23 @@ def _normalized_affinity(W: np.ndarray) -> np.ndarray:
     return inv_sqrt[:, None] * W * inv_sqrt[None, :]
 
 
-def _spectral_embedding(S: np.ndarray, k: int) -> np.ndarray:
-    """Row-normalized leading-k eigenvectors of a normalized affinity S."""
+def _spectral_labels(S: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """k-means labels, from a k-means++ start seeded by ``seed``, of the rows
+    of the row-normalized leading-k eigenvectors of a normalized affinity S."""
     vals, vecs = np.linalg.eigh(S)
     U = vecs[:, np.argsort(vals)[::-1][:k]]
     norms = np.linalg.norm(U, axis=1, keepdims=True)
-    return U / np.maximum(norms, 1e-12)
+    return _kmeans(U / np.maximum(norms, 1e-12), k, np.random.default_rng(seed))
 
 
 def spectral_cluster_fixed(W: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
-    """Normalized-cut style clustering into exactly k groups with seeded
-    k-means++ initialization."""
+    """Normalized-cut style clustering of n points into min(k, n) groups
+    with seeded k-means++ initialization; no points give no labels."""
     W = np.asarray(W, dtype=np.float64)
     n = W.shape[0]
-    if n < k:
-        warnings.warn(f"only {n} points for k={k}: every point is its own cluster")
-        return np.arange(n, dtype=np.int64)
-    U = _spectral_embedding(_normalized_affinity(W), k)
-    rng = np.random.default_rng(seed)
-    return _kmeans(U, k, rng)
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    return _spectral_labels(_normalized_affinity(W), min(k, n), seed)
 
 
 def _local_scales(d: np.ndarray) -> np.ndarray:
@@ -160,9 +157,7 @@ def spectral_cluster_selftune(W: np.ndarray, max_clusters: int = 5,
     k = int(np.argmax(gaps)) + 1
     if k == 1:
         return np.zeros(n, dtype=np.int64)
-    U = _spectral_embedding(S, k)
-    rng = np.random.default_rng(seed)
-    return _kmeans(U, k, rng)
+    return _spectral_labels(S, k, seed)
 
 
 def scale_features(features: np.ndarray) -> np.ndarray:

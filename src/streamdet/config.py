@@ -42,7 +42,9 @@ class PipelineConfig:
     subseq_len           integer        [3, 5]; frames per sub-sequence
                                         (consecutive ones share one frame)
     k                    integer        >= 1; cluster count, or the largest
-                                        one tried when self-tuning
+                                        one tried when self-tuning (the
+                                        flag --k N also turns self_tune
+                                        off)
     self_tune            bool           choose k by the eigengap
     max_proposals        integer        >= 1; proposals per frame
     min_box_area         number         > 0; smallest window, in px
@@ -143,8 +145,3 @@ class PipelineConfig:
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
         return cls.from_dict(data)
-
-    def replace(self, **overrides) -> "PipelineConfig":
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data.update(overrides)
-        return PipelineConfig(**data)

@@ -4,7 +4,9 @@ and edge grouping.
 Spatial edges are Scharr derivatives of the Gaussian-smoothed luma. Both
 filters are plain numpy that reproduces ``scipy.ndimage``'s
 ``gaussian_filter`` and 3x3 ``convolve`` bit for bit (``gaussian_smooth``,
-``_scharr``), so edge detection does not import scipy.
+``_scharr``; ``np.pad`` extends the borders as scipy does), so edge
+detection does not import scipy. ``edge_magnitude`` normalizes derivatives
+into an edge map, here and for the temporal edges of ``motion``.
 
 The combined map is thinned across the edge before it is grouped (EdgeBoxes'
 first step, Zitnick & Dollar, ECCV 2014, section 3): groups grow on the
@@ -45,36 +47,10 @@ def to_gray(frame) -> np.ndarray:
     return gray.astype(np.float32)
 
 
-def _extended_index(n: int, radius: int, mode: str) -> np.ndarray:
-    """Indices into a line of n samples for the positions -radius .. n +
-    radius - 1, extended as ``scipy.ndimage`` extends lines: "nearest"
-    repeats the end sample; "reflect" mirrors about the outer edge of the end
-    sample, repeating with period 2n on lines shorter than the radius."""
-    pos = np.arange(-radius, n + radius)
-    if mode == "nearest":
-        return np.clip(pos, 0, n - 1)
-    if mode == "reflect":
-        pos = np.mod(pos, 2 * n)
-        return np.where(pos < n, pos, 2 * n - 1 - pos)
-    raise ValueError(f"unknown extension mode {mode!r}")
-
-
-def _extend(field: np.ndarray, radius: int, mode: str) -> np.ndarray:
-    """A float64 copy of a 2-D field with ``radius`` extended rows and
-    columns on each side (``_extended_index``). Copying the field into the
-    middle and indexing only the borders takes about half the time of one
-    fancy index over the whole extended field."""
-    h, w = field.shape
-    r = radius
-    rows = _extended_index(h, r, mode)
-    cols = _extended_index(w, r, mode)
-    out = np.empty((h + 2 * r, w + 2 * r))
-    out[r:r + h, r:r + w] = field
-    out[r:r + h, :r] = out[r:r + h, r + cols[:r]]
-    out[r:r + h, r + w:] = out[r:r + h, r + cols[r + w:]]
-    out[:r] = out[r + rows[:r]]
-    out[r + h:] = out[r + rows[r + h:]]
-    return out
+# scipy.ndimage's extension modes as np.pad's: "nearest" repeats the end
+# sample; "reflect" mirrors about the outer edge of the end sample, with
+# period 2n on lines shorter than the radius
+_PAD_MODES = {"nearest": "edge", "reflect": "symmetric"}
 
 
 def _correlate_symmetric(src, weights, out, tmp) -> None:
@@ -101,8 +77,10 @@ def gaussian_smooth(field, sigma: float, mode: str) -> np.ndarray:
     Equal, bit for bit, to ``scipy.ndimage.gaussian_filter`` on the field as
     float64 with mode "nearest" or "reflect" (truncated at 4 sigma): the same
     kernel, axis 0 before axis 1, and the same operations per output value.
+    Any other mode raises a ValueError.
 
-    The field is extended once, then filtered in tiles of rows, about
+    The field is extended once by ``np.pad`` (scipy's mode names map to
+    np.pad's in ``_PAD_MODES``), then filtered in tiles of rows, about
     FILTER_TILE values each, so both passes over a tile run in cache. The
     vertical pass fills a tile's extended columns as well, which lets the
     horizontal pass run over the tile as one contiguous line: an output
@@ -116,9 +94,10 @@ def gaussian_smooth(field, sigma: float, mode: str) -> np.ndarray:
     taps = np.arange(-radius, radius + 1)
     kernel = np.exp(-0.5 / (sigma * sigma) * taps ** 2)
     weights = (kernel / kernel.sum())[::-1][radius::-1]
-    field = np.asarray(field)
-    h, w = field.shape
-    padded = _extend(field, radius, mode)
+    if mode not in _PAD_MODES:
+        raise ValueError(f"unknown extension mode {mode!r}")
+    h, w = np.shape(field)
+    padded = np.pad(np.asarray(field, dtype=np.float64), radius, _PAD_MODES[mode])
     W = w + 2 * radius
     tile = _row_tile(h, W)
     wide = np.empty((tile, W))
@@ -150,7 +129,7 @@ def _scharr(smooth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     as one contiguous line.
     """
     h, w = smooth.shape
-    padded = _extend(smooth, 1, "nearest")
+    padded = np.pad(smooth, 1, "edge")
     W = w + 2
     tile = _row_tile(h, W)
     corner = np.empty((tile + 2) * W)
@@ -201,17 +180,26 @@ def spatial_edge(frame):
     orientation is the gradient (edge normal) angle in [0, pi).
     """
     gx, gy = _gradients(to_gray(frame))
-    mag = np.hypot(gx, gy)
-    peak = mag.max()
-    if peak > 0:
-        mag = mag / peak
-    orient = np.mod(np.arctan2(gy, gx), np.pi)
-    return mag.astype(np.float32), orient.astype(np.float32)
+    return edge_magnitude(gx, gy), _orientation(gx, gy)
 
 
 def orientation_of(field) -> np.ndarray:
     """Gradient-direction angles in [0, pi) for an arbitrary scalar field."""
-    gx, gy = _gradients(field)
+    return _orientation(*_gradients(field))
+
+
+def edge_magnitude(gx, gy) -> np.ndarray:
+    """Gradient magnitude divided by its peak (unless that is 0): float32 in
+    [0, 1]."""
+    mag = np.hypot(gx, gy)
+    peak = mag.max()
+    if peak > 0:
+        mag = mag / peak
+    return mag.astype(np.float32)
+
+
+def _orientation(gx, gy) -> np.ndarray:
+    """Gradient (edge normal) angle in [0, pi) as float32."""
     return np.mod(np.arctan2(gy, gx), np.pi).astype(np.float32)
 
 
@@ -252,8 +240,7 @@ def thin_edges(edge_map, orientations) -> np.ndarray:
     h, w = E.shape
     direction = np.rint(O * np.float32(4 / np.pi)).astype(np.int8)
     direction &= 3
-    padded = np.zeros((h + 2, w + 2), dtype=np.float32)
-    padded[1:-1, 1:-1] = E
+    padded = np.pad(E, 1)
     suppress = np.zeros((h, w), dtype=bool)
     below = np.empty((h, w), dtype=bool)
     for d, (dy, dx) in enumerate(_NORMAL_STEPS):

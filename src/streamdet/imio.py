@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import types
 
 import numpy as np
 
@@ -123,17 +124,21 @@ def write_jsonl(path, records) -> None:
 
 # wording of each expected value type; float stands for any number
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
-               list: "an array", (int, int): "two integers",
-               int | None: "an integer or null"}
+               list[str]: "an array of strings", (int, int): "two integers",
+               int | None: "an integer or null", int | str: "an integer or a string"}
 
 
 def _has_type(value, kind) -> bool:
     """Whether a JSON value is of ``kind``: a type or a union of types (float
-    takes any number, and bool counts as none of them) or a tuple of kinds,
-    one per item of an array that long."""
+    takes any number, and bool counts as none of them), a tuple of kinds,
+    one per item of an array that long, or ``list[kind]``, an array of any
+    length whose items are of that kind."""
     if isinstance(kind, tuple):
         return (isinstance(value, list) and len(value) == len(kind)
                 and all(map(_has_type, value, kind)))
+    if isinstance(kind, types.GenericAlias):
+        return (isinstance(value, list)
+                and all(_has_type(item, kind.__args__[0]) for item in value))
     return (isinstance(value, (int, float) if kind is float else kind)
             and not isinstance(value, bool))
 

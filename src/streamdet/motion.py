@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .core import as_field
-from .edges import to_gray
+from .edges import edge_magnitude, to_gray
 
 FLOW_MAGIC = 202021.25
 ALPHA_MAG = 1.0   # motion_boundary's weight of the flow Jacobian norm
@@ -257,10 +257,5 @@ def accumulate_prior(masks) -> np.ndarray:
 
 def temporal_edge(prior) -> np.ndarray:
     """Normalized gradient magnitude of the accumulated location prior."""
-    values = np.asarray(prior, dtype=np.float64)
-    gy, gx = np.gradient(values)
-    mag = np.hypot(gx, gy)
-    peak = mag.max()
-    if peak > 0:
-        mag = mag / peak
-    return mag.astype(np.float32)
+    gy, gx = np.gradient(np.asarray(prior, dtype=np.float64))
+    return edge_magnitude(gx, gy)

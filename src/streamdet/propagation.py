@@ -439,8 +439,7 @@ def stream_cluster(frames, flow_source, config: PipelineConfig,
                 labels = spectral_cluster_selftune(W, max_clusters=config.k,
                                                    seed=config.seed + t)
             else:
-                labels = spectral_cluster_fixed(W, min(config.k, n),
-                                                seed=config.seed + t)
+                labels = spectral_cluster_fixed(W, config.k, seed=config.seed + t)
 
         cluster_members: dict[int, list[int]] = {}
         for idx, lab in enumerate(labels.tolist()):

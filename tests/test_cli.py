@@ -40,6 +40,15 @@ def test_pipeline_flags_reach_the_config(flags, field, value):
     assert getattr(_build_config(args), field) == value
 
 
+def test_k_flag_turns_off_the_config_files_self_tuning(tmp_path):
+    config = tmp_path / "st.json"
+    config.write_text(json.dumps({"self_tune": True}))
+    args = build_parser().parse_args(["detect", "f", "--out", "d", "--config",
+                                      str(config), "--k", "3"])
+    built = _build_config(args)
+    assert (built.k, built.self_tune) == (3, False)
+
+
 def test_k_flag_rejects_a_fraction():
     args = build_parser().parse_args(["cluster", "frames", "--out", "d", "--k", "2.5"])
     with pytest.raises(ConfigError, match="--k"):
@@ -223,7 +232,8 @@ def test_malformed_json_input_exits_3_naming_the_file(tmp_path, capsys, case):
 # a value of the wrong type exits 3 too, naming the file, the line or item
 # and the key
 @pytest.mark.parametrize("case", ["spec-width-string", "recall-x-string",
-                                  "recall-frame-array", "consistency-id-string"])
+                                  "recall-frame-array", "consistency-id-string",
+                                  "gt-classes-number", "gt-id-array"])
 def test_json_value_of_the_wrong_type_exits_3_naming_the_file(tmp_path, capsys, case):
     video = _synth(tmp_path)
     capsys.readouterr()
@@ -243,10 +253,25 @@ def test_json_value_of_the_wrong_type_exits_3_naming_the_file(tmp_path, capsys, 
         write_jsonl(pred, [dict(record, frame=[0])])
         argv = eval_argv + ["recall"]
         message = f"{pred}, line 1: 'frame' must be an integer, got [0]"
-    else:
+    elif case == "consistency-id-string":
         write_jsonl(pred, [dict(record, global_id="a")])
         argv = eval_argv + ["consistency"]
         message = f"{pred}, line 1: 'global_id' must be an integer, got \"a\""
+    else:
+        # predictions valid in both modes: only the ground truth is at fault
+        write_jsonl(pred, [dict(record, **{"class": "red"})])
+        gt_path = video / "gt.json"
+        gt = json.loads(gt_path.read_text())
+        if case == "gt-classes-number":
+            gt["classes"] = [1, "red"]
+            argv = eval_argv + ["detection"]
+            message = f"{gt_path}: 'classes' must be an array of strings, got [1, \"red\"]"
+        else:
+            gt["frames"][0]["objects"][0]["id"] = [0]
+            argv = eval_argv + ["purity"]
+            message = (f"{gt_path}: frames[0].objects[0]: 'id' must be an integer "
+                       f"or a string, got [0]")
+        gt_path.write_text(json.dumps(gt))
     assert main(argv) == 3
     assert message in capsys.readouterr().err
 

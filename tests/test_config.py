@@ -1,7 +1,7 @@
 import ast
 import json
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -79,12 +79,12 @@ def test_validate_ranges(name, bad, good):
 
 def test_replace_validates_again():
     config = PipelineConfig(k=2)
-    assert config.replace(k=4).k == 4
+    assert replace(config, k=4).k == 4
     assert config.k == 2
     with pytest.raises(ConfigError):
-        config.replace(k=0)
+        replace(config, k=0)
     with pytest.raises(ConfigError):
-        config.replace(subseq_len=9)
+        replace(config, subseq_len=9)
 
 
 def test_every_field_is_read_outside_config_py():
