@@ -84,6 +84,66 @@ def test_spatial_edge_and_orientation_of_match_the_scipy_reference(shape):
         assert orientation_of(field).tobytes() == _scipy_orientation_of(field).tobytes()
 
 
+def _blob_fields(shape, seed):
+    """Fields constant but for a noise blob touching each edge, each corner
+    or neither, on a background of 0.0, of +-0.0 and of 0.3 (where the
+    Scharr filter of the constant is not 0); the three backgrounds alone;
+    and noise."""
+    rng = np.random.default_rng(seed)
+    h, w = shape
+    bh, bw = max(1, h // 5), max(1, w // 5)
+    backgrounds = [np.zeros(shape), np.where(rng.random(shape) < 0.5, 0.0, -0.0),
+                   np.full(shape, 0.3)]
+    fields = backgrounds + [rng.normal(size=shape)]
+    for background in backgrounds:
+        for y0 in (0, (h - bh) // 2, h - bh):
+            for x0 in (0, (w - bw) // 2, w - bw):
+                field = background.copy()
+                field[y0:y0 + bh, x0:x0 + bw] = rng.normal(size=(bh, bw))
+                fields.append(field)
+    return fields
+
+
+@pytest.mark.parametrize("shape", [(1, 9), (9, 1), (2, 2), (5, 7), (24, 31), (40, 40),
+                                   (72, 96)])
+def test_orientation_of_on_the_changing_box_equals_the_full_frame(shape):
+    for field in _blob_fields(shape, seed=shape[0] * 100 + shape[1]):
+        for given in (field, field.astype(np.float32)):
+            expected = _scipy_orientation_of(given.astype(np.float64))
+            assert orientation_of(given).tobytes() == expected.tobytes()
+
+
+def test_orientation_of_filters_only_the_changing_box(monkeypatch):
+    # one 20x30 blob in a 500x500 frame: the blob widened by the filters'
+    # reach (6 + 1 pixels) and one pixel more
+    prior = np.zeros((500, 500), dtype=np.float32)
+    prior[200:220, 100:130] = 0.5
+    seen = []
+    full = edges._orientation_map
+    monkeypatch.setattr(edges, "_orientation_map",
+                        lambda field: seen.append(field.shape) or full(field))
+    orientation_of(prior)
+    assert seen == [(36, 46)]
+
+
+def test_orientation_has_the_bytes_of_np_mod_of_arctan2():
+    # derivatives at and around the angles np.mod treats apart: +-0.0 and
+    # +-pi (y of +-0.0 with a negative x), and tiny negative angles, which
+    # come out as pi after adding pi
+    special = np.array([0.0, -0.0, 1.0, -1.0, 3.0, -3.0, 1e-17, -1e-17, 1e-300,
+                        -1e-300, 5e-324, -5e-324, 1e300, -1e300, np.inf, -np.inf, np.nan])
+    gx, gy = np.meshgrid(special, special)
+    rng = np.random.default_rng(14)
+    noise = rng.normal(size=(2, 200, 300)) * 10.0 ** rng.integers(-20, 20, size=(2, 200, 300))
+    noise[rng.random(noise.shape) < 0.2] = 0.0
+    noise[rng.random(noise.shape) < 0.2] = -0.0
+    for x, y in ((gx, gy), noise):
+        with np.errstate(invalid="ignore"):
+            expected = np.mod(np.arctan2(y, x), np.pi).astype(np.float32)
+        got = edges._orientation(x, y, np.empty(x.shape, dtype=np.float32))
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_gaussian_smooth_rejects_an_unknown_mode():
     with pytest.raises(ValueError, match="extension mode"):
         gaussian_smooth(np.zeros((4, 4)), 1.5, "wrap")

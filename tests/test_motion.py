@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from streamdet import motion
-from streamdet.edges import to_gray
+from streamdet.edges import spatial_edge, to_gray
 from streamdet.motion import (accumulate_prior, block_matching_flow,
                               inside_outside_map, motion_boundary, read_flow,
                               temporal_edge, write_flow)
@@ -387,8 +387,9 @@ def test_motion_memory_peak_on_500px_frames(monkeypatch):
     for workers in (1, 2, 4):
         monkeypatch.setattr(motion, "_flow_workers", lambda: workers)
         assert _peak_fields(block_matching_flow, f1, f2) <= 3.75 + 2.25 * workers
-    # five float64 fields, two bool masks and the float32 result; the
-    # expression-by-expression version peaked at 14.3 fields
+    # four float64 fields, bool masks and the gathers (4.86 fields); five
+    # float64 fields, two bool masks and the float32 result peaked at 5.75,
+    # the expression-by-expression version at 14.3
     flow = np.round(rng.normal(0.0, 2.0, size=(500, 500, 2))).astype(np.float32)
     assert _peak_fields(motion_boundary, flow) <= 6.0
 
@@ -398,3 +399,161 @@ def test_to_gray_memory_peak_on_a_500px_frame():
     # result; converting the whole frame to float64 first peaked at 5 fields
     frame = np.random.default_rng(9).integers(0, 256, size=(500, 500, 3), dtype=np.uint8)
     assert _peak_fields(to_gray, frame) <= 2.75
+
+
+def test_spatial_edge_memory_peak_on_a_500px_frame():
+    # while smoothing: the float32 luma, its padded float64 copy and the
+    # smoothed field (2.94 fields with the filter's row tiles); then the
+    # smoothed field, overwritten tile by tile by the gradient magnitude, and
+    # the two float32 results. Whole-frame derivatives, a padded copy for
+    # the Scharr filter and one new array per step peaked at 5.04 fields
+    frame = np.random.default_rng(9).integers(0, 256, size=(500, 500, 3), dtype=np.uint8)
+    assert _peak_fields(spatial_edge, frame) <= 3.0
+
+
+def test_flow_workers_without_sched_getaffinity(monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity: count the machine's CPUs
+    monkeypatch.delattr(motion.os, "sched_getaffinity", raising=False)
+    assert 1 <= motion._flow_workers() <= motion.MAX_FLOW_WORKERS
+    monkeypatch.setattr(motion.os, "cpu_count", lambda: None)
+    assert motion._flow_workers() == 1
+    monkeypatch.setattr(motion.os, "cpu_count", lambda: 64)
+    assert motion._flow_workers() == motion.MAX_FLOW_WORKERS
+    # block matching runs, as every detect without given flows does
+    f1 = _textured(np.random.default_rng(3), 24, 24)
+    flow = block_matching_flow(f1, np.roll(f1, 1, axis=1))
+    assert np.all(flow[4:-4, 4:-4] == (1.0, 0.0))
+
+
+def _blob_fields(shape, rng):
+    """2-D fields that are constant except for a random blob touching each
+    frame edge, each corner or neither; constant fields of +0.0, of +-0.0
+    and of a nonzero value; and a field that changes everywhere."""
+    h, w = shape
+    fields = [np.zeros(shape), np.where(rng.random(shape) < 0.5, 0.0, -0.0),
+              np.full(shape, 0.6), rng.random(shape)]
+    bh, bw = max(1, h // 4), max(1, w // 4)
+    for background in (0.0, 0.3):
+        for y0 in (0, (h - bh) // 2, h - bh):
+            for x0 in (0, (w - bw) // 2, w - bw):
+                field = np.full(shape, background)
+                field[y0:y0 + bh, x0:x0 + bw] = rng.random((bh, bw))
+                fields.append(field)
+    return fields
+
+
+BOX_SHAPES = [(1, 9), (9, 1), (2, 2), (2, 11), (11, 2), (5, 7), (24, 31), (40, 40)]
+
+
+def _full_frame_temporal_edge(prior):
+    """temporal_edge's formula on the whole frame, as it was first computed."""
+    gy, gx = np.gradient(np.asarray(prior, dtype=np.float64))
+    mag = np.hypot(gx, gy)
+    peak = mag.max()
+    if peak > 0:
+        mag = mag / peak
+    return mag.astype(np.float32)
+
+
+@pytest.mark.parametrize("shape", BOX_SHAPES)
+def test_temporal_edge_on_the_changing_box_equals_the_full_frame(shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    for field in _blob_fields(shape, rng):
+        for prior in (field, field.astype(np.float32)):
+            if min(shape) < 2:
+                # np.gradient needs 2 samples per axis, cropped or not
+                with pytest.raises(ValueError):
+                    temporal_edge(prior)
+                continue
+            got = temporal_edge(prior)
+            assert got.tobytes() == _full_frame_temporal_edge(prior).tobytes()
+
+
+@pytest.mark.parametrize("shape", BOX_SHAPES)
+def test_inside_outside_on_the_crossing_box_equals_the_full_frame(shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1] + 1)
+    for field in _blob_fields(shape, rng):
+        boundary = field.astype(np.float32)
+        crossing = boundary >= motion.BOUNDARY_THRESHOLD
+        votes = sum(motion._ray_odd_run_starts(crossing, dy, dx).astype(np.uint8)
+                    for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx)
+        inside = inside_outside_map(boundary)
+        assert np.array_equal(inside, votes >= 5)
+        assert np.array_equal(inside, _ray_cast_inside(crossing))
+
+
+def _blob_flows(shape, rng):
+    """Flows built from _blob_fields, plus flows whose y is +0.0 or -0.0
+    beside a negative x (directions +pi and -pi) and flows of +-0.0 only."""
+    fields = _blob_fields(shape, rng)
+    flows = [np.stack([4 * a - 2, np.round(4 * b - 2)], axis=-1).astype(np.float32)
+             for a, b in zip(fields, fields[1:] + fields[:1])]
+    for field in fields[4:]:
+        zero_y = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+        flows.append(np.stack([-1.0 - field, zero_y], axis=-1).astype(np.float32))
+        flows.append(np.stack([np.where(field > 0.5, 0.0, -0.0), zero_y], axis=-1))
+    return flows
+
+
+@pytest.mark.parametrize("shape", [s for s in BOX_SHAPES if min(s) >= 2])
+def test_motion_boundary_on_the_moving_pixels_equals_the_full_frame(shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1] + 2)
+    for flow in _blob_flows(shape, rng):
+        assert motion_boundary(flow).tobytes() == _rolled_motion_boundary(flow).tobytes()
+
+
+def test_motion_boundary_rejects_a_single_row_or_column():
+    for shape in ((1, 9, 2), (9, 1, 2)):
+        with pytest.raises(ValueError, match="at least 2x2"):
+            motion_boundary(np.ones(shape))
+
+
+def test_motion_boundary_chunks_agree_with_one_pass(monkeypatch):
+    # pieces of 7 pixels split rows and neighbour pairs between gathers
+    rng = np.random.default_rng(13)
+    flows = _blob_flows((24, 31), rng)
+    expected = [motion_boundary(flow).tobytes() for flow in flows]
+    monkeypatch.setattr(motion, "GATHER_CHUNK", 7)
+    assert [motion_boundary(flow).tobytes() for flow in flows] == expected
+
+
+def test_prior_stages_compute_only_the_changing_box(monkeypatch):
+    # the prior of one 20x30 blob in a 500x500 frame: temporal_edge works on
+    # the blob widened by 2 pixels, inside_outside_map on the crossings' box
+    prior = np.zeros((500, 500), dtype=np.float32)
+    prior[200:220, 100:130] = 0.5
+    seen = []
+
+    def spy(stage):
+        def record(field, *args):
+            seen.append(np.shape(field))
+            return stage(field, *args)
+        return record
+
+    monkeypatch.setattr(motion, "_gradient_magnitude", spy(motion._gradient_magnitude))
+    monkeypatch.setattr(motion, "_ray_odd_run_starts", spy(motion._ray_odd_run_starts))
+    temporal_edge(prior)
+    assert seen == [(24, 34)]
+    seen.clear()
+    inside_outside_map(prior)
+    assert seen == [(20, 30)] * 8
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_accumulate_prior_has_the_bytes_of_the_float64_mean(n):
+    rng = np.random.default_rng(n)
+    for shape in ((1, 1), (7, 5), (64, 48)):
+        masks = [rng.random(shape) < p for p in (0.2, 0.5, 0.8, 0.5)[:n]]
+        expected = np.mean([m.astype(np.float64) for m in masks], axis=0)
+        for given in (masks, [m.astype(np.float32) for m in masks]):
+            prior = accumulate_prior(given)
+            assert prior.dtype == np.float32
+            assert prior.tobytes() == expected.astype(np.float32).tobytes()
+
+
+def test_prior_memory_peaks_on_500px_frames():
+    # accumulate_prior: uint8 counts and the float32 result; a float64 copy
+    # of every mask, stacked, peaked at 9.0 fields for four masks
+    rng = np.random.default_rng(10)
+    masks = [rng.random((500, 500)) < 0.1 for _ in range(4)]
+    assert _peak_fields(accumulate_prior, masks) <= 0.75
