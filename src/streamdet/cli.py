@@ -50,8 +50,7 @@ def _add_stream_args(parser: argparse.ArgumentParser):
                                            "the numbers in their names")
     parser.add_argument("--flow-dir",
                         help="directory of .flo files (frame t -> t+1); without "
-                             "it, the flow is computed by block matching, which "
-                             "loads scipy")
+                             "it, the flow is computed by block matching")
     parser.add_argument("--out", required=True, metavar="DIR",
                         help="output directory, created if missing")
     parser.add_argument("--config", metavar="PATH",

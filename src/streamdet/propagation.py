@@ -25,7 +25,7 @@ from .clustering import (TAU_KL, ClusterRegistry, associate_clusters,
 from .config import CLASSES, ConfigError, PipelineConfig
 from .core import Box, IntegralImage, greedy_keep
 from .edges import combine_edges, combined_orientation, edge_groups, \
-    orientation_of, spatial_edge, thin_edges
+    orientation_of, spatial_edge, thin_edges, to_gray
 from .motion import (accumulate_prior, block_matching_flow, inside_outside_map,
                      motion_boundary, temporal_edge)
 from .proposals import Proposal, generate_proposals
@@ -347,9 +347,21 @@ def resolve_flow_source(frames, flow_source):
     """Normalize a flow source into a callable index -> (h, w, 2) array."""
     if flow_source is None:
         # sub-sequences overlap by one frame, so no two of them share a flow
-        # (frame_ids[:-1]) and each flow is computed once without a cache
+        # (frame_ids[:-1]) and each flow is computed once without a cache.
+        # The flows are asked for in order, so the luma of frame i + 1, kept
+        # from the flow into it, serves the flow out of it
+        kept = [None, None]    # the last flow's second frame and its input
+
+        def luma(i: int):
+            # to_gray keeps a luma in [0, 1] as it is; one above 1 (integer
+            # frames above 255) would be divided again, so its frame goes
+            gray = to_gray(frames[i])
+            return gray if gray.max() <= 1.0 else frames[i]
+
         def compute(i: int) -> np.ndarray:
-            return block_matching_flow(frames[i], frames[i + 1])
+            g1 = kept[1] if kept[0] == i else luma(i)
+            kept[:] = i + 1, luma(i + 1)
+            return block_matching_flow(g1, kept[1])
         return compute
     if callable(flow_source):
         return flow_source

@@ -26,12 +26,11 @@ def test_trace_targets_resolve():
 
 def test_traced_stages_run_on_the_calling_thread(monkeypatch):
     # the tracer keeps one stack of open spans, so a stage called from a
-    # worker thread (block matching's pool, say) would corrupt its span tree
-    from streamdet import motion, propagation
+    # worker thread would corrupt its span tree
+    from streamdet import propagation
     from streamdet.config import PipelineConfig
     from streamdet.synth import ObjectSpec, SyntheticSpec, render
 
-    monkeypatch.setattr(motion, "_flow_workers", lambda: 2)
     threads = []
 
     def recording(fn, name):

@@ -314,53 +314,109 @@ def test_temporal_edge_square_prior():
     assert np.all(et >= 0.0)
 
 
-def _stacked_argmin_flow(f1, f2, search_radius, block):
-    """Reference block matching: every candidate's cost map stacked, then the
-    first minimum along the stack."""
-    from scipy.ndimage import uniform_filter
-    from streamdet.edges import to_gray
-    g1, g2 = to_gray(f1), to_gray(f2)
+def _candidates(radius):
+    """Block matching's candidates, in its order."""
+    candidates = [(dx, dy) for dy in range(-radius, radius + 1)
+                  for dx in range(-radius, radius + 1)]
+    return sorted(candidates, key=lambda d: (d[0] * d[0] + d[1] * d[1], d[0], d[1]))
+
+
+def _stacked_argmin_flow(f1, f2, search_radius, block, scale=None):
+    """Reference block matching: every candidate's SAD map over the whole
+    frame, stacked, then the first minimum along the stack.
+
+    With ``scale``, the luma is multiplied by it into int64 (exactly, or the
+    oracle fails), so the SADs are exact integers whatever the order of the
+    sums. Without it, the SADs are float64 sums in the order block matching
+    documents: along the row, then down the column."""
+    g1, g2 = to_gray(f1).astype(np.float64), to_gray(f2).astype(np.float64)
+    sentinel = 256.0    # the second frame beyond its edge
+    if scale is not None:
+        g1, g2 = g1 * scale, g2 * scale
+        assert np.all(g1 % 1 == 0) and np.all(g2 % 1 == 0)
+        g1, g2, sentinel = g1.astype(np.int64), g2.astype(np.int64), int(sentinel * scale)
     h, w = g1.shape
-    candidates = [(dx, dy) for dy in range(-search_radius, search_radius + 1)
-                  for dx in range(-search_radius, search_radius + 1)]
-    candidates.sort(key=lambda d: (d[0] * d[0] + d[1] * d[1], d[0], d[1]))
-    costs = np.empty((len(candidates), h, w), dtype=np.float64)
-    for idx, (dx, dy) in enumerate(candidates):
-        shifted = np.full((h, w), 1e6, dtype=np.float64)
-        y0, y1 = max(0, -dy), min(h, h - dy)
-        x0, x1 = max(0, -dx), min(w, w - dx)
-        if y1 > y0 and x1 > x0:
-            shifted[y0:y1, x0:x1] = g2[y0 + dy:y1 + dy, x0 + dx:x1 + dx]
-        costs[idx] = uniform_filter(np.abs(g1 - shifted), size=block, mode="nearest")
-    return np.asarray(candidates, dtype=np.float32)[np.argmin(costs, axis=0)]
+    r, before = search_radius, block // 2
+    g2 = np.pad(g2, r, constant_values=sentinel)
+    costs = []
+    for dx, dy in _candidates(r):
+        cost = np.abs(g1 - g2[r + dy:r + dy + h, r + dx:r + dx + w])
+        cost = np.pad(cost, [(before, block - 1 - before)] * 2, mode="edge")
+        across = cost[:, :w]
+        for k in range(1, block):
+            across = across + cost[:, k:k + w]
+        sad = across[:h]
+        for k in range(1, block):
+            sad = sad + across[k:k + h]
+        costs.append(sad)
+    costs = np.stack(costs)
+    return np.asarray(_candidates(r), dtype=np.float32)[np.argmin(costs, axis=0)], costs
 
 
-def test_block_matching_matches_stacked_argmin_on_ties(monkeypatch):
-    # the candidate scan split into 1, 2, 3, ... slices merges to one scan's
-    # flow; 81 and 200 workers give one candidate per slice
-    for workers in (1, 2, 3, 81, 200):
-        monkeypatch.setattr(motion, "_flow_workers", lambda: workers)
-        rng = np.random.default_rng(3)
-        f1 = np.full((40, 52), 120, dtype=np.uint8)
-        f1[5:18, 6:20] = 200                        # flat patches: many tied costs
-        f1[24:36, 30:46] = 40
-        f1[:, 48:] = rng.integers(0, 4, size=(40, 4)) * 60   # coarse, repeating texture
-        f2 = np.roll(f1, shift=(1, 2), axis=(0, 1))
-        for radius, block in ((2, 3), (4, 5)):
-            flow = block_matching_flow(f1, f2, search_radius=radius, block=block)
-            ref = _stacked_argmin_flow(f1, f2, radius, block)
-            assert flow.dtype == np.float32
-            assert np.array_equal(flow, ref)
-        # non-square frames, and frames smaller than the search window, where
-        # whole candidates read only the 1e6 sentinel beyond the frame
-        for (h, w), radius, block in (((23, 9), 3, 5), ((3, 5), 4, 3), ((3, 5), 4, 5),
-                                      ((5, 3), 4, 5), ((1, 6), 2, 3), ((2, 2), 3, 5)):
-            g1 = rng.integers(0, 3, size=(h, w)).astype(np.uint8) * 90
-            g2 = np.roll(g1, shift=(1, -1), axis=(0, 1))
-            g2[0] = 255
-            flow = block_matching_flow(g1, g2, search_radius=radius, block=block)
-            assert flow.shape == (h, w, 2)
-            assert np.array_equal(flow, _stacked_argmin_flow(g1, g2, radius, block))
+# the luma of an 8-bit frame is a multiple of 2^-35
+EXACT = 2.0 ** 35
+
+
+def test_block_matching_matches_stacked_argmin_on_ties():
+    # flat patches and coarse, repeating texture: most pixels tie exactly,
+    # and the first tied candidate must win
+    rng = np.random.default_rng(3)
+    f1 = np.full((40, 52), 120, dtype=np.uint8)
+    f1[5:18, 6:20] = 200
+    f1[24:36, 30:46] = 40
+    f1[:, 48:] = rng.integers(0, 4, size=(40, 4)) * 60
+    f2 = np.roll(f1, shift=(1, 2), axis=(0, 1))
+    for radius, block in ((2, 3), (4, 5), (3, 4), (2, 2), (1, 1)):
+        flow = block_matching_flow(f1, f2, search_radius=radius, block=block)
+        ref, costs = _stacked_argmin_flow(f1, f2, radius, block, EXACT)
+        assert flow.dtype == np.float32
+        assert np.array_equal(flow, ref)
+    tied = (costs == costs.min(axis=0)).sum(axis=0) > 1
+    assert tied.mean() > 0.5
+    # RGB frames, non-square frames, and frames smaller than the search
+    # window, where whole candidates read only the sentinel beyond the frame
+    rgb = rng.integers(0, 256, size=(30, 34, 3), dtype=np.uint8)
+    rgb2 = np.roll(rgb, shift=(-2, 3), axis=(0, 1))
+    rgb2[10:20, 10:20] = rgb[10:20, 10:20]
+    assert np.array_equal(block_matching_flow(rgb, rgb2),
+                          _stacked_argmin_flow(rgb, rgb2, 4, 5, EXACT)[0])
+    for (h, w), radius, block in (((23, 9), 3, 5), ((3, 5), 4, 3), ((3, 5), 4, 5),
+                                  ((5, 3), 4, 5), ((1, 6), 2, 3), ((2, 2), 3, 5),
+                                  ((70, 11), 2, 6)):
+        g1 = rng.integers(0, 3, size=(h, w)).astype(np.uint8) * 90
+        g2 = np.roll(g1, shift=(1, -1), axis=(0, 1))
+        g2[0] = 255
+        flow = block_matching_flow(g1, g2, search_radius=radius, block=block)
+        assert flow.shape == (h, w, 2)
+        assert np.array_equal(flow, _stacked_argmin_flow(g1, g2, radius, block, EXACT)[0])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_block_matching_pruned_scan_equals_the_unpruned_scan(seed):
+    # float frames, whose SADs are rounded: the pruned scan gives the bytes
+    # of scoring every candidate on every pixel. Static regions make whole
+    # row tiles, and parts of others, keep (0, 0) unscanned
+    rng = np.random.default_rng(seed)
+    h, w = 3 * motion.FLOW_ROWS + 7, 61
+    f1 = rng.random((h, w)).astype(np.float32)
+    f2 = f1.copy()
+    for _ in range(3):
+        y, x = rng.integers(0, h - 8), rng.integers(0, w - 8)
+        f2[y:y + 8, x:x + 8] = rng.random((8, 8))
+    band = slice(motion.FLOW_ROWS + 3, motion.FLOW_ROWS + 9)
+    f2[band] = np.roll(f1[band], 2, axis=1)     # a band moving right
+    f2[-2:, :5] = 0.0                           # a change at a corner
+    # a faint bump moving one pixel left on a flat patch: its (0, 0) SAD is
+    # tiny but positive, and (-1, 0) matches it exactly
+    f1[80:92, 20:32] = f2[80:92, 20:32] = 0.5
+    f1[86, 26] += 1e-6
+    f2[86, 25] += 1e-6
+    for radius, block in ((4, 5), (3, 4), (2, 1)):
+        ref, costs = _stacked_argmin_flow(f1, f2, radius, block)
+        assert 0.5 < (costs[0] == 0).mean() < 0.95
+        flow = block_matching_flow(f1, f2, search_radius=radius, block=block)
+        assert flow.tobytes() == ref.tobytes()
+        assert np.all(flow[86, 26] == (-1.0, 0.0))
 
 
 def _peak_fields(fn, *args) -> float:
@@ -377,16 +433,15 @@ def _peak_fields(fn, *args) -> float:
             tracemalloc.stop()
 
 
-def test_motion_memory_peak_on_500px_frames(monkeypatch):
+def test_motion_memory_peak_on_500px_frames():
     rng = np.random.default_rng(8)
     f1 = rng.integers(0, 255, size=(500, 500, 3), dtype=np.uint8)
     f2 = np.roll(f1, shift=(2, -3), axis=(0, 1))
-    # per slice: cost and best cost (2 fields), index and mask (1/4); beside
-    # them the float64 frames (2) and their float32 grays (1); one scan with
-    # an intp index and a separate difference buffer peaked at 8.7 fields
-    for workers in (1, 2, 4):
-        monkeypatch.setattr(motion, "_flow_workers", lambda: workers)
-        assert _peak_fields(block_matching_flow, f1, f2) <= 3.75 + 2.25 * workers
+    # the float64 g1 and padded g2 (2.03 fields), the best SAD (1) and index
+    # (1/8) and three tile buffers, then the index and the float32 flow (1):
+    # 3.54 fields, while padding g2. The scan split into slices on a thread
+    # pool held 2.25 fields per slice beside 3.75 (6.0 at one slice)
+    assert _peak_fields(block_matching_flow, f1, f2) <= 6.0
     # four float64 fields, bool masks and the gathers (4.86 fields); five
     # float64 fields, two bool masks and the float32 result peaked at 5.75,
     # the expression-by-expression version at 14.3
@@ -409,20 +464,6 @@ def test_spatial_edge_memory_peak_on_a_500px_frame():
     # the Scharr filter and one new array per step peaked at 5.04 fields
     frame = np.random.default_rng(9).integers(0, 256, size=(500, 500, 3), dtype=np.uint8)
     assert _peak_fields(spatial_edge, frame) <= 3.0
-
-
-def test_flow_workers_without_sched_getaffinity(monkeypatch):
-    # macOS and Windows have no os.sched_getaffinity: count the machine's CPUs
-    monkeypatch.delattr(motion.os, "sched_getaffinity", raising=False)
-    assert 1 <= motion._flow_workers() <= motion.MAX_FLOW_WORKERS
-    monkeypatch.setattr(motion.os, "cpu_count", lambda: None)
-    assert motion._flow_workers() == 1
-    monkeypatch.setattr(motion.os, "cpu_count", lambda: 64)
-    assert motion._flow_workers() == motion.MAX_FLOW_WORKERS
-    # block matching runs, as every detect without given flows does
-    f1 = _textured(np.random.default_rng(3), 24, 24)
-    flow = block_matching_flow(f1, np.roll(f1, 1, axis=1))
-    assert np.all(flow[4:-4, 4:-4] == (1.0, 0.0))
 
 
 def _blob_fields(shape, rng):

@@ -11,6 +11,7 @@ import pytest
 from streamdet.clustering import ClusterRegistry, RegistryEntry, cluster_descriptor
 from streamdet.config import PipelineConfig
 from streamdet.core import Box, iou
+from streamdet.motion import block_matching_flow
 from streamdet.propagation import (Detection, OracleColorClassifier,
                                    _detection_nms, box_to_quadruple, carry_box,
                                    detect_stream, fit_location_gaussian,
@@ -394,19 +395,46 @@ def test_stream_without_flow_source_computes_each_flow_once(monkeypatch, subseq_
     video = render(SyntheticSpec(n_frames=9, width=48, height=40, seed=3, objects=[
         ObjectSpec("red", (14, 12), (6, 10), velocity=(2, 1))]))
     frames = video.frames
-    calls = []
-    block_matching_flow = propagation.block_matching_flow
+    calls, converted = [], []
+    block_matching_flow, to_gray = propagation.block_matching_flow, propagation.to_gray
 
     def counting(f1, f2, *args):
-        i = next(k for k, f in enumerate(frames) if f is f1)
-        assert f2 is frames[i + 1]
+        # block matching gets the two frames' luma
+        i = next(k for k, f in enumerate(frames) if np.array_equal(to_gray(f), f1))
+        assert np.array_equal(f2, to_gray(frames[i + 1]))
         calls.append(i)
-        return block_matching_flow(f1, f2, *args)
+        flow = block_matching_flow(f1, f2, *args)
+        assert flow.tobytes() == block_matching_flow(frames[i], frames[i + 1]).tobytes()
+        return flow
+
+    def converting(frame):
+        converted.append(next(k for k, f in enumerate(frames) if f is frame))
+        return to_gray(frame)
     monkeypatch.setattr(propagation, "block_matching_flow", counting)
+    monkeypatch.setattr(propagation, "to_gray", converting)
     config = PipelineConfig(subseq_len=subseq_len, max_proposals=8, seed=0)
     records = list(propagation.stream_cluster(frames, None, config))
     assert records[-1].frame_ids[-1] == 8
     assert sorted(calls) == list(range(8))
+    # each frame's luma is made once for the flows into and out of it
+    assert converted == list(range(9))
+
+
+def test_stream_flows_of_frames_beyond_8_bits_are_block_matching_of_the_frames():
+    # to_gray divides integer frames by 255, so the luma of 16-bit frames
+    # passes 1, and a second to_gray would divide it again
+    rng = np.random.default_rng(0)
+    frames = [rng.integers(0, 1 << 16, size=(24, 24, 3)).astype(np.uint16)]
+    for _ in range(4):
+        frame = np.roll(frames[-1], 1, axis=1)
+        frame[:4] = rng.integers(0, 1 << 16, size=(4, 24, 3))
+        frames.append(frame)
+    config = PipelineConfig(subseq_len=3, max_proposals=8, seed=0)
+    flows = [flow for record in stream_cluster(frames, None, config)
+             for flow in record.flows]
+    assert len(flows) == 4
+    for i, flow in enumerate(flows):
+        assert flow.tobytes() == block_matching_flow(frames[i], frames[i + 1]).tobytes()
 
 
 def _record_key(rec):
@@ -711,31 +739,35 @@ def test_detect_stream_recalls_five_objects_classifying_a_tenth(seed):
 
 # run in a fresh interpreter: the modules the test session imported (scipy
 # among them) would hide an import the package makes
-_SCIPY_ONLY_FOR_FLOW = """
-import sys
-import streamdet, streamdet.cli, streamdet.propagation
-from streamdet.config import PipelineConfig
-from streamdet.propagation import OracleColorClassifier, detect_stream
-from streamdet.synth import ObjectSpec, SyntheticSpec, render
+_NO_SCIPY = """
+import json, os, sys
+import streamdet.propagation
+from streamdet.cli import main
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-video = render(SyntheticSpec(n_frames=5, width=48, height=40, seed=2,
-                             objects=[ObjectSpec("red", (12, 10), (6, 14), velocity=(2, 0))]))
-config = PipelineConfig(max_proposals=10, subseq_len=3, seed=0)
-detect_stream(video.frames, video.flows, config, OracleColorClassifier(config.classes))
-print(scipy_modules())
-streamdet.motion.block_matching_flow(video.frames[0], video.frames[1])
-print("scipy.ndimage" in sys.modules)
+tmp = sys.argv[1]
+spec = os.path.join(tmp, "spec.json")
+with open(spec, "w") as fh:
+    json.dump({"n_frames": 5, "width": 48, "height": 40, "seed": 2, "objects": [
+        {"color": "red", "size": [12, 10], "start": [6, 14], "velocity": [2, 0]}]}, fh)
+config = os.path.join(tmp, "config.json")
+with open(config, "w") as fh:
+    json.dump({"max_proposals": 10, "subseq_len": 3}, fh)
+flows = []
+block_matching_flow = streamdet.propagation.block_matching_flow
+streamdet.propagation.block_matching_flow = lambda *a: flows.append(a) or block_matching_flow(*a)
+assert main(["synth", "--spec", spec, "--out", os.path.join(tmp, "video")]) == 0
+assert main(["detect", os.path.join(tmp, "video", "frames"), "--config", config,
+             "--out", os.path.join(tmp, "det")]) == 0
+print(len(flows))
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
-def test_scipy_is_loaded_only_to_compute_flow():
+def test_detect_computing_its_own_flow_loads_no_scipy(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     path = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    done = subprocess.run([sys.executable, "-c", _SCIPY_ONLY_FOR_FLOW], env=env,
+    done = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["[]", "True"]
+    assert done.stdout.splitlines()[-2:] == ["4", "[]"]
