@@ -25,13 +25,9 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_CLASSIFIER = 4
 
-# the keys each JSON input must hold, those it may hold (_OPTIONAL), and
+# the keys each eval input must hold, those it may hold (_EVAL_OPTIONAL), and
 # their value types (see imio._check_object: float takes any number; None
-# takes any value)
-_SPEC_KEYS = {"n_frames": int, "width": int, "height": int}
-_SPEC_OPTIONAL = {"seed": int, "noise": float, "background_level": float}
-_SPEC_OBJECT_KEYS = {"color": str, "size": (int, int), "start": (int, int)}
-_SPEC_OBJECT_OPTIONAL = {"velocity": (int, int), "enter": int, "exit": int | None}
+# takes any value); a synth spec's keys are the fields of synth.SyntheticSpec
 _BOX = {"x": float, "y": float, "w": float, "h": float}
 _TRACK = {"frame": int, "global_id": int, **_BOX}
 _GT = {"id": int | str, **_BOX}
@@ -141,10 +137,7 @@ def _inputs(args):
 
 
 def cmd_synth(args) -> int:
-    doc = read_json(args.spec, _SPEC_KEYS, _SPEC_OPTIONAL)
-    check_objects(doc.get("objects", []), _SPEC_OBJECT_KEYS, f"{args.spec}: objects",
-                  _SPEC_OBJECT_OPTIONAL)
-    spec = spec_from_dict(doc)
+    spec = spec_from_dict(read_json(args.spec, {}), args.spec)
     video = render(spec)
     os.makedirs(args.out, exist_ok=True)
     write_video(video, args.out)

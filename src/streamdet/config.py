@@ -4,29 +4,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from typing import get_type_hints
+
+from .imio import _TYPE_NAMES, _has_type
 
 CLASSES = ("red", "green", "blue")   # the default class names, in score order
 
 
 class ConfigError(ValueError):
     """Configuration value of the wrong type or outside its documented range."""
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-# value test and its wording per field annotation; bool is an int subclass,
-# so it is excluded from the numbers
-_TYPES = {
-    "int": (_is_int, "an integer"),
-    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "tuple[str, ...]": (lambda v: isinstance(v, tuple)
-                        and all(isinstance(c, str) for c in v),
-                        "a list of strings"),
-}
 
 
 @dataclass
@@ -67,6 +53,8 @@ class PipelineConfig:
     a global id and its label), ``proposals.STEP_IOU`` and ``PRE_NMS_BETA``,
     ``propagation.DET_NMS_BETA`` and ``CONFIDENCE_THRESHOLD``.
 
+    Each key's type is its field's annotation, checked by ``imio._has_type``,
+    the checker that synth specs and the other JSON inputs go through too.
     Any other key, a value of another type or one outside its range raises
     ``ConfigError`` (exit code 2 on the command line).
     """
@@ -88,14 +76,11 @@ class PipelineConfig:
         self.validate()
 
     def validate(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kind, _, optional = f.type.partition(" | ")
-            is_kind, wording = _TYPES[kind]
-            if not (is_kind(value) or (optional and value is None)):
-                name = "lambda" if f.name == "lam" else f.name
-                raise ConfigError(f"{name} must be {wording}"
-                                  f"{' or null' if optional else ''}, got {value!r}")
+        for name, kind in get_type_hints(PipelineConfig).items():
+            value = getattr(self, name)
+            if not _has_type(value, kind):
+                name = "lambda" if name == "lam" else name
+                raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError(f"lambda must lie in [0, 1], got {self.lam}")
         if not 3 <= self.subseq_len <= 5:

@@ -184,16 +184,6 @@ def _scharr_tiles(smooth: np.ndarray):
         yield r0, grads[0], grads[1]
 
 
-def _scharr(smooth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scharr derivatives (gx, gy) of a whole field (see ``_scharr_tiles``)."""
-    gx = np.empty(smooth.shape)
-    gy = np.empty(smooth.shape)
-    for r0, x, y in _scharr_tiles(smooth):
-        gx[r0:r0 + len(x)] = x
-        gy[r0:r0 + len(y)] = y
-    return gx, gy
-
-
 def box_slices(mask: np.ndarray, margin: int) -> tuple[slice, slice]:
     """Row and column slices of the bounding box of a 2-D mask's True
     pixels, or of its top-left pixel if it has none, widened by ``margin``
@@ -266,9 +256,12 @@ def spatial_edge(frame):
 
 
 def _orientation_map(field) -> np.ndarray:
-    """``orientation_of`` on the whole field."""
-    gx, gy = _scharr(gaussian_smooth(field, SMOOTH_SIGMA, "nearest"))
-    return _orientation(gx, gy, np.empty(gx.shape, dtype=np.float32))
+    """``orientation_of`` on the whole field, written tile by tile."""
+    smooth = gaussian_smooth(field, SMOOTH_SIGMA, "nearest")
+    orientation = np.empty(smooth.shape, dtype=np.float32)
+    for r0, gx, gy in _scharr_tiles(smooth):
+        _orientation(gx, gy, orientation[r0:r0 + len(gx)])
+    return orientation
 
 
 def orientation_of(field) -> np.ndarray:

@@ -124,21 +124,29 @@ def write_jsonl(path, records) -> None:
 
 # wording of each expected value type; float stands for any number
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
-               list[str]: "an array of strings", (int, int): "two integers",
-               int | None: "an integer or null", int | str: "an integer or a string"}
+               bool: "true or false", list[str]: "an array of strings",
+               list: "an array", tuple[int, int]: "two integers",
+               tuple[str, ...]: "a list of strings", int | None: "an integer or null",
+               str | None: "a string or null", int | str: "an integer or a string"}
 
 
 def _has_type(value, kind) -> bool:
-    """Whether a JSON value is of ``kind``: a type or a union of types (float
-    takes any number, and bool counts as none of them), a tuple of kinds,
-    one per item of an array that long, or ``list[kind]``, an array of any
-    length whose items are of that kind."""
-    if isinstance(kind, tuple):
-        return (isinstance(value, list) and len(value) == len(kind)
-                and all(map(_has_type, value, kind)))
+    """Whether a JSON value is of ``kind``, a type or a type hint: float
+    takes any number, bool is neither int nor float, and a union takes any
+    of its kinds. ``tuple[k1, k2]`` takes an array of one item per kind, in
+    order, ``tuple[k, ...]`` and ``list[k]`` one of any length, all of kind k;
+    a tuple (an array once parsed) passes for a tuple hint as well."""
+    if isinstance(kind, types.UnionType):
+        return any(_has_type(value, k) for k in kind.__args__)
     if isinstance(kind, types.GenericAlias):
-        return (isinstance(value, list)
-                and all(_has_type(item, kind.__args__[0]) for item in value))
+        if not isinstance(value, (list, kind.__origin__)):
+            return False
+        items = kind.__args__
+        if kind.__origin__ is list or items[1:] == (Ellipsis,):
+            items = items[:1] * len(value)
+        return len(value) == len(items) and all(map(_has_type, value, items))
+    if kind is bool:
+        return isinstance(value, bool)
     return (isinstance(value, (int, float) if kind is float else kind)
             and not isinstance(value, bool))
 

@@ -350,17 +350,11 @@ def resolve_flow_source(frames, flow_source):
         # (frame_ids[:-1]) and each flow is computed once without a cache.
         # The flows are asked for in order, so the luma of frame i + 1, kept
         # from the flow into it, serves the flow out of it
-        kept = [None, None]    # the last flow's second frame and its input
-
-        def luma(i: int):
-            # to_gray keeps a luma in [0, 1] as it is; one above 1 (integer
-            # frames above 255) would be divided again, so its frame goes
-            gray = to_gray(frames[i])
-            return gray if gray.max() <= 1.0 else frames[i]
+        kept = [None, None]    # the last flow's second frame and its luma
 
         def compute(i: int) -> np.ndarray:
-            g1 = kept[1] if kept[0] == i else luma(i)
-            kept[:] = i + 1, luma(i + 1)
+            g1 = kept[1] if kept[0] == i else to_gray(frames[i])
+            kept[:] = i + 1, to_gray(frames[i + 1])
             return block_matching_flow(g1, kept[1])
         return compute
     if callable(flow_source):
@@ -392,6 +386,9 @@ def stream_cluster(frames, flow_source, config: PipelineConfig,
     """Generator over sub-sequences: proposals, affinities, spectral labels
     and globally associated cluster ids.
 
+    ``frames`` are (h, w, 3) uint8 RGB arrays, the scale every stage works
+    on; any other frame raises a ValueError naming it before any stage runs.
+
     Each emitted frame's combined edge map is thinned across the edge
     (``thin_edges``) once; its groups and proposals both come from the
     thinned map. Proposals for the one-frame overlap are computed once and
@@ -400,6 +397,10 @@ def stream_cluster(frames, flow_source, config: PipelineConfig,
     counts nothing: a consumer reads the counts off the records (see
     ``detect_stream``).
     """
+    for i, frame in enumerate(map(np.asarray, frames)):
+        if frame.dtype != np.uint8 or frame.ndim != 3 or frame.shape[2] != 3:
+            raise ValueError(f"frame {i} must be an (h, w, 3) uint8 RGB array, "
+                             f"got {frame.dtype} of shape {frame.shape}")
     n_frames = len(frames)
     registry = registry if registry is not None else ClusterRegistry()
     get_flow = resolve_flow_source(frames, flow_source)
@@ -480,7 +481,8 @@ def _detection_nms(dets: list[Detection], beta: float) -> list[Detection]:
 
 def detect_stream(frames, flow_source, config: PipelineConfig, classifier,
                   frame_paths=None, edge_maps=None):
-    """Run the full streaming loop and return (detections, stats, registry).
+    """Run the full streaming loop over 8-bit RGB frames, (h, w, 3) uint8
+    arrays (see ``stream_cluster``), and return (detections, stats, registry).
 
     A cluster whose global id is new in a sub-sequence is classified on its
     windows in its earliest frame of the sub-sequence only (which may be the

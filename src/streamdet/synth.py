@@ -5,13 +5,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
+from typing import get_type_hints
 
 import numpy as np
 
 from .core import Box
 from .edges import gaussian_smooth
-from .imio import write_ppm
+from .imio import _check_object, write_ppm
 from .motion import write_flow
 
 COLORS = {
@@ -47,7 +48,7 @@ class SyntheticSpec:
     height: int
     seed: int = 0
     noise: float = 10.0
-    background_level: int = 110
+    background_level: float = 110.0
     objects: list[ObjectSpec] = field(default_factory=list)
 
     def __post_init__(self):
@@ -142,16 +143,32 @@ def render(spec: SyntheticSpec) -> SyntheticVideo:
     return SyntheticVideo(frames, flows, gt, spec)
 
 
-def _given(cls, data: dict) -> dict:
-    """The keys of ``data`` naming fields of dataclass ``cls``, arrays as tuples."""
-    given = {f.name: data[f.name] for f in fields(cls) if f.name in data}
-    return {k: tuple(v) if isinstance(v, list) else v for k, v in given.items()}
+def _given(cls, data, where: str, **hints) -> dict:
+    """``data`` as keyword arguments of dataclass ``cls``, arrays as tuples,
+    if it is a JSON object holding every field without a default and no other
+    key, each with a value of the field's type hint (or of its hint in
+    ``hints``; see ``imio._check_object``); else a ValueError naming ``where``."""
+    hints = get_type_hints(cls) | hints
+    required = {f.name: hints[f.name] for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING}
+    _check_object(data, required, where, hints)
+    for key in data:
+        if key not in hints:
+            raise ValueError(f"{where}: unknown key {key!r}")
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
 
 
-def spec_from_dict(data: dict) -> SyntheticSpec:
-    """A SyntheticSpec from a spec document (``streamdet synth --spec``)."""
-    objects = [ObjectSpec(**_given(ObjectSpec, o)) for o in data.get("objects", [])]
-    return SyntheticSpec(**{**_given(SyntheticSpec, data), "objects": objects})
+def spec_from_dict(data, where: str = "spec") -> SyntheticSpec:
+    """A SyntheticSpec from a spec document (``streamdet synth --spec``): a
+    JSON object whose keys are SyntheticSpec's fields (n_frames, width and
+    height required) and whose "objects" hold ObjectSpec's fields (color, size
+    and start required), each with a value of the field's type. Any other key
+    or a value of another type raises a ValueError naming ``where`` (and an
+    object's index): exit code 3 on the command line."""
+    given = _given(SyntheticSpec, data, where, objects=list)
+    objects = [ObjectSpec(**_given(ObjectSpec, obj, f"{where}: objects[{n}]"))
+               for n, obj in enumerate(given.pop("objects", ()))]
+    return SyntheticSpec(**given, objects=objects)
 
 
 def write_video(video: SyntheticVideo, outdir) -> dict:

@@ -324,6 +324,22 @@ def test_optional_json_keys_may_be_left_out_or_hold_their_type(tmp_path):
     assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "b")]) == 0
 
 
+# a key that names no field of the spec or of an object exits 3 too, naming
+# the file, the object and the key, so that a misspelled one is not dropped
+@pytest.mark.parametrize("key", ["nosie", "velocty"])
+def test_misspelled_spec_key_exits_3_naming_the_key(tmp_path, capsys, key):
+    doc = json.loads(json.dumps(_SPEC))
+    if key == "nosie":
+        doc[key], where = 6.5, ""
+    else:
+        doc["objects"][0][key], where = [2, 0], " objects[0]:"
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert main(["synth", "--spec", str(path), "--out", str(tmp_path / "v")]) == 3
+    assert f"{path}:{where} unknown key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "v").exists()
+
+
 def test_frame_directory_without_frames_exits_3(tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     code = main(["detect", str(tmp_path / "empty"), "--out", str(tmp_path / "det")])

@@ -63,7 +63,7 @@ def test_resize_nearest():
 
 
 def test_check_objects_checks_each_value_type():
-    keys = {"size": (int, int), "x": float, "name": str, "any": None}
+    keys = {"size": tuple[int, int], "x": float, "name": str, "any": None}
     good = {"size": [2, 3], "x": 1.5, "name": "a", "any": [None]}
     items = [good, dict(good, x=2, any="b")]
     assert check_objects(items, keys, "doc") is items
@@ -76,3 +76,20 @@ def test_check_objects_checks_each_value_type():
         with pytest.raises(ValueError) as exc:
             check_objects([good, bad], keys, "doc")
         assert str(exc.value).startswith("doc[1]: ") and message in str(exc.value)
+
+
+def test_check_objects_reads_the_type_hints_of_the_dataclasses():
+    keys = {"flag": bool, "names": tuple[str, ...], "path": str | None,
+            "size": tuple[int, int], "items": list}
+    good = {"flag": False, "names": ["a", "b"], "path": None, "size": [1, 2], "items": []}
+    items = [good, dict(good, names=[], path="p", items=[1, "a"])]
+    assert check_objects(items, keys, "doc") is items
+    for bad, message in [(dict(good, flag=0), "'flag' must be true or false, got 0"),
+                         (dict(good, names=["a", 1]), "'names' must be a list of strings"),
+                         (dict(good, names="ab"), "'names' must be a list of strings"),
+                         (dict(good, path=3), "'path' must be a string or null, got 3"),
+                         (dict(good, size=[1, 2, 3]), "'size' must be two integers"),
+                         (dict(good, items={}), "'items' must be an array, got {}")]:
+        with pytest.raises(ValueError) as exc:
+            check_objects([bad], keys, "doc")
+        assert str(exc.value).startswith("doc[0]: ") and message in str(exc.value)

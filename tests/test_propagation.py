@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -11,7 +12,6 @@ import pytest
 from streamdet.clustering import ClusterRegistry, RegistryEntry, cluster_descriptor
 from streamdet.config import PipelineConfig
 from streamdet.core import Box, iou
-from streamdet.motion import block_matching_flow
 from streamdet.propagation import (Detection, OracleColorClassifier,
                                    _detection_nms, box_to_quadruple, carry_box,
                                    detect_stream, fit_location_gaussian,
@@ -219,9 +219,9 @@ def _scene_config(**kw):
     return PipelineConfig(**base)
 
 
-def _single_mover(n_frames=9):
+def _single_mover(n_frames=9, seed=3):
     spec = SyntheticSpec(
-        n_frames=n_frames, width=96, height=72, seed=3, noise=8.0,
+        n_frames=n_frames, width=96, height=72, seed=seed, noise=8.0,
         objects=[ObjectSpec("red", (26, 22), (8, 24), velocity=(3, 0))])
     return render(spec)
 
@@ -280,18 +280,29 @@ def test_detect_stream_single_object_economy():
     assert detections
     labels = {d.label for d in detections}
     assert labels == {"red"}
-    by_frame = {}
-    for d in detections:
-        by_frame.setdefault(d.frame, []).append(d)
-    gt_per_frame = {t: video.gt[t] for t in range(len(video.frames))}
+    assert _found_frac(detections, video) >= 0.8
+
+
+def _found_frac(detections, video):
+    """The share of a single-object video's frames where a detection covers
+    the object at IoU >= 0.5."""
     hit = 0
-    for t, recs in gt_per_frame.items():
-        dets = by_frame.get(t, [])
-        g = recs[0]
+    for t, (g,) in enumerate(video.gt):
         gbox = Box(g["x"], g["y"], g["w"], g["h"])
-        if any(iou(d.box, gbox) >= 0.5 for d in dets):
-            hit += 1
-    assert hit / len(gt_per_frame) >= 0.8
+        hit += any(iou(d.box, gbox) >= 0.5 for d in detections if d.frame == t)
+    return hit / len(video.gt)
+
+
+# the default clustering path: k fixed (PipelineConfig's self_tune is false)
+@pytest.mark.parametrize("seed", [1, 2, 3, 5])
+def test_detect_stream_with_fixed_k_keeps_the_economy(seed):
+    video = _single_mover(seed=seed)
+    config = _scene_config(self_tune=False)
+    assert config.k == PipelineConfig().k
+    detections, stats, _ = detect_stream(video.frames, video.flows, config,
+                                         OracleColorClassifier())
+    assert stats.classified_windows / stats.total_windows <= 1 / 3
+    assert _found_frac(detections, video) >= 0.8
 
 
 def test_detect_stream_propagated_provenance():
@@ -420,21 +431,21 @@ def test_stream_without_flow_source_computes_each_flow_once(monkeypatch, subseq_
     assert converted == list(range(9))
 
 
-def test_stream_flows_of_frames_beyond_8_bits_are_block_matching_of_the_frames():
-    # to_gray divides integer frames by 255, so the luma of 16-bit frames
-    # passes 1, and a second to_gray would divide it again
-    rng = np.random.default_rng(0)
-    frames = [rng.integers(0, 1 << 16, size=(24, 24, 3)).astype(np.uint16)]
-    for _ in range(4):
-        frame = np.roll(frames[-1], 1, axis=1)
-        frame[:4] = rng.integers(0, 1 << 16, size=(4, 24, 3))
-        frames.append(frame)
-    config = PipelineConfig(subseq_len=3, max_proposals=8, seed=0)
-    flows = [flow for record in stream_cluster(frames, None, config)
-             for flow in record.flows]
-    assert len(flows) == 4
-    for i, flow in enumerate(flows):
-        assert flow.tobytes() == block_matching_flow(frames[i], frames[i + 1]).tobytes()
+@pytest.mark.parametrize("case", ["float", "uint16", "gray"])
+def test_stream_rejects_frames_that_are_not_8_bit_rgb(case):
+    # every stage works on the 8-bit scale: float frames in [0, 1] would run
+    # to no detections, and 16-bit ones to collapsed colour histograms
+    frames = _single_mover(n_frames=5).frames
+    bad = {"float": frames[3] / 255.0, "uint16": frames[3].astype(np.uint16) * 257,
+           "gray": frames[3][..., 0]}[case]
+    frames = frames[:3] + [bad] + frames[4:]
+    config = _scene_config()
+    message = f"frame 3 must be an (h, w, 3) uint8 RGB array, got {bad.dtype} " \
+              f"of shape {bad.shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        next(stream_cluster(frames, None, config))
+    with pytest.raises(ValueError, match="frame 3"):
+        detect_stream(frames, None, config, OracleColorClassifier())
 
 
 def _record_key(rec):

@@ -74,6 +74,27 @@ def test_spec_from_dict_leaves_the_defaults_to_the_dataclasses():
                  ObjectSpec("blue", (6, 6), (20, 10))])
 
 
+def test_spec_from_dict_checks_the_keys_against_the_dataclasses():
+    obj = {"color": "red", "size": [10, 8], "start": [2, 3]}
+    doc = {"n_frames": 4, "width": WIDTH, "height": HEIGHT, "background_level": 97.5,
+           "objects": [obj]}
+    assert spec_from_dict(doc).background_level == 97.5
+    for bad, message in [
+            ({**doc, "hieght": 3}, "doc: unknown key 'hieght'"),
+            ({k: v for k, v in doc.items() if k != "height"}, "doc: no 'height' key"),
+            ({**doc, "background_level": True},
+             "doc: 'background_level' must be a number, got true"),
+            ({**doc, "objects": {}}, "doc: 'objects' must be an array, got {}"),
+            ({**doc, "objects": [obj, 3]}, "doc: objects[1]: expected a JSON object, got 3"),
+            ({**doc, "objects": [{**obj, "velocty": [2, 0]}]},
+             "doc: objects[0]: unknown key 'velocty'"),
+            ({**doc, "objects": [{**obj, "start": [2, 3, 4]}]},
+             "doc: objects[0]: 'start' must be two integers, got [2, 3, 4]")]:
+        with pytest.raises(ValueError) as exc:
+            spec_from_dict(bad, "doc")
+        assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("workload", sorted(BENCH_SPECS))
 def test_bench_scenes_render_the_frames_of_scipys_smoothing(monkeypatch, workload, seed):
