@@ -13,8 +13,7 @@ from .edges import (EdgeGroup, combine_edges, edge_groups, spatial_edge,
 from .motion import (accumulate_prior, block_matching_flow, inside_outside_map,
                      motion_boundary, read_flow, temporal_edge, write_flow)
 from .propagation import (Detection, OracleColorClassifier, detect_stream,
-                          fit_location_gaussian, propagate_localization,
-                          record_offset, stream_cluster)
+                          stream_cluster)
 from .proposals import Proposal, generate_proposals, nms
 
 __version__ = "0.1.0"

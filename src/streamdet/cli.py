@@ -66,7 +66,9 @@ def _add_stream_args(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, metavar="N", help="clustering seed, >= 0")
     parser.add_argument("--resize", type=int, metavar="N",
                         help="square resize target; 0, or no flag, keeps the "
-                             "native size. --flow-dir files and edges_dir maps "
+                             "native size. Output boxes are in the resized "
+                             "frame's coordinates, so they do not match native "
+                             "ground truth. --flow-dir files and edges_dir maps "
                              "must already be at the requested size")
 
 

@@ -43,7 +43,10 @@ class PipelineConfig:
                                         order
     seed                 integer        >= 0; clustering seed
     resize               integer | null >= 16; square frame side, or null
-                                        (the default) for the native size
+                                        (the default) for the native size;
+                                        output boxes are in the resized
+                                        frame's coordinates, not mapped
+                                        back to the native frame
     edges_dir            string | null  directory of spatial edge maps
                                         (PGM), one per frame
     ==================== ============== =====================================

@@ -76,11 +76,12 @@ def quadruple_to_box(quad, frame_size: tuple[int, int] | None = None) -> Box:
     return box
 
 
-def fit_location_gaussian(boxes: list[Box]) -> np.ndarray:
-    """Mean (center_x, center_y, h, w) quadruple of the boxes, shape (4,).
+# Nothing in the pipeline calls fit_location_gaussian, record_offset or
+# propagate_localization: they stay, under their old names, while
+# perfbench/tracing.py traces them by name.
 
-    Nothing in the pipeline calls it: it stays, under its old name, while
-    ``perfbench/tracing.py`` traces it by name."""
+def fit_location_gaussian(boxes: list[Box]) -> np.ndarray:
+    """Mean (center_x, center_y, h, w) quadruple of the boxes, shape (4,)."""
     if not boxes:
         raise ValueError("need at least one box")
     return np.stack([box_to_quadruple(b) for b in boxes]).mean(axis=0)
@@ -88,11 +89,8 @@ def fit_location_gaussian(boxes: list[Box]) -> np.ndarray:
 
 def record_offset(registry: ClusterRegistry, global_id: int, detected_box: Box,
                   mean: np.ndarray) -> np.ndarray:
-    """Store d = detected quadruple - cluster location mean for a cluster.
-
-    Nothing in the pipeline calls it: it stays, with
-    ``RegistryEntry.offset``, while ``perfbench/tracing.py`` traces it by
-    name."""
+    """Store d = detected quadruple - cluster location mean for a cluster,
+    in ``RegistryEntry.offset``, which nothing else reads."""
     d = box_to_quadruple(detected_box) - mean
     registry[global_id].offset = d
     return d
@@ -111,12 +109,11 @@ def carry_box(box: Box, flow: np.ndarray, frame_size: tuple[int, int]) -> Box:
     """The box one frame later: moved by the rounded median of ``flow``
     ((h, w, 2), as (dx, dy)) over its pixels whose flow is longer than
     MOVING_FLOW, or over all of its pixels when none is, and clamped into the
-    (width, height) frame. The step goes through ``propagate_localization``."""
+    (width, height) frame."""
     patch = flow[box.y:box.y2, box.x:box.x2].reshape(-1, 2)
     moving = patch[np.hypot(patch[:, 0], patch[:, 1]) > MOVING_FLOW]
     dx, dy = np.rint(np.median(moving if len(moving) else patch, axis=0))
-    return propagate_localization(box_to_quadruple(box), (dx, dy, 0.0, 0.0),
-                                  frame_size)
+    return Box(box.x + int(dx), box.y + int(dy), box.w, box.h).clamped(*frame_size)
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +383,10 @@ def stream_cluster(frames, flow_source, config: PipelineConfig,
     """Generator over sub-sequences: proposals, affinities, spectral labels
     and globally associated cluster ids.
 
-    ``frames`` are (h, w, 3) uint8 RGB arrays, the scale every stage works
-    on; any other frame raises a ValueError naming it before any stage runs.
+    ``frames`` are (h, w, 3) uint8 RGB arrays of one size, the scale every
+    stage works on; any other frame, or one whose size differs from frame
+    0's, raises a ValueError naming it before any stage runs, and fewer than
+    2 frames raise one too.
 
     Each emitted frame's combined edge map is thinned across the edge
     (``thin_edges``) once; its groups and proposals both come from the
@@ -401,6 +400,11 @@ def stream_cluster(frames, flow_source, config: PipelineConfig,
         if frame.dtype != np.uint8 or frame.ndim != 3 or frame.shape[2] != 3:
             raise ValueError(f"frame {i} must be an (h, w, 3) uint8 RGB array, "
                              f"got {frame.dtype} of shape {frame.shape}")
+        if i == 0:
+            h0, w0 = frame.shape[:2]
+        if frame.shape[:2] != (h0, w0):
+            raise ValueError(f"frame {i} is {frame.shape[1]}x{frame.shape[0]}, "
+                             f"but frame 0 is {w0}x{h0}")
     n_frames = len(frames)
     registry = registry if registry is not None else ClusterRegistry()
     get_flow = resolve_flow_source(frames, flow_source)
@@ -438,21 +442,18 @@ def stream_cluster(frames, flow_source, config: PipelineConfig,
         window_ids = [(i, s) for i, run in groupby(p.frame_index for p in proposals)
                       for s, _ in enumerate(run)]
 
-        n = len(proposals)
-        if n <= 1:
-            labels = np.zeros(n, dtype=np.int64)
+        # fewer than 2 windows have no pairs: W is all ones, every label 0
+        pairs = collect_pairs(proposals)
+        try:
+            joint = fit_density(pairs, features)
+            W = affinity_matrix(features, joint)
+        except DensityError:
+            W = np.ones((len(proposals), len(proposals)), dtype=np.float64)
+        if config.self_tune:
+            labels = spectral_cluster_selftune(W, max_clusters=config.k,
+                                               seed=config.seed + t)
         else:
-            pairs = collect_pairs(proposals)
-            try:
-                joint = fit_density(pairs, features)
-                W = affinity_matrix(features, joint)
-            except DensityError:
-                W = np.ones((n, n), dtype=np.float64)
-            if config.self_tune:
-                labels = spectral_cluster_selftune(W, max_clusters=config.k,
-                                                   seed=config.seed + t)
-            else:
-                labels = spectral_cluster_fixed(W, config.k, seed=config.seed + t)
+            labels = spectral_cluster_fixed(W, config.k, seed=config.seed + t)
 
         cluster_members: dict[int, list[int]] = {}
         for idx, lab in enumerate(labels.tolist()):
@@ -514,13 +515,14 @@ def detect_stream(frames, flow_source, config: PipelineConfig, classifier,
     registry = ClusterRegistry()
     stats = StreamStats(frames=len(frames))
     detections: list[Detection] = []
-    height, width = np.asarray(frames[0]).shape[:2]
     # classifier score row per (frame, slot) window; a record keeps only
     # those of the frame it shares with the record before
     scores: dict[tuple[int, int], np.ndarray] = {}
 
     try:
         for rec in stream_cluster(frames, flow_source, config, registry, edge_maps):
+            # the frames' one size, read once stream_cluster has checked them
+            height, width = np.asarray(frames[rec.frame_ids[0]]).shape[:2]
             scores = {w: row for w, row in scores.items() if w[0] == rec.frame_ids[0]}
             stats.subsequences += 1
             stats.total_windows += sum(p.frame_index in rec.emit_frames

@@ -9,6 +9,11 @@ band that smoothing spreads around it. Every window of a frame is scored in
 one pass over a ``WindowLayout``, cached per frame size; the best pool is
 refined by a local search whose box scores test containment by table lookup
 (``ScoreContext``).
+
+A w-wide window shape with step s sits at every multiple of s up to
+last = width - w and then at last itself: window i at min(i * s, last), and
+clip(ceil(q / s), 0, last // s + 1) + (last % s != 0 and last < q) windows
+left of q. Rows follow the same rule with the height.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ PRE_NMS_BETA = 0.9   # IoU above which a lower-scoring proposal is dropped
 
 class ScoreContext:
     """Per-frame scoring structures: thresholded-magnitude integral image plus
-    group bounding boxes, masses and pixel lists.
+    group bounding boxes and masses.
 
     It also holds four bool tables over the frame's coordinates, one row per
     value v in 0..width + 1 (or height + 1) and one column per group:
@@ -55,13 +60,10 @@ class ScoreContext:
         self.height, self.width = E.shape
         self.mass_field = np.where(E >= magnitude_threshold, E, 0.0).astype(np.float64)
         self.integral = IntegralImage(self.mass_field)
-        self.groups = groups
-        n = len(groups)
-        self.group_bounds = np.zeros((n, 4), dtype=np.int32)  # x0, y0, x1, y1 half-open
-        self.group_mass = np.zeros(n, dtype=np.float64)
-        for i, g in enumerate(groups):
-            self.group_bounds[i] = (g.bbox.x, g.bbox.y, g.bbox.x2, g.bbox.y2)
-            self.group_mass[i] = g.magnitude
+        # x0, y0, x1, y1 half-open
+        self.group_bounds = np.array([(g.bbox.x, g.bbox.y, g.bbox.x2, g.bbox.y2)
+                                      for g in groups], dtype=np.int32).reshape(-1, 4)
+        self.group_mass = np.array([g.magnitude for g in groups], dtype=np.float64)
         gx0, gy0, gx1, gy1 = self.group_bounds.T
         vx = np.arange(self.width + 2)[:, None]
         vy = np.arange(self.height + 2)[:, None]
@@ -77,35 +79,6 @@ class ScoreContext:
             return np.take(table, v, axis=0, mode="clip")
         return (rows(self.x0_from, x0) & rows(self.y0_from, y0)
                 & rows(self.x1_to, x1) & rows(self.y1_to, y1))
-
-    def interior(self, box: Box) -> tuple[int, int, int, int]:
-        """Half-open interior rect after removing the 1 px straddle band."""
-        return (box.x + 1, box.y + 1, box.x2 - 1, box.y2 - 1)
-
-    def center_rect(self, box: Box) -> tuple[int, int, int, int]:
-        """Half-width/half-height centered window used as the clutter penalty."""
-        mx, my = box.w // 4, box.h // 4
-        return (box.x + mx, box.y + my, box.x2 - mx, box.y2 - my)
-
-
-def score_box_bruteforce(box: Box, ctx: ScoreContext) -> float:
-    """Reference scorer for tests: a direct per-group containment scan plus a
-    direct pixel sum for the center penalty. Must agree with score_boxes."""
-    if box.x < 0 or box.y < 0 or box.x2 > ctx.width or box.y2 > ctx.height:
-        raise ValueError(f"box {box} outside {ctx.width}x{ctx.height} frame")
-    ix0, iy0, ix1, iy1 = ctx.interior(box)
-    numerator = 0.0
-    if ix1 > ix0 and iy1 > iy0:
-        for g in ctx.groups:
-            if (g.bbox.x >= ix0 and g.bbox.y >= iy0
-                    and g.bbox.x2 <= ix1 and g.bbox.y2 <= iy1):
-                numerator += g.magnitude
-    cx0, cy0, cx1, cy1 = ctx.center_rect(box)
-    center = 0.0
-    if cx1 > cx0 and cy1 > cy0:
-        center = float(ctx.mass_field[cy0:cy1, cx0:cx1].sum(dtype=np.float64))
-    denom = (2.0 * (box.w + box.h)) ** KAPPA
-    return max(0.0, (numerator - center) / denom)
 
 
 def score_boxes(boxes: np.ndarray, ctx: ScoreContext) -> np.ndarray:
@@ -126,74 +99,66 @@ class WindowLayout:
     """The sliding windows of one frame size, shape by shape, and what scoring
     them needs beyond the frame's content.
 
-    ``grids`` holds one (w, h, xs, ys) per shape, as ``_window_grids`` gives
-    them; ``denom`` the score's normaliser per shape. Window k of shape s is
-    the flat score index ``window_start[s] + j * nx[s] + i`` for position
-    (xs[i], ys[j]), and its difference-array cells start at ``cell_start[s]``.
-    ``x_keys`` lists every shape's positions as s * (width + 3) + x + 1, so
-    one sorted array answers position queries for all shapes at once (and
-    ``y_keys`` likewise with height). Its arrays are read-only: one cached
-    layout serves every frame of its size.
+    It is built from one (w, h, xs, ys, step_x, step_y) per shape, as
+    ``_window_grids`` gives them; ``grids`` keeps each (w, h, xs, ys),
+    ``sx`` and ``sy`` the steps, and ``denom`` the score's normaliser per
+    shape. With last = width - ws[s], shape s has its windows at
+    xs[i] = min(i * sx[s], last), so ``_positions_below`` counts
+    clip(ceil(q / sx[s]), 0, last // sx[s] + 1) + (last % sx[s] != 0 and
+    last < q) of them left of q, without a search; ys likewise. Window
+    (xs[i], ys[j]) of shape s is the flat score index
+    ``window_start[s] + j * nx[s] + i``, and its difference-array cells start
+    at ``cell_start[s]``. Its arrays are read-only: one cached layout serves
+    every frame of its size.
     """
 
     def __init__(self, grids, width: int, height: int):
         self.grids = tuple((int(w), int(h), np.array(xs, dtype=np.int64),
-                            np.array(ys, dtype=np.int64)) for w, h, xs, ys in grids)
+                            np.array(ys, dtype=np.int64))
+                           for w, h, xs, ys, _, _ in grids)
         self.width, self.height = width, height
-        self.ws, self.hs, self.nx, self.ny = np.array(
-            [(w, h, len(xs), len(ys)) for w, h, xs, ys in self.grids],
-            dtype=np.int64).reshape(-1, 4).T
+        self.ws, self.hs, self.sx, self.sy, self.nx, self.ny = np.array(
+            [(w, h, sx, sy, len(xs), len(ys)) for w, h, xs, ys, sx, sy in grids],
+            dtype=np.int64).reshape(-1, 6).T
 
         def starts(counts):
             return np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-
-        def keys(coords, size):
-            return np.concatenate([np.zeros(0, np.int64)]
-                                  + [s * (size + 3) + c + 1
-                                     for s, c in enumerate(coords)])
-        self.x_start, self.y_start = starts(self.nx), starts(self.ny)
         self.window_start = starts(self.nx * self.ny)
         self.cell_start = starts((self.nx + 1) * (self.ny + 1))
-        self.x_keys = keys([g[2] for g in self.grids], width)
-        self.y_keys = keys([g[3] for g in self.grids], height)
         # one array power per shape, like score_boxes': numpy's vector pow
         # may differ from the scalar one in the last bit
         self.denom = np.array([((2.0 * np.array([w + h])) ** KAPPA)[0]
                                for w, h, _, _ in self.grids])
-        for a in [self.ws, self.hs, self.nx, self.ny, self.x_start, self.y_start,
-                  self.window_start, self.cell_start, self.x_keys, self.y_keys,
-                  self.denom] + [c for g in self.grids for c in g[2:]]:
+        for a in (self.ws, self.hs, self.sx, self.sy, self.nx, self.ny,
+                  self.window_start, self.cell_start, self.denom,
+                  *(c for g in self.grids for c in g[2:])):
             a.flags.writeable = False
 
     def boxes(self, flat: np.ndarray) -> np.ndarray:
         """(n, 4) int64 (x, y, w, h) rows of the windows at flat score indices."""
         s = np.searchsorted(self.window_start, flat, side="right") - 1
         j, i = np.divmod(flat - self.window_start[s], self.nx[s])
-        x = self.x_keys[self.x_start[s] + i] - s * (self.width + 3) - 1
-        y = self.y_keys[self.y_start[s] + j] - s * (self.height + 3) - 1
+        x = np.minimum(i * self.sx[s], self.width - self.ws[s])
+        y = np.minimum(j * self.sy[s], self.height - self.hs[s])
         return np.stack([x, y, self.ws[s], self.hs[s]], axis=1)
 
 
-def _position_counts(keys, start, size, q, side):
-    """Per shape s (rows), how many of its positions are < q (side "left")
-    or <= q (side "right"), from one searchsorted over the keyed positions
-    of all shapes. Clipping q to [-1, size + 1] keeps each count exact and
-    each key inside shape s's stretch of keys."""
-    s = np.arange(len(start) - 1)[:, None]
-    keyed = s * (size + 3) + np.clip(q, -1, size + 1) + 1
-    return np.searchsorted(keys, keyed, side=side) - start[:-1, None]
+def _positions_below(q, step, last):
+    """How many of the positions 0, step, 2 * step, ... up to ``last``, then
+    ``last`` itself, lie below q; the arguments broadcast."""
+    multiples = np.clip((q + step - 1) // step, 0, last // step + 1)
+    return multiples + ((last % step != 0) & (last < q))
 
 
 def _difference_cells(layout: WindowLayout, ctx: ScoreContext) -> np.ndarray:
     """The ragged difference array of every shape of ``layout``, as
     (cells, 2): each cell's numerator and coverage count side by side."""
     gx0, gy0, gx1, gy1 = ctx.group_bounds.T.astype(np.int64)
-    x = (layout.x_keys, layout.x_start, layout.width)
-    y = (layout.y_keys, layout.y_start, layout.height)
-    i0 = _position_counts(*x, gx1 - layout.ws[:, None] + 1, "left")
-    i1 = _position_counts(*x, gx0 - 1, "right")
-    j0 = _position_counts(*y, gy1 - layout.hs[:, None] + 1, "left")
-    j1 = _position_counts(*y, gy0 - 1, "right")
+    w, h = layout.ws[:, None], layout.hs[:, None]
+    x = (layout.sx[:, None], layout.width - w)
+    y = (layout.sy[:, None], layout.height - h)
+    i0, i1 = _positions_below(gx1 - w + 1, *x), _positions_below(gx0, *x)
+    j0, j1 = _positions_below(gy1 - h + 1, *y), _positions_below(gy0, *y)
     hit = (i0 < i1) & (j0 < j1)
     shape, group = np.nonzero(hit)       # shape-major, groups in order
     i0, i1, j0, j1 = i0[hit], i1[hit], j0[hit], j1[hit]
@@ -217,8 +182,9 @@ def score_grid(layout, ctx: ScoreContext) -> np.ndarray:
 
     A group lies in the interior of the w x h box at (a, b) exactly when
     x1 - w + 1 <= a <= x0 - 1 and y1 - h + 1 <= b <= y0 - 1, so it adds its
-    mass to one rectangle of grid indices per shape. One searchsorted per
-    bound finds those rectangles for all shapes and groups; their corners go
+    mass to one rectangle of grid indices per shape. Counting the positions
+    below each bound finds those rectangles for all shapes and groups at
+    once, by arithmetic on the shapes' steps; their corners go
     into one ragged difference array, holding numerator and coverage count
     interleaved, with one bincount pair, and a 2-D cumulative sum per shape
     gives every numerator in O(shapes * G + windows). Each cell receives its
@@ -244,10 +210,11 @@ def score_grid(layout, ctx: ScoreContext) -> np.ndarray:
 
 def _window_grids(width: int, height: int, min_area: float, step_iou: float,
                   max_aspect: float = MAX_ASPECT
-                  ) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
+                  ) -> list[tuple[int, int, np.ndarray, np.ndarray, int, int]]:
     """Sliding windows over geometric scale/aspect grids whose neighbors
-    overlap at roughly step_iou: one (w, h, xs, ys) per distinct shape, xs
-    and ys sorted and including the last position width - w / height - h."""
+    overlap at roughly step_iou: one (w, h, xs, ys, step_x, step_y) per
+    distinct shape, xs the multiples of step_x up to width - w and then
+    width - w itself, and ys likewise."""
     delta = step_iou
     area_step = 1.0 / delta
     aspect_step = ((1.0 + delta) / (2.0 * delta)) ** 2
@@ -267,7 +234,7 @@ def _window_grids(width: int, height: int, min_area: float, step_iou: float,
     steps_x = np.maximum(1, np.rint(ws * (1.0 - delta) / (1.0 + delta))).astype(np.int64)
     steps_y = np.maximum(1, np.rint(hs * (1.0 - delta) / (1.0 + delta))).astype(np.int64)
     return [(w, h, np.union1d(np.arange(0, width - w + 1, sx), [width - w]),
-             np.union1d(np.arange(0, height - h + 1, sy), [height - h]))
+             np.union1d(np.arange(0, height - h + 1, sy), [height - h]), sx, sy)
             for w, h, sx, sy in zip(ws.tolist(), hs.tolist(),
                                     steps_x.tolist(), steps_y.tolist())]
 
@@ -280,8 +247,8 @@ def _window_layout(width: int, height: int, min_area: float) -> WindowLayout:
 
 def _refine(boxes: np.ndarray, scores: np.ndarray,
             ctx: ScoreContext) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy local search: try +-step moves of each corner coordinate,
-    halving the step each round."""
+    """Greedy local search: try +-step moves of each corner coordinate, in
+    two passes over the moves per round, halving the step each round."""
     boxes = boxes.copy()
     scores = scores.copy()
     w0 = np.maximum(boxes[:, 2], boxes[:, 3])
@@ -291,7 +258,6 @@ def _refine(boxes: np.ndarray, scores: np.ndarray,
         moves = [(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0),
                  (0, 0, 1, 0), (0, 0, -1, 0), (0, 0, 0, 1), (0, 0, 0, -1)]
         for _pass in range(2):
-            improved = False
             for m in moves:
                 cand = boxes + np.asarray(m, dtype=np.int64)[None, :] * step[:, None]
                 ok = ((cand[:, 0] >= 0) & (cand[:, 1] >= 0)
@@ -303,9 +269,6 @@ def _refine(boxes: np.ndarray, scores: np.ndarray,
                 better = s > scores + 1e-12
                 boxes = np.where(better[:, None], trial, boxes)
                 scores = np.where(better, s, scores)
-                improved = improved or bool(better.any())
-            if not improved:
-                break
         step = np.maximum(1, step // 2)
     return boxes, scores
 

@@ -448,6 +448,24 @@ def test_stream_rejects_frames_that_are_not_8_bit_rgb(case):
         detect_stream(frames, None, config, OracleColorClassifier())
 
 
+def test_detect_stream_rejects_an_empty_frame_list():
+    with pytest.raises(ValueError, match="need at least 2 frames, got 0"):
+        detect_stream([], None, _scene_config(), OracleColorClassifier())
+
+
+def test_stream_rejects_a_frame_of_another_size_before_any_record():
+    # the first sub-sequence reads frames 0-2 only, so the odd frame 3 must
+    # be caught up front, not when a stage first reaches it
+    video = _single_mover(n_frames=5)
+    frames = list(video.frames)
+    frames[3] = frames[3][:40]
+    message = "frame 3 is 96x40, but frame 0 is 96x72"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        next(stream_cluster(frames, video.flows, _scene_config()))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        detect_stream(frames, video.flows, _scene_config(), OracleColorClassifier())
+
+
 def _record_key(rec):
     return (rec.frame_ids, [(p.box.as_tuple(), p.score, p.frame_index)
                             for p in rec.proposals],
@@ -543,11 +561,13 @@ def test_command_classifier_that_exited_fails_the_next_request():
         clf.close()
 
 
-def test_subsequences_with_at_most_one_window(monkeypatch):
+@pytest.mark.parametrize("self_tune", [True, False])
+def test_subsequences_with_at_most_one_window(monkeypatch, self_tune):
+    # no pairs: the uniform fallback affinity goes to either spectral function
     import streamdet.propagation as propagation
     from streamdet.proposals import Proposal
     video = _single_mover(n_frames=7)
-    config = _scene_config()
+    config = _scene_config(self_tune=self_tune)
     window = Box(8, 24, 26, 22)          # the red object in frame 0
 
     monkeypatch.setattr(propagation, "generate_proposals",

@@ -11,8 +11,8 @@ from streamdet.core import Box, iou
 from streamdet.edges import EdgeGroup, edge_groups
 from streamdet.proposals import (KAPPA, MAX_ASPECT, MIN_SCORE, PRE_NMS_BETA,
                                  STEP_IOU, Proposal, ScoreContext, WindowLayout,
-                                 _refine, _window_grids, _window_layout,
-                                 generate_proposals, nms, score_box_bruteforce,
+                                 _positions_below, _refine, _window_grids,
+                                 _window_layout, generate_proposals, nms,
                                  score_boxes, score_grid)
 from streamdet.synth import render
 
@@ -21,6 +21,26 @@ SCENES = Path(__file__).resolve().parents[1] / "perfbench" / "scenes.py"
 # large-cli frame; scoring each shape on its own and keeping a per-window
 # candidate array peaked at 25.9 MB there
 PEAK_BOUND_MB = 21.9
+
+
+def score_box_bruteforce(box: Box, ctx: ScoreContext) -> float:
+    """Reference scorer: a direct per-group containment scan of the box's
+    interior (the box less its 1 px straddle band) plus a direct pixel sum
+    over its centred half-width, half-height window for the clutter penalty.
+    Must agree with score_boxes."""
+    if box.x < 0 or box.y < 0 or box.x2 > ctx.width or box.y2 > ctx.height:
+        raise ValueError(f"box {box} outside {ctx.width}x{ctx.height} frame")
+    ix0, iy0, ix1, iy1 = box.x + 1, box.y + 1, box.x2 - 1, box.y2 - 1
+    numerator = 0.0
+    for (gx0, gy0, gx1, gy1), mass in zip(ctx.group_bounds.tolist(),
+                                          ctx.group_mass.tolist()):
+        if gx0 >= ix0 and gy0 >= iy0 and gx1 <= ix1 and gy1 <= iy1:
+            numerator += mass
+    mx, my = box.w // 4, box.h // 4
+    center = ctx.mass_field[box.y + my:box.y2 - my, box.x + mx:box.x2 - mx].sum(
+        dtype=np.float64)
+    denom = (2.0 * (box.w + box.h)) ** KAPPA
+    return max(0.0, (numerator - float(center)) / denom)
 
 
 def _random_scene(rng, size=64, density=0.85, thr=0.1, height=None):
@@ -247,7 +267,7 @@ def test_score_grid_is_exactly_zero_where_no_group_lies():
     ctx = ScoreContext(np.zeros((12, 40), dtype=np.float32),
                        [group(2, 0.1), group(5, 0.2)], 0.1)
     xs, ys = np.arange(31), np.arange(3)
-    layout = WindowLayout([(10, 10, xs, ys)], 40, 12)
+    layout = WindowLayout([(10, 10, xs, ys, 1, 1)], 40, 12)
     grid = score_grid(layout, ctx).reshape(len(ys), len(xs))
     boxes = [(x, y, 10, 10) for y in ys.tolist() for x in xs.tolist()]
     assert grid.ravel() == pytest.approx(score_boxes(boxes, ctx), rel=1e-12)
@@ -277,13 +297,35 @@ def test_window_layout_is_cached_read_only_and_decodes_every_window():
     layout = _window_layout(96, 72, 250.0)
     assert _window_layout(96, 72, 250.0) is layout
     with pytest.raises(ValueError):
-        layout.x_keys[0] = 0
+        layout.sx[0] = 0
     with pytest.raises(ValueError):
         layout.grids[0][2][0] = 1
-    expected = [(x, y, w, h) for w, h, xs, ys in _window_grids(96, 72, 250.0, STEP_IOU)
+    expected = [(x, y, w, h)
+                for w, h, xs, ys, _, _ in _window_grids(96, 72, 250.0, STEP_IOU)
                 for y in ys.tolist() for x in xs.tolist()]
     assert layout.boxes(np.arange(layout.window_start[-1])).tolist() == \
         [list(b) for b in expected]
+
+
+def test_position_count_formula_equals_a_search():
+    # every shape of several grids, all shapes at once as _difference_cells
+    # broadcasts them, from far below the frame to far beyond it
+    kinds = set()
+    for width, height in [(500, 500), (128, 96), (37, 23), (7, 5)]:
+        for min_area, step_iou in [(250.0, STEP_IOU), (30.0, 0.8), (16.0, 0.5)]:
+            grids = _window_grids(width, height, min_area, step_iou)
+            for axis, size in [(0, width), (1, height)] if grids else []:
+                positions = [g[2 + axis] for g in grids]
+                steps = np.array([g[4 + axis] for g in grids])[:, None]
+                last = np.array([p[-1] for p in positions])[:, None]
+                q = np.concatenate([[-10**9, -10**6], np.arange(-size - 3, 2 * size + 4),
+                                    [10**6, 10**9]])
+                expected = np.stack([np.searchsorted(p, q) for p in positions])
+                assert np.array_equal(_positions_below(q, steps, last), expected)
+                kinds |= {"one" if len(p) == 1 else "last on a step" if p[-1] % st == 0
+                          else "last off the steps"
+                          for p, st in zip(positions, steps[:, 0].tolist())}
+    assert kinds == {"one", "last on a step", "last off the steps"}
 
 
 def test_table_containment_equals_broadcast_compare():
@@ -419,7 +461,8 @@ def test_window_grids_match_loop_enumeration():
     sizes = [(500, 500), (128, 96), (96, 72), (37, 23), (7, 5)]
     for width, height in sizes:
         for p in params[:2] if width * height > 20000 else params:
-            rows = [(x, y, w, h) for w, h, xs, ys in _window_grids(width, height, *p)
+            rows = [(x, y, w, h)
+                    for w, h, xs, ys, _, _ in _window_grids(width, height, *p)
                     for y in ys.tolist() for x in xs.tolist()]
             assert len(rows) == len(set(rows))
             assert set(rows) == _loop_candidates(width, height, *p)
