@@ -5,8 +5,16 @@ of the edge groups wholly inside its interior, less the edge mass of its
 central half, over its perimeter to the power KAPPA. The stream scores on
 the thinned combined map (``edges.thin_edges``): a group's mass is that of its
 one-pixel ridge, so a box that fits an object's boundary need not take in the
-band that smoothing spreads around it. Every window of a frame is scored in
-one pass over a ``WindowLayout``, cached per frame size; the best pool is
+band that smoothing spreads around it. The windows of a frame size form a
+``WindowLayout``, cached per size, whose shapes fall into runs: consecutive
+shapes with at most RUN_CELLS difference-array cells between them, or one
+larger shape alone. Each run is scored in one batched pass and only a
+running pool of the best windows is kept between runs, so memory follows a
+run's size, not the frame's window count. The pool is exactly the best pool
+over all windows: it is ranked by (-score, x, y, w, h), a total order
+because no two windows share a box, and every score has the bits a
+whole-layout pass gives it, since each difference-array cell receives its
+terms in the same (corner kind, group) order in any run. The pool is then
 refined by a local search whose box scores test containment by table lookup
 (``ScoreContext``).
 
@@ -42,6 +50,7 @@ MIN_SCORE = 1e-9     # boxes without enclosed edge content are dropped
 KAPPA = 1.5          # perimeter exponent of the box score's normaliser
 STEP_IOU = 0.65      # IoU of neighbouring windows (EdgeBoxes' alpha)
 PRE_NMS_BETA = 0.9   # IoU above which a lower-scoring proposal is dropped
+RUN_CELLS = 2 ** 15  # difference-array cells (512 kB, numerator and count) per scoring run
 
 
 class ScoreContext:
@@ -58,7 +67,8 @@ class ScoreContext:
                  magnitude_threshold: float = EDGE_THRESHOLD):
         E = as_field(edge_map)
         self.height, self.width = E.shape
-        self.mass_field = np.where(E >= magnitude_threshold, E, 0.0).astype(np.float64)
+        # float32; the integral image sums it in float64
+        self.mass_field = np.where(E >= magnitude_threshold, E, np.float32(0))
         self.integral = IntegralImage(self.mass_field)
         # x0, y0, x1, y1 half-open
         self.group_bounds = np.array([(g.bbox.x, g.bbox.y, g.bbox.x2, g.bbox.y2)
@@ -108,8 +118,10 @@ class WindowLayout:
     last < q) of them left of q, without a search; ys likewise. Window
     (xs[i], ys[j]) of shape s is the flat score index
     ``window_start[s] + j * nx[s] + i``, and its difference-array cells start
-    at ``cell_start[s]``. Its arrays are read-only: one cached layout serves
-    every frame of its size.
+    at ``cell_start[s]``. ``runs`` holds the (s0, s1) shape ranges that
+    ``generate_proposals`` scores one at a time: consecutive shapes with at
+    most RUN_CELLS cells, or one larger shape alone. Its arrays are
+    read-only: one cached layout serves every frame of its size.
     """
 
     def __init__(self, grids, width: int, height: int):
@@ -129,6 +141,13 @@ class WindowLayout:
         # may differ from the scalar one in the last bit
         self.denom = np.array([((2.0 * np.array([w + h])) ** KAPPA)[0]
                                for w, h, _, _ in self.grids])
+        runs, s0 = [], 0
+        for s in range(1, len(self.grids) + 1):
+            if (s == len(self.grids)
+                    or self.cell_start[s + 1] - self.cell_start[s0] > RUN_CELLS):
+                runs.append((s0, s))
+                s0 = s
+        self.runs = tuple(runs)
         for a in (self.ws, self.hs, self.sx, self.sy, self.nx, self.ny,
                   self.window_start, self.cell_start, self.denom,
                   *(c for g in self.grids for c in g[2:])):
@@ -150,24 +169,26 @@ def _positions_below(q, step, last):
     return multiples + ((last % step != 0) & (last < q))
 
 
-def _difference_cells(layout: WindowLayout, ctx: ScoreContext) -> np.ndarray:
-    """The ragged difference array of every shape of ``layout``, as
-    (cells, 2): each cell's numerator and coverage count side by side."""
+def _difference_cells(layout: WindowLayout, ctx: ScoreContext,
+                      s0: int, s1: int) -> np.ndarray:
+    """The ragged difference array of shapes s0 to s1 of ``layout``, as
+    (cells, 2): each cell's numerator and coverage count side by side, from
+    shape s0's first cell on."""
     gx0, gy0, gx1, gy1 = ctx.group_bounds.T.astype(np.int64)
-    w, h = layout.ws[:, None], layout.hs[:, None]
-    x = (layout.sx[:, None], layout.width - w)
-    y = (layout.sy[:, None], layout.height - h)
+    w, h = layout.ws[s0:s1, None], layout.hs[s0:s1, None]
+    x = (layout.sx[s0:s1, None], layout.width - w)
+    y = (layout.sy[s0:s1, None], layout.height - h)
     i0, i1 = _positions_below(gx1 - w + 1, *x), _positions_below(gx0, *x)
     j0, j1 = _positions_below(gy1 - h + 1, *y), _positions_below(gy0, *y)
     hit = (i0 < i1) & (j0 < j1)
     shape, group = np.nonzero(hit)       # shape-major, groups in order
     i0, i1, j0, j1 = i0[hit], i1[hit], j0[hit], j1[hit]
-    row = layout.nx[shape] + 1
-    base = layout.cell_start[shape]
+    row = layout.nx[s0 + shape] + 1
+    base = layout.cell_start[s0 + shape] - layout.cell_start[s0]
     corners = np.concatenate([base + j0 * row + i0, base + j0 * row + i1,
                               base + j1 * row + i0, base + j1 * row + i1])
     mass = ctx.group_mass[group]
-    cells = np.empty((layout.cell_start[-1], 2))
+    cells = np.empty((layout.cell_start[s1] - layout.cell_start[s0], 2))
     cells[:, 0] = np.bincount(corners, np.concatenate([mass, -mass, -mass, mass]),
                               len(cells))
     cells[:, 1] = np.bincount(corners, np.repeat([1.0, -1.0, -1.0, 1.0], len(mass)),
@@ -175,27 +196,34 @@ def _difference_cells(layout: WindowLayout, ctx: ScoreContext) -> np.ndarray:
     return cells
 
 
-def score_grid(layout, ctx: ScoreContext) -> np.ndarray:
-    """Scores of every window of ``layout``, a ``WindowLayout`` of the
-    frame's size, as one flat vector: shape by shape, each row-major over
-    (ys, xs). Equal to score_boxes up to the summation order of the numerator.
+def score_grid(layout, ctx: ScoreContext, s0: int = 0,
+               s1: int | None = None) -> np.ndarray:
+    """Scores of every window of shapes s0 to s1 (default: all) of
+    ``layout``, a ``WindowLayout`` of the frame's size, as one flat vector:
+    shape by shape, each row-major over (ys, xs), so that it is the slice
+    ``window_start[s0]:window_start[s1]`` of the whole layout's vector.
+    Equal to score_boxes up to the summation order of the numerator.
 
     A group lies in the interior of the w x h box at (a, b) exactly when
     x1 - w + 1 <= a <= x0 - 1 and y1 - h + 1 <= b <= y0 - 1, so it adds its
     mass to one rectangle of grid indices per shape. Counting the positions
-    below each bound finds those rectangles for all shapes and groups at
-    once, by arithmetic on the shapes' steps; their corners go
+    below each bound finds those rectangles for all the range's shapes and
+    groups at once, by arithmetic on the shapes' steps; their corners go
     into one ragged difference array, holding numerator and coverage count
     interleaved, with one bincount pair, and a 2-D cumulative sum per shape
     gives every numerator in O(shapes * G + windows). Each cell receives its
     terms in the order a per-shape difference array would (corner kind, then
-    group), so the scores are bitwise those of scoring each shape on its own.
+    group), so the scores are bitwise those of scoring each shape on its own,
+    whatever range they are scored in.
     """
-    cells = _difference_cells(layout, ctx)
-    scores = np.empty(layout.window_start[-1])
-    for s, (w, h, xs, ys) in enumerate(layout.grids):
+    s1 = len(layout.grids) if s1 is None else s1
+    cells = _difference_cells(layout, ctx, s0, s1)
+    cell = layout.cell_start[s0:s1 + 1] - layout.cell_start[s0]
+    window = layout.window_start[s0:s1 + 1] - layout.window_start[s0]
+    scores = np.empty(window[-1])
+    for k, (w, h, xs, ys) in enumerate(layout.grids[s0:s1]):
         nx, ny = len(xs), len(ys)
-        acc = (cells[layout.cell_start[s]:layout.cell_start[s + 1]]
+        acc = (cells[cell[k]:cell[k + 1]]
                .reshape(ny + 1, nx + 1, 2).cumsum(axis=0).cumsum(axis=1)[:ny, :nx])
         # the +m/-m corners can leave a rounding residue where no group lies;
         # such boxes have a numerator of exactly 0, as in score_boxes
@@ -203,8 +231,8 @@ def score_grid(layout, ctx: ScoreContext) -> np.ndarray:
         x, y = xs[None, :], ys[:, None]
         mx, my = w // 4, h // 4
         center = ctx.integral.rect_sums(x + mx, y + my, x + w - mx, y + h - my)
-        scores[layout.window_start[s]:layout.window_start[s + 1]] = np.maximum(
-            0.0, (numer - center) / layout.denom[s]).ravel()
+        scores[window[k]:window[k + 1]] = np.maximum(
+            0.0, (numer - center) / layout.denom[s0 + k]).ravel()
     return scores
 
 
@@ -247,28 +275,32 @@ def _window_layout(width: int, height: int, min_area: float) -> WindowLayout:
 
 def _refine(boxes: np.ndarray, scores: np.ndarray,
             ctx: ScoreContext) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy local search: try +-step moves of each corner coordinate, in
-    two passes over the moves per round, halving the step each round."""
+    """Greedy local search: try +-step moves of each coordinate, x, y, w and
+    h in turn, in two passes over the moves per round, halving the step each
+    round.
+
+    Every box is a valid window, and stays one, so a move can cross only one
+    bound: +x and +w the right frame edge, -x the left one, -w the least
+    width 4, and y, h likewise."""
     boxes = boxes.copy()
     scores = scores.copy()
     w0 = np.maximum(boxes[:, 2], boxes[:, 3])
     delta = STEP_IOU
     step = np.maximum(1, (w0 * (1.0 - delta) / (1.0 + delta) / 2).astype(np.int64))
     for _ in range(REFINE_STEPS):
-        moves = [(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0),
-                 (0, 0, 1, 0), (0, 0, -1, 0), (0, 0, 0, 1), (0, 0, 0, -1)]
         for _pass in range(2):
-            for m in moves:
-                cand = boxes + np.asarray(m, dtype=np.int64)[None, :] * step[:, None]
-                ok = ((cand[:, 0] >= 0) & (cand[:, 1] >= 0)
-                      & (cand[:, 2] >= 4) & (cand[:, 3] >= 4)
-                      & (cand[:, 0] + cand[:, 2] <= ctx.width)
-                      & (cand[:, 1] + cand[:, 3] <= ctx.height))
-                trial = np.where(ok[:, None], cand, boxes)
-                s = score_boxes(trial, ctx)
-                better = s > scores + 1e-12
-                boxes = np.where(better[:, None], trial, boxes)
-                scores = np.where(better, s, scores)
+            for c, size in [(0, ctx.width), (1, ctx.height),
+                            (2, ctx.width), (3, ctx.height)]:
+                for sign in (1, -1):
+                    moved = boxes[:, c] + sign * step
+                    ok = (moved + boxes[:, c ^ 2] <= size if sign > 0
+                          else moved >= (0 if c < 2 else 4))
+                    trial = boxes.copy()
+                    trial[ok, c] = moved[ok]
+                    s = score_boxes(trial, ctx)
+                    better = s > scores + 1e-12
+                    boxes[better, c] = trial[better, c]
+                    scores = np.where(better, s, scores)
         step = np.maximum(1, step // 2)
     return boxes, scores
 
@@ -280,29 +312,54 @@ def nms(proposals: list[Proposal], beta: float) -> list[Proposal]:
     return [ranked[k] for k in greedy_keep([p.box.as_tuple() for p in ranked], beta)]
 
 
+def _best_windows(layout: WindowLayout, ctx: ScoreContext,
+                  pool: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``pool`` windows of ``layout`` by (-score, x, y, w, h), as
+    (n, 4) int64 boxes and their scores in that order.
+
+    The runs are scored one at a time, and between runs only the pool so
+    far is kept. No two windows share a box, so the key is a total order and
+    the first ``pool`` of all windows are the first ``pool`` of the runs'
+    own first ``pool``s, however many windows tie on their score. Only a
+    run's windows scoring at least both the full pool's last score and the
+    run's pool-th best can enter the pool; only those are decoded to boxes."""
+    boxes, scores = np.empty((0, 4), dtype=np.int64), np.empty(0)
+    for s0, s1 in layout.runs:
+        run = score_grid(layout, ctx, s0, s1)
+        top = np.flatnonzero(run >= (scores[-1] if len(scores) == pool else -np.inf))
+        if len(top) > pool:
+            k = len(top) - pool
+            top = top[run[top] >= np.partition(run[top], k)[k]]
+        boxes = np.concatenate([boxes, layout.boxes(layout.window_start[s0] + top)])
+        scores = np.concatenate([scores, run[top]])
+        order = np.lexsort((boxes[:, 3], boxes[:, 2], boxes[:, 1], boxes[:, 0],
+                            -scores))[:pool]
+        boxes, scores = boxes[order], scores[order]
+    return boxes, scores
+
+
 def generate_proposals(edge_map, groups: list[EdgeGroup], config: PipelineConfig,
                        frame_index: int = 0) -> list[Proposal]:
-    """Ranked proposals: enumerate sliding windows, score, refine the best
-    pool locally, suppress near-duplicates and truncate.
+    """Ranked proposals: enumerate sliding windows, score them run by run
+    keeping the best pool, refine the pool locally, suppress near-duplicates
+    and truncate.
 
     The windows of a frame size come from ``_window_layout``, which builds
-    them at the first frame of that size and keeps the last few sizes; only
-    the pool's windows are decoded to boxes. Refinement can move several
-    windows onto one box; ``nms`` keeps the best-scoring of them, since
-    coincident boxes overlap at IoU 1 > PRE_NMS_BETA.
+    them at the first frame of that size and keeps the last few sizes.
+    ``_best_windows`` scores one run of shapes at a time and keeps only the
+    4 * max_proposals best windows between runs, so its memory follows a
+    run's size, not the frame's window count; by the total order of its key
+    and the per-cell term order of ``score_grid``, its pool is exactly that
+    of ranking every window at once. Refinement can move several windows
+    onto one box; ``nms`` keeps the best-scoring of them, since coincident
+    boxes overlap at IoU 1 > PRE_NMS_BETA.
     """
     ctx = ScoreContext(edge_map, groups)
     layout = _window_layout(ctx.width, ctx.height, config.min_box_area)
     if not layout.grids:
         return []
-    scores = score_grid(layout, ctx)
-    # the pool is the first boxes by (-score, x, y, w, h); only boxes scoring
-    # at least the pool-th best score can be among them
-    pool = min(len(scores), 4 * config.max_proposals)
-    top = np.flatnonzero(scores >= -np.partition(-scores, pool - 1)[pool - 1])
-    b = layout.boxes(top)
-    order = np.lexsort((b[:, 3], b[:, 2], b[:, 1], b[:, 0], -scores[top]))[:pool]
-    boxes, scores = _refine(b[order], scores[top[order]], ctx)
+    pool = min(layout.window_start[-1], 4 * config.max_proposals)
+    boxes, scores = _refine(*_best_windows(layout, ctx, pool), ctx)
     proposals = [Proposal(Box(*b), s, frame_index)
                  for b, s in zip(boxes.tolist(), scores.tolist()) if s > MIN_SCORE]
     # nms returns its kept proposals ranked by (-score, x, y, w, h)

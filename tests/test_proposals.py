@@ -6,21 +6,25 @@ import numpy as np
 import pytest
 
 import streamdet.propagation
+import streamdet.proposals
 from streamdet.config import PipelineConfig
 from streamdet.core import Box, iou
 from streamdet.edges import EdgeGroup, edge_groups
 from streamdet.proposals import (KAPPA, MAX_ASPECT, MIN_SCORE, PRE_NMS_BETA,
                                  STEP_IOU, Proposal, ScoreContext, WindowLayout,
-                                 _positions_below, _refine, _window_grids,
-                                 _window_layout, generate_proposals, nms,
-                                 score_boxes, score_grid)
+                                 _best_windows, _positions_below, _refine,
+                                 _window_grids, _window_layout,
+                                 generate_proposals, nms, score_boxes,
+                                 score_grid)
 from streamdet.synth import render
 
 SCENES = Path(__file__).resolve().parents[1] / "perfbench" / "scenes.py"
-# 1.2x the 18.3 MB tracemalloc peak of generate_proposals on the first
-# large-cli frame; scoring each shape on its own and keeping a per-window
-# candidate array peaked at 25.9 MB there
-PEAK_BOUND_MB = 21.9
+# 1.2x the 11.5 MB tracemalloc peak of generate_proposals on the first
+# large-cli frame, measured with this test run alone (in a full suite, where
+# earlier tests have warmed numpy, it reads 10.3 MB); scoring every window
+# in one vector peaked at 22.0 MB there, and scoring each shape on its own
+# with a per-window candidate array at 25.9 MB
+PEAK_BOUND_MB = 13.8
 
 
 def score_box_bruteforce(box: Box, ctx: ScoreContext) -> float:
@@ -391,18 +395,25 @@ def test_proposal_memory_peak_on_a_500px_frame():
     assert peak_mb < PEAK_BOUND_MB
 
 
+def _whole_vector_pool(layout, ctx, pool):
+    """The first pool windows by (-score, x, y, w, h), selected from one
+    score vector of every window: the reference the run-by-run selection
+    must equal bit for bit."""
+    scores = score_grid(layout, ctx)
+    top = np.flatnonzero(scores >= -np.partition(-scores, pool - 1)[pool - 1])
+    b = layout.boxes(top)
+    order = np.lexsort((b[:, 3], b[:, 2], b[:, 1], b[:, 0], -scores[top]))[:pool]
+    return b[order], scores[top[order]]
+
+
 def _dedupe_then_nms(edge_map, groups, config, frame_index=0):
     """generate_proposals with a dict that keeps each refined box once, at
     its best score, before nms: the reference that nms alone must equal.
     Also returns how many refined boxes the dict dropped."""
     ctx = ScoreContext(edge_map, groups)
     layout = _window_layout(ctx.width, ctx.height, config.min_box_area)
-    scores = score_grid(layout, ctx)
-    pool = min(len(scores), 4 * config.max_proposals)
-    top = np.flatnonzero(scores >= -np.partition(-scores, pool - 1)[pool - 1])
-    b = layout.boxes(top)
-    order = np.lexsort((b[:, 3], b[:, 2], b[:, 1], b[:, 0], -scores[top]))[:pool]
-    boxes, scores = _refine(b[order], scores[top[order]], ctx)
+    pool = min(layout.window_start[-1], 4 * config.max_proposals)
+    boxes, scores = _refine(*_whole_vector_pool(layout, ctx, pool), ctx)
     best: dict[tuple, float] = {}
     for box, score in zip(map(tuple, boxes.tolist()), scores.tolist()):
         best[box] = max(score, best.get(box, score))
@@ -422,6 +433,154 @@ def test_nms_alone_drops_coincident_refined_boxes():
         assert proposals == reference, name
         dropped += coincident
     assert dropped > 0     # refinement does move windows onto one box
+
+
+def _whole_vector_proposals(edge_map, groups, config, frame_index=0):
+    """generate_proposals with its pool selected from one score vector of
+    every window."""
+    ctx = ScoreContext(edge_map, groups)
+    layout = _window_layout(ctx.width, ctx.height, config.min_box_area)
+    pool = min(layout.window_start[-1], 4 * config.max_proposals)
+    boxes, scores = _refine(*_whole_vector_pool(layout, ctx, pool), ctx)
+    proposals = [Proposal(Box(*b), s, frame_index)
+                 for b, s in zip(boxes.tolist(), scores.tolist()) if s > MIN_SCORE]
+    return nms(proposals, PRE_NMS_BETA)[:config.max_proposals]
+
+
+def _bits(proposals):
+    return [(p.box.as_tuple(), float(p.score).hex(), p.frame_index) for p in proposals]
+
+
+def _scenes_for_runs():
+    """(name, edge map, groups, max_proposals): random scenes at three frame
+    sizes, an all-zero map, and one small square whose few enclosing windows
+    leave thousands of windows tied at 0 on the pool-th score."""
+    rng = np.random.default_rng(47)
+    for width, height in [(48, 48), (96, 72), (128, 96)]:
+        for density in (0.85, 0.6):
+            E = (rng.random((height, width))
+                 * (rng.random((height, width)) > density)).astype(np.float32)
+            O = (rng.random((height, width)) * np.pi).astype(np.float32)
+            yield f"random {width}x{height}", E, edge_groups(E, O, 0.1), 10
+    zero = np.zeros((72, 96), dtype=np.float32)
+    yield "all zero", zero, [], 10
+    E = np.pad(_square_scene(72, 5, 12)[0], ((0, 0), (0, 24)))
+    yield "one square", E, edge_groups(E, np.zeros_like(E), 0.1), 30
+
+
+@pytest.fixture
+def small_runs(monkeypatch):
+    """Runs of at most 200 cells, so that every layout splits into many;
+    layouts cached under it are dropped on both sides."""
+    monkeypatch.setattr(streamdet.proposals, "RUN_CELLS", 200)
+    _window_layout.cache_clear()
+    yield 200
+    _window_layout.cache_clear()
+
+
+def test_runs_cover_the_layout_in_order_within_their_bound(small_runs):
+    alone = together = 0
+    for width, height in [(48, 48), (96, 72), (128, 96), (500, 500)]:
+        layout = _window_layout(width, height, 250.0)
+        assert [s0 for s0, _ in layout.runs] == [0] + [s1 for _, s1 in layout.runs[:-1]]
+        assert layout.runs[-1][1] == len(layout.grids)
+        for s0, s1 in layout.runs:
+            cells = layout.cell_start[s1] - layout.cell_start[s0]
+            assert s1 > s0 and (cells <= small_runs or s1 == s0 + 1)
+            alone += cells > small_runs
+            together += s1 > s0 + 1
+    assert alone and together
+
+
+def test_small_frames_are_scored_in_one_run():
+    for width, height in [(96, 72), (128, 96)]:
+        layout = WindowLayout(_window_grids(width, height, 250.0, STEP_IOU),
+                              width, height)
+        assert layout.runs == ((0, len(layout.grids)),)
+
+
+def test_score_grid_of_a_shape_range_is_a_slice_of_the_whole_layout():
+    rng = np.random.default_rng(53)
+    for width, height in [(48, 48), (96, 72), (128, 96)]:
+        ctx = _random_scene(rng, width, height=height)
+        layout = _window_layout(width, height, 250.0)
+        whole = score_grid(layout, ctx)
+        n = len(layout.grids)
+        ranges = [(0, n), (0, 1), (n - 1, n), (n // 3, 2 * n // 3), (2, 2)]
+        ranges += [tuple(sorted(rng.integers(0, n + 1, 2).tolist())) for _ in range(6)]
+        for s0, s1 in ranges:
+            part = score_grid(layout, ctx, s0, s1)
+            assert np.array_equal(
+                part, whole[layout.window_start[s0]:layout.window_start[s1]]), (s0, s1)
+
+
+def test_running_pool_equals_the_whole_vector_selection(small_runs):
+    for name, E, groups, max_proposals in _scenes_for_runs():
+        config = PipelineConfig(max_proposals=max_proposals, min_box_area=250.0)
+        ctx = ScoreContext(E, groups)
+        layout = _window_layout(ctx.width, ctx.height, config.min_box_area)
+        assert len(layout.runs) > 3, name
+        pool = min(layout.window_start[-1], 4 * max_proposals)
+        boxes, scores = _best_windows(layout, ctx, pool)
+        ref_boxes, ref_scores = _whole_vector_pool(layout, ctx, pool)
+        assert np.array_equal(boxes, ref_boxes), name
+        assert [s.hex() for s in scores.tolist()] == \
+            [s.hex() for s in ref_scores.tolist()], name
+        if name in ("all zero", "one square"):
+            # the pool-th score is shared far beyond the pool, across runs
+            tied = np.flatnonzero(score_grid(layout, ctx) == scores[-1])
+            runs = np.searchsorted(layout.window_start, tied, side="right")
+            assert len(tied) > 10 * pool and len(set(runs.tolist())) > 3, name
+        assert _bits(generate_proposals(E, groups, config, 5)) == \
+            _bits(_whole_vector_proposals(E, groups, config, 5)), name
+
+
+def _refine_checking_every_bound(boxes, scores, ctx):
+    """_refine with each move's trial boxes checked against all six window
+    bounds: the reference the one-bound check must equal bit for bit."""
+    boxes, scores = boxes.copy(), scores.copy()
+    w0 = np.maximum(boxes[:, 2], boxes[:, 3])
+    step = np.maximum(1, (w0 * (1.0 - STEP_IOU) / (1.0 + STEP_IOU) / 2).astype(np.int64))
+    for _ in range(2):
+        for _pass in range(2):
+            for m in [(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0),
+                      (0, 0, 1, 0), (0, 0, -1, 0), (0, 0, 0, 1), (0, 0, 0, -1)]:
+                cand = boxes + np.array(m)[None, :] * step[:, None]
+                ok = ((cand[:, 0] >= 0) & (cand[:, 1] >= 0)
+                      & (cand[:, 2] >= 4) & (cand[:, 3] >= 4)
+                      & (cand[:, 0] + cand[:, 2] <= ctx.width)
+                      & (cand[:, 1] + cand[:, 3] <= ctx.height))
+                trial = np.where(ok[:, None], cand, boxes)
+                s = score_boxes(trial, ctx)
+                better = s > scores + 1e-12
+                boxes = np.where(better[:, None], trial, boxes)
+                scores = np.where(better, s, scores)
+        step = np.maximum(1, step // 2)
+    return boxes, scores
+
+
+def test_refine_checks_the_one_bound_each_move_can_cross():
+    rng = np.random.default_rng(59)
+    moved = 0
+    for width, height in [(48, 48), (96, 72), (128, 96)]:
+        ctx = _random_scene(rng, width, height=height, density=0.7)
+        layout = _window_layout(width, height, 16.0)
+        boxes = layout.boxes(np.arange(layout.window_start[-1]))
+        # random windows, then windows of width or height 4 and windows on
+        # the frame's edges, which some moves take out of bounds
+        for pool in (boxes[rng.permutation(len(boxes))[:300]],
+                     boxes[(boxes[:, 2] == 4) | (boxes[:, 3] == 4)][:300],
+                     boxes[(boxes[:, 0] == 0) | (boxes[:, 1] == 0)
+                           | (boxes[:, 0] + boxes[:, 2] == width)
+                           | (boxes[:, 1] + boxes[:, 3] == height)][::7]):
+            scores = score_boxes(pool, ctx)
+            got = _refine(pool, scores, ctx)
+            expected = _refine_checking_every_bound(pool, scores, ctx)
+            assert np.array_equal(got[0], expected[0])
+            assert [s.hex() for s in got[1].tolist()] == \
+                [s.hex() for s in expected[1].tolist()]
+            moved += int((got[0] != pool).any(axis=1).sum())
+    assert moved > 100
 
 
 def _loop_candidates(width, height, min_area, step_iou, max_aspect):
